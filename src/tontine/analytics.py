@@ -16,6 +16,7 @@ from .controls import (
     MarketParams,
     beta,
     log_denominator_integral,
+    log_tail_integrals,
     merton_fraction,
 )
 from .mortality import GompertzMakehamParams, cumulative_hazard
@@ -89,9 +90,7 @@ def expected_wealth(
     """E[X*_t] = X0 e^{(r + (mu-r)pi*) t} D(t) / (D(0) S_t) under the optimal controls."""
     t = np.asarray(t, dtype=float)
     log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
-    log_d = np.array(
-        [log_denominator_integral(float(u), schedule, mortality, market) for u in np.atleast_1d(t)]
-    ).reshape(t.shape)
+    log_d = log_tail_integrals(t, schedule, mortality, market)
     growth = market.r + (market.mu - market.r) * merton_fraction(market, schedule.gamma)
     out = x0 * np.exp(growth * t + log_d - log_d0 + cumulative_hazard(t, mortality))
     return out if out.ndim else float(out)
@@ -118,9 +117,7 @@ def alpha_curve(
     """Optimal tontine allocation alpha*_t evaluated directly on an arbitrary grid."""
     grid = np.asarray(grid, dtype=float)
     beta_value = beta(market, schedule.gamma, schedule.rho)
-    log_d = np.array(
-        [log_denominator_integral(float(t), schedule, mortality, market) for t in grid]
-    )
+    log_d = log_tail_integrals(grid, schedule, mortality, market)
     log_c = -beta_value * grid - cumulative_hazard(grid, mortality) - log_d
     return 1.0 - np.exp(log_c + log_transformed_weight(grid, schedule, mortality))
 

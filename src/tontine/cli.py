@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -114,7 +114,6 @@ class RunConfig:
     overrides: dict[str, object]
     out: str
     seed: int
-    paths: dict[str, str] = field(default_factory=dict)
 
 
 class _OutputSet:
@@ -216,10 +215,8 @@ def _resolved_mortality(merged: dict) -> GompertzMakehamParams:
         raise CliError("CONFIG", str(exc)) from exc
 
 
-def _resolved_schedule(
-    merged: dict, market: MarketParams, mortality: GompertzMakehamParams
-) -> PreferenceSchedule:
-    """Build the preference schedule, running kappa calibration if requested."""
+def _uncalibrated_schedule(merged: dict, market: MarketParams) -> PreferenceSchedule:
+    """Build the preference schedule with kappa unset."""
     variant = str(merged["variant"]).strip()
     if variant not in VARIANTS:
         raise CliError(
@@ -233,27 +230,36 @@ def _resolved_schedule(
             if isinstance(rho_raw, str) and rho_raw.strip() == "auto"
             else _as_float(merged, "rho")
         )
-        kappa_raw = merged["kappa"]
-        kappa_auto = isinstance(kappa_raw, str) and kappa_raw.strip() == "auto"
-        schedule = PreferenceSchedule(
-            gamma=gamma,
-            rho=rho,
-            variant=variant,
-            kappa=None if (variant not in SCALED_VARIANTS or kappa_auto)
-            else _as_float(merged, "kappa"),
+        return PreferenceSchedule(
+            gamma=gamma, rho=rho, variant=variant,
             horizon_years=_as_float(merged, "horizon_years"),
         )
     except ValueError as exc:
         raise CliError("CONFIG", str(exc)) from exc
-    if variant in SCALED_VARIANTS and schedule.kappa is None:
+
+
+def _resolved_schedule(
+    merged: dict, market: MarketParams, mortality: GompertzMakehamParams
+) -> PreferenceSchedule:
+    """Build the preference schedule, running kappa calibration if requested."""
+    schedule = _uncalibrated_schedule(merged, market)
+    if not schedule.is_scaled:
+        return schedule
+    kappa_raw = merged["kappa"]
+    if isinstance(kappa_raw, str) and kappa_raw.strip() == "auto":
         calibration = calibrate_kappa(schedule, market, mortality)
         if not calibration.feasible:
             raise CliError(
                 "CALIBRATION",
-                f"kappa calibration infeasible for gamma={gamma:g} (requires gamma < 0)",
+                f"kappa calibration infeasible for gamma={schedule.gamma:g} (requires gamma < 0)",
             )
-        schedule = schedule.with_kappa(calibration.kappa)
-    return schedule
+        kappa = calibration.kappa
+    else:
+        kappa = _as_float(merged, "kappa")
+    try:
+        return schedule.with_kappa(kappa)
+    except ValueError as exc:
+        raise CliError("CONFIG", str(exc)) from exc
 
 
 # ----------------------------------------------------------------------------
@@ -281,26 +287,13 @@ def _cmd_calibrate(config: RunConfig, out: _OutputSet) -> None:
     merged = config.overrides
     market = _resolved_market(merged)
     mortality = _resolved_mortality(merged)
-    variant = str(merged["variant"]).strip()
-    if variant not in SCALED_VARIANTS:
+    schedule = _uncalibrated_schedule(merged, market)
+    if not schedule.is_scaled:
         raise CliError(
             "CONFIG",
-            f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), got {variant!r}",
+            f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), "
+            f"got {schedule.variant!r}",
         )
-    gamma = _as_float(merged, "gamma")
-    rho_raw = merged["rho"]
-    rho = (
-        auto_rho(gamma, market.r)
-        if isinstance(rho_raw, str) and rho_raw.strip() == "auto"
-        else _as_float(merged, "rho")
-    )
-    try:
-        schedule = PreferenceSchedule(
-            gamma=gamma, rho=rho, variant=variant,
-            horizon_years=_as_float(merged, "horizon_years"),
-        )
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from exc
     calibration = calibrate_kappa(schedule, market, mortality)
     text = "kappa,residual,feasible\n" + ",".join(
         (
@@ -493,8 +486,6 @@ def build_run_config(argv: list[str]) -> RunConfig:
         overrides=merged,
         out=out,
         seed=seed,
-        paths={"config": args.config or "", "out": out,
-               "table": str(merged["table_path"])},
     )
 
 

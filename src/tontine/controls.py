@@ -2,10 +2,13 @@
 equity fraction, the denominator integral D(t), and the consumption and
 tontine-allocation rates tabulated on a uniform grid.
 
-All integrals are computed in log space with composite 16-point
-Gauss-Legendre panels (one per year, split at the bequest horizon and, for
-trimmed weights with gamma < 0, geometrically refined toward the horizon
-where the integrand's derivative is singular).
+D(t), the tail integral from t to T_max, has one kernel,
+:func:`log_tail_integrals`, which every other route calls.  It works in log
+space with composite 16-point Gauss-Legendre panels on one fixed panel set
+(one per year, split at weight kinks and, for trimmed weights with
+gamma < 0, geometrically refined toward the horizon where the integrand's
+derivative is singular).  The fixed panels are integrated once and summed
+from the top down; each query point t adds its own head panel [t, next edge].
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
 from .preferences import (
@@ -30,6 +32,7 @@ __all__ = [
     "merton_fraction",
     "denominator_integral",
     "log_denominator_integral",
+    "log_tail_integrals",
     "build_control_schedule",
     "schedule_csv",
     "truncation_sensitivity",
@@ -106,30 +109,20 @@ def _graded_edges(a: float, b: float) -> np.ndarray:
     return np.concatenate([b - (b - a) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1), [b]])
 
 
-def _interior_kinks(schedule: PreferenceSchedule, t_max: float) -> list[float]:
-    kinks: list[float] = []
-    if schedule.is_trimmed and schedule.horizon_years < t_max:
-        kinks.append(schedule.horizon_years)
+def _panel_edges(schedule: PreferenceSchedule, t_max: float) -> np.ndarray:
+    """Fixed integration panel edges on [0, t_max]: yearly splits, weight
+    kinks, and geometric refinement into the trimmed horizon for gamma < 0."""
+    pts = {float(k) for k in range(math.floor(t_max) + 1)} | {t_max}
+    h = schedule.horizon_years
+    if schedule.is_trimmed and h < t_max:
+        pts.add(h)
     if schedule.variant == "table":
-        kinks.extend(p[0] for p in schedule.table)
-    return kinks
-
-
-def _panel_edges(lo: float, hi: float, schedule: PreferenceSchedule,
-                 yearly: bool = True) -> np.ndarray:
-    """Integration panel edges on [lo, hi]: yearly splits, weight kinks, and
-    geometric refinement into the trimmed horizon for gamma < 0."""
-    pts = {lo, hi}
-    if yearly:
-        pts.update(float(k) for k in range(math.ceil(lo), math.floor(hi) + 1))
-    pts.update(k for k in _interior_kinks(schedule, hi) if lo < k < hi)
+        pts.update(k for k, _ in schedule.table if k < t_max)
     edges = np.array(sorted(pts))
 
-    h = schedule.horizon_years
-    if schedule.is_trimmed and schedule.gamma < 0 and lo < h <= hi:
+    if schedule.is_trimmed and schedule.gamma < 0 and h <= t_max:
         at_h = np.searchsorted(edges, h)  # edges[at_h] == h by construction
-        graded = _graded_edges(edges[at_h - 1], h)
-        edges = np.unique(np.concatenate([edges, graded]))
+        edges = np.unique(np.concatenate([edges, _graded_edges(edges[at_h - 1], h)]))
     return edges
 
 
@@ -147,19 +140,50 @@ def _log_integrand(u: np.ndarray, schedule: PreferenceSchedule,
     )
 
 
-def _log_panel_integrals(edges: np.ndarray, schedule: PreferenceSchedule,
+def _log_panel_integrals(a: np.ndarray, b: np.ndarray, schedule: PreferenceSchedule,
                          mortality: GompertzMakehamParams,
                          beta_value: float) -> np.ndarray:
-    """log of the Gauss-Legendre integral over each consecutive panel."""
-    a = edges[:-1]
-    b = edges[1:]
+    """log of the Gauss-Legendre integral over each panel [a_i, b_i]
+    (-inf for an empty panel)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = _log_integrand(u.ravel(), schedule, mortality, beta_value).reshape(u.shape)
     with np.errstate(divide="ignore"):
         log_jacobian = np.log(half)[:, None] + _LOG_GL_WEIGHTS[None, :]
-    return logsumexp(vals + log_jacobian, axis=1)
+    return np.logaddexp.reduce(vals + log_jacobian, axis=1)
+
+
+def log_tail_integrals(
+    t,
+    schedule: PreferenceSchedule,
+    mortality: GompertzMakehamParams,
+    market: MarketParams,
+) -> np.ndarray:
+    """log D(t) at every t (any shape, each in [0, T_max]) in one quadrature sweep.
+
+    The fixed panels of :func:`_panel_edges` are integrated once and summed
+    from the top down; each t then adds its own head panel [t, next edge].
+    Every t is thus integrated on the same panels whichever grid asked for
+    it, which keeps the mesh-dependent trimmed gamma > 0 value consistent.
+    """
+    t = np.asarray(t, dtype=float)
+    t_max = mortality.limiting_age_years
+    if not np.all((t >= 0.0) & (t <= t_max)):
+        raise ValueError(f"t must lie in [0, {t_max}]")
+    beta_value = beta(market, schedule.gamma, schedule.rho)
+    edges = _panel_edges(schedule, t_max)
+    flat = t.ravel()
+    # first edge strictly above each t; t = T_max gets an empty head panel
+    nxt = np.minimum(np.searchsorted(edges, flat, side="right"), len(edges) - 1)
+    log_panels = _log_panel_integrals(
+        np.concatenate([edges[:-1], flat]), np.concatenate([edges[1:], edges[nxt]]),
+        schedule, mortality, beta_value,
+    )
+    fixed, head = log_panels[:len(edges) - 1], log_panels[len(edges) - 1:]
+    # log_suffix[k]: log of the integral over [edges[k], T_max]
+    log_suffix = np.append(np.logaddexp.accumulate(fixed[::-1])[::-1], -np.inf)
+    return np.logaddexp(head, log_suffix[nxt]).reshape(t.shape)
 
 
 def log_denominator_integral(
@@ -169,14 +193,7 @@ def log_denominator_integral(
     market: MarketParams,
 ) -> float:
     """log D(t) where D(t) = int_t^{T_max} e^{-beta*u} S_u (1 + b^{1/(1-gamma)} lambda) du."""
-    t_max = mortality.limiting_age_years
-    if not 0.0 <= t <= t_max:
-        raise ValueError(f"t must lie in [0, {t_max}]")
-    if t == t_max:
-        return -np.inf
-    beta_value = beta(market, schedule.gamma, schedule.rho)
-    edges = _panel_edges(float(t), float(t_max), schedule)
-    return float(logsumexp(_log_panel_integrals(edges, schedule, mortality, beta_value)))
+    return float(log_tail_integrals(t, schedule, mortality, market))
 
 
 def denominator_integral(
@@ -282,8 +299,8 @@ def build_control_schedule(
     The grid nominally spans [0, T_max] in steps of ``grid_step`` (which must
     divide T_max); the final point, where D vanishes, is dropped, and any
     additional points where D underflows are truncated with a warning note.
-    The per-grid-segment integrals are accumulated once, so the whole
-    schedule costs a single pass of quadrature.
+    D comes from one :func:`log_tail_integrals` sweep over the grid, so each
+    grid value equals :func:`log_denominator_integral` at that point.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
@@ -291,7 +308,7 @@ def build_control_schedule(
     n = round(t_max / grid_step)
     if n < 2 or abs(n * grid_step - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("grid_step must divide the limiting age horizon")
-    grid_full = np.arange(n + 1) * t_max / n
+    grid_full = np.arange(n) * t_max / n  # T_max itself, where D vanishes, is left out
 
     notes: list[str] = []
     if has_integrability_warning(schedule):
@@ -303,29 +320,7 @@ def build_control_schedule(
         notes.append("market: mu <= r, equity premium nonpositive")
 
     beta_value = beta(market, schedule.gamma, schedule.rho)
-
-    # Panel edges for the whole axis, aligned to grid points, then one
-    # quadrature sweep; per-segment log integrals are grouped afterwards.
-    edges = grid_full
-    for k in _interior_kinks(schedule, t_max):
-        if not np.any(np.abs(edges - k) < 1e-12):
-            edges = np.sort(np.append(edges, k))
-    h = schedule.horizon_years
-    if schedule.is_trimmed and schedule.gamma < 0 and h <= t_max:
-        at_h = int(np.argmin(np.abs(edges - h)))
-        graded = _graded_edges(edges[at_h - 1], edges[at_h])
-        edges = np.unique(np.concatenate([edges, graded]))
-
-    log_panels = _log_panel_integrals(edges, schedule, mortality, beta_value)
-    seg_of_panel = np.minimum(np.searchsorted(grid_full, edges[:-1], side="right") - 1, n - 1)
-    log_segments = np.full(n, -np.inf)
-    for seg in range(n):
-        mask = seg_of_panel == seg
-        if np.any(mask):
-            log_segments[seg] = logsumexp(log_panels[mask])
-
-    # Suffix accumulation: log D(t_i) = logsumexp of segment integrals i..n-1.
-    log_d = np.logaddexp.accumulate(log_segments[::-1])[::-1]
+    log_d = log_tail_integrals(grid_full, schedule, mortality, market)
 
     last = int(np.searchsorted(-log_d, -_LOG_UNDERFLOW))
     if last < 1:

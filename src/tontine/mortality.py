@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,8 @@ class GompertzMakehamParams:
     limiting_age_years: float = float(DEFAULT_LIMITING_AGE - DEFAULT_BASE_AGE)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a1, self.a2, self.a3, self.limiting_age_years))):
+            raise ValueError("hazard constants and limiting_age_years must be finite")
         if self.a1 < 0 or self.a2 < 0 or self.a3 < 0:
             raise ValueError("hazard constants a1, a2, a3 must be nonnegative")
         if not self.limiting_age_years > 0:

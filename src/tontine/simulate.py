@@ -66,10 +66,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
         if not self.initial_wealth > 0:
             raise ValueError("initial_wealth must be positive")
         if not 0 <= int(self.seed) < 2**64:

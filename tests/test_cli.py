@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ class TestSimulate:
         run_cli(self.ARGS + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_infinite_horizon_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(self.ARGS + ["--sim-horizon", "inf", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: CONFIG:") and "horizon" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(self.ARGS + ["--out", str(a)], capsys)
@@ -197,6 +206,20 @@ class TestConfigFile:
         assert "valid keys" in err
         for key in VALID_KEYS:
             assert key in err
+
+    def test_non_finite_hazard_constant_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("a1 = nan\n")
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray warning would be a second stderr line
+            code, _, err = run_cli(
+                ["schedule", "--config", str(config), "--out", str(out)], capsys
+            )
+        assert code == 2
+        assert err.startswith("error: CONFIG:") and "finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

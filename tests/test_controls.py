@@ -17,6 +17,7 @@ from tontine.controls import (
     denominator_integral,
     has_integrability_warning,
     log_denominator_integral,
+    log_tail_integrals,
     merton_fraction,
     schedule_csv,
     truncation_sensitivity,
@@ -27,6 +28,8 @@ from tontine.preferences import auto_rho, log_transformed_weight
 from conftest import EXACT_TOL, ODE_REL_TOL, QUAD_REL_TOL, make_schedule
 
 TABLE = ((0.0, 2.0), (5.0, 1.0), (12.0, 1.5), (20.0, 0.0))
+# knots off the weekly grid; the weight jumps from 0.8 to 0 past 31.9
+OFF_GRID_TABLE = ((0.0, 2.0), (3.3, 1.0), (12.7, 1.5), (31.9, 0.8))
 
 
 class TestMarketParams:
@@ -125,18 +128,27 @@ class TestDenominatorIntegral:
             got = denominator_integral(t, schedule, mortality, market)
             assert got == pytest.approx(expected, rel=1e-11)
 
-    @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "table"])
+    @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "table", "table_off_grid"])
     def test_matches_trapezoid_oracle(self, variant, market, mortality, calibrated_cache):
         if variant == "scaled_trimmed":
             schedule = calibrated_cache(-3.0, variant)
         elif variant == "table":
             # the weight jumps from 1.5 to 0 past the last knot
             schedule = make_schedule(-3.0, variant, table=TABLE[:-1])
+        elif variant == "table_off_grid":
+            schedule = make_schedule(-3.0, "table", table=OFF_GRID_TABLE)
         else:
             schedule = make_schedule(-3.0, variant)
         oracle = trapezoid_denominator(0.0, schedule, mortality, market)
         got = denominator_integral(0.0, schedule, mortality, market)
         assert got == pytest.approx(oracle, rel=QUAD_REL_TOL)
+        # the weekly schedule's D agrees with the oracle too
+        controls = build_control_schedule(schedule, mortality, market)
+        for t in (0.0, 10.0, 30.0):
+            i = round(t / controls.grid_step)
+            assert controls.grid[i] == t
+            oracle = trapezoid_denominator(t, schedule, mortality, market)
+            assert controls.denominator[i] == pytest.approx(oracle, rel=QUAD_REL_TOL)
 
     def test_derivative_consistency(self, market, mortality, calibrated_cache):
         # d/dt log D = -f(t)/D(t) with f the integrand, checked by central
@@ -165,6 +177,15 @@ class TestDenominatorIntegral:
         with pytest.raises(ValueError):
             log_denominator_integral(50.5, schedule, mortality, market)
         assert log_denominator_integral(50.0, schedule, mortality, market) == -np.inf
+        # the grid kernel keeps the input's shape and checks every point
+        assert log_tail_integrals(5.0, schedule, mortality, market).shape == ()
+        grid = np.array([[0.0, 5.0, 12.5], [30.0, 49.9, 50.0]])
+        log_d = log_tail_integrals(grid, schedule, mortality, market)
+        assert log_d.shape == grid.shape
+        assert log_d[1, 2] == -np.inf
+        for bad in (-1.0, 50.5, [1.0, -0.1], [[2.0], [50.5]]):
+            with pytest.raises(ValueError):
+                log_tail_integrals(bad, schedule, mortality, market)
 
     def test_truncation_sensitivity_negligible(self, market, mortality, calibrated_cache):
         for schedule in (
@@ -293,6 +314,17 @@ class TestBuildControlSchedule:
         assert any("truncation" in note for note in controls.warnings)
         assert controls.t_end < 45.0
         assert np.isfinite(controls.log_denominator[-1])
+
+    def test_divergent_cell_matches_per_point_value(self, market, mortality, controls_cache):
+        # the trimmed gamma > 0 integral diverges, so D depends on the panels;
+        # the schedule must use the same panels as the per-point route
+        controls = controls_cache(0.5, "trimmed")
+        schedule = make_schedule(0.5, "trimmed")
+        for i in (0, 260, 520, 1000, 1040, 2000):  # t = 0, 5, 10, 19.23, 20, 38.46
+            t = float(controls.grid[i])
+            assert controls.log_denominator[i] == log_denominator_integral(
+                t, schedule, mortality, market
+            )
 
     def test_integrability_note_for_positive_gamma_trimmed(self, market, mortality):
         controls = build_control_schedule(

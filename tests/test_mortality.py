@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,18 @@ class TestParams:
         )
         with pytest.raises(ValueError):
             mortality.with_limiting_age_years(0.0)
+
+    @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_reject(self, values):
+        a1, a2, a3, t_max = values
+        valid = all(map(math.isfinite, values)) and min(a1, a2, a3) >= 0 and t_max > 0
+        if valid:
+            params = GompertzMakehamParams(a1, a2, a3, limiting_age_years=t_max)
+            assert (params.a1, params.a2, params.a3, params.limiting_age_years) == values
+        else:
+            with pytest.raises(ValueError):
+                GompertzMakehamParams(a1, a2, a3, limiting_age_years=t_max)
 
 
 class TestLifeTable:

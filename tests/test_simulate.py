@@ -35,6 +35,9 @@ class TestConfigValidation:
             SimulationConfig(n_paths=10, horizon=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=10, horizon=1.0, step=0.0)
+        for horizon, step in ((np.inf, 0.25), (np.nan, 0.25), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                SimulationConfig(n_paths=10, horizon=horizon, step=step)
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=10, horizon=1.0, initial_wealth=0.0)
         with pytest.raises(ValueError):
