@@ -10,7 +10,8 @@ Produces, under --outdir (default ./figures):
   calibration.csv  kappa per (gamma, scaled variant) with residuals
   income0.csv      initial incomes per 100k premium per gamma and variant
 
-Everything is closed form; no simulation is involved.
+The four figure tables come from `tontine figures`.  Everything is closed
+form; no simulation is involved.
 """
 from __future__ import annotations
 
@@ -20,16 +21,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-import numpy as np
-
 from tontine.analytics import (
     BENCHMARK_GAMMAS,
     FEASIBLE_GAMMAS,
-    alpha_curve,
     expected_discounted_income,
-    figure_table_csv,
-    income_curve,
 )
+from tontine.cli import main as tontine_main
 from tontine.controls import MarketParams, merton_fraction
 from tontine.mortality import GompertzMakehamParams
 from tontine.preferences import (
@@ -41,7 +38,6 @@ from tontine.preferences import (
 
 DEFAULT_MARKET = MarketParams(mu=0.10, sigma=0.20, r=0.03)
 DEFAULT_MORTALITY = GompertzMakehamParams(a1=0.00584, a2=0.12150, a3=0.0024117)
-BASE_AGE = 65.0
 X0 = 100_000.0
 
 
@@ -57,93 +53,53 @@ def schedule_for(gamma: float, variant: str, market, mortality) -> PreferenceSch
     return schedule
 
 
-def write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", default="figures", help="output directory")
-    parser.add_argument("--grid-step", type=float, default=0.25,
-                        help="time grid step in years")
-    args = parser.parse_args(argv)
-    os.makedirs(args.outdir, exist_ok=True)
-
-    market, mortality = DEFAULT_MARKET, DEFAULT_MORTALITY
-    grid = np.arange(0.0, mortality.limiting_age_years, args.grid_step)
-
-    fig1 = {
-        f"alpha_{g:g}": alpha_curve(
-            schedule_for(g, "power", market, mortality), market, mortality, grid
-        )
-        for g in BENCHMARK_GAMMAS
-    }
-    write(os.path.join(args.outdir, "fig1.csv"),
-          figure_table_csv(fig1, grid, BASE_AGE))
-
-    fig2 = {
-        f"scaled_alpha_{g:g}": alpha_curve(
-            schedule_for(g, "scaled_power", market, mortality), market, mortality, grid
-        )
-        for g in FEASIBLE_GAMMAS
-    }
-    fig2.update(
-        {
-            f"trimmed_alpha_{g:g}": alpha_curve(
-                schedule_for(g, "trimmed", market, mortality), market, mortality, grid
-            )
-            for g in BENCHMARK_GAMMAS
-        }
-    )
-    write(os.path.join(args.outdir, "fig2.csv"),
-          figure_table_csv(fig2, grid, BASE_AGE))
-
-    fig3 = {
-        f"alpha_{g:g}": alpha_curve(
-            schedule_for(g, "scaled_trimmed", market, mortality), market, mortality, grid
-        )
-        for g in FEASIBLE_GAMMAS
-    }
-    write(os.path.join(args.outdir, "fig3.csv"),
-          figure_table_csv(fig3, grid, BASE_AGE))
-
-    fig4 = {}
-    for g in FEASIBLE_GAMMAS:
-        curve = income_curve(
-            schedule_for(g, "scaled_trimmed", market, mortality),
-            market, mortality, X0, grid,
-        )
-        fig4[f"income_{g:g}"] = curve.expected_income
-    write(os.path.join(args.outdir, "fig4.csv"),
-          figure_table_csv(fig4, grid, BASE_AGE))
-
-    lines = ["gamma,pi_star"]
+def headline_tables(market, mortality) -> dict[str, str]:
+    """The merton, calibration and income0 CSVs, keyed by file name."""
+    merton = ["gamma,pi_star"]
     for g in BENCHMARK_GAMMAS:
-        lines.append(f"{g:g},{merton_fraction(market, g):.12g}")
-    write(os.path.join(args.outdir, "merton.csv"), "\n".join(lines) + "\n")
+        merton.append(f"{g:g},{merton_fraction(market, g):.12g}")
 
-    lines = ["variant,gamma,kappa,residual,feasible"]
+    calibration = ["variant,gamma,kappa,residual,feasible"]
     for variant in SCALED_VARIANTS:
         for g in BENCHMARK_GAMMAS:
             base = PreferenceSchedule(
                 gamma=g, rho=auto_rho(g, market.r), variant=variant
             )
             cal = calibrate_kappa(base, market, mortality)
-            lines.append(
+            calibration.append(
                 f"{variant},{g:g},{cal.kappa:.12g},{cal.residual:.3e},"
                 f"{'true' if cal.feasible else 'false'}"
             )
-    write(os.path.join(args.outdir, "calibration.csv"), "\n".join(lines) + "\n")
 
-    lines = ["variant,gamma,initial_income_per_100k"]
+    income0 = ["variant,gamma,initial_income_per_100k"]
     for variant in ("none", "power", "scaled_trimmed"):
         for g in FEASIBLE_GAMMAS:
             schedule = schedule_for(g, variant, market, mortality)
             income = expected_discounted_income(0.0, schedule, market, mortality, x0=X0)
-            lines.append(f"{variant},{g:g},{income:.2f}")
-    write(os.path.join(args.outdir, "income0.csv"), "\n".join(lines) + "\n")
+            income0.append(f"{variant},{g:g},{income:.2f}")
+
+    return {
+        name: "\n".join(lines) + "\n"
+        for name, lines in (
+            ("merton.csv", merton), ("calibration.csv", calibration), ("income0.csv", income0)
+        )
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--outdir", default="figures", help="output directory")
+    args = parser.parse_args(argv)
+    os.makedirs(args.outdir, exist_ok=True)
+
+    code = tontine_main(["figures", "--out", args.outdir])
+    if code:
+        return code
+    for name, text in headline_tables(DEFAULT_MARKET, DEFAULT_MORTALITY).items():
+        path = os.path.join(args.outdir, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     schedule = PreferenceSchedule(
         gamma=args.gamma, rho=auto_rho(args.gamma, market.r), variant=args.variant
     )
-    if schedule.variant.startswith("scaled"):
+    if schedule.is_scaled:
         calibration = calibrate_kappa(schedule, market, mortality)
         if not calibration.feasible:
             raise SystemExit(f"infeasible calibration for gamma={args.gamma:g}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .analytics import (
     FEASIBLE_GAMMAS,
     BENCHMARK_GAMMAS,
     alpha_curve,
+    expected_discounted_income,
     figure_table_csv,
     income_csv,
     income_curve,
@@ -393,16 +395,18 @@ def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
     )
     out.write(os.path.join(outdir, "fig2.csv"), figure_table_csv(fig2, grid, base_age))
 
+    # fig3's calibrated schedules also give fig4's incomes.
+    scaled_trimmed = {g: schedule_for(g, "scaled_trimmed") for g in FEASIBLE_GAMMAS}
     fig3 = {
-        f"alpha_{g:g}": alpha_curve(schedule_for(g, "scaled_trimmed"), market, mortality, grid)
-        for g in FEASIBLE_GAMMAS
+        f"alpha_{g:g}": alpha_curve(sched, market, mortality, grid)
+        for g, sched in scaled_trimmed.items()
     }
     out.write(os.path.join(outdir, "fig3.csv"), figure_table_csv(fig3, grid, base_age))
 
-    fig4 = {}
-    for g in FEASIBLE_GAMMAS:
-        curve = income_curve(schedule_for(g, "scaled_trimmed"), market, mortality, x0, grid)
-        fig4[f"income_{g:g}"] = curve.expected_income
+    fig4 = {
+        f"income_{g:g}": expected_discounted_income(grid, sched, market, mortality, x0)
+        for g, sched in scaled_trimmed.items()
+    }
     out.write(os.path.join(outdir, "fig4.csv"), figure_table_csv(fig4, grid, base_age))
 
 
@@ -489,32 +493,36 @@ def build_run_config(argv: list[str]) -> RunConfig:
     )
 
 
+# Library exceptions and their error codes, most specific first.
+_ERROR_CODES = (
+    (LifeTableError, "DATA"),
+    (CalibrationRequired, "CALIBRATION"),
+    (SimulationError, "RUNTIME"),
+    (ValueError, "CONFIG"),
+    (OSError, "IO"),
+)
+
+
 def run(config: RunConfig) -> int:
-    """Execute a resolved command; outputs are atomic and rolled back on failure."""
+    """Execute a resolved command; outputs are atomic and rolled back on failure.
+
+    Library warnings are held back: on success each distinct message is printed
+    once as ``warning: <message>``; on failure only the error line is printed.
+    """
     outputs = _OutputSet()
     try:
-        _DISPATCH[config.command](config, outputs)
-    except CliError:
+        with warnings.catch_warnings(record=True) as caught:
+            _DISPATCH[config.command](config, outputs)
+    except Exception as exc:  # whatever failed, leave no partial outputs behind
         outputs.rollback()
-        raise
-    except (LifeTableError,) as exc:
-        outputs.rollback()
-        raise CliError("DATA", str(exc)) from exc
-    except (CalibrationRequired,) as exc:
-        outputs.rollback()
-        raise CliError("CALIBRATION", str(exc)) from exc
-    except SimulationError as exc:
-        outputs.rollback()
-        raise CliError("RUNTIME", str(exc)) from exc
-    except ValueError as exc:
-        outputs.rollback()
-        raise CliError("CONFIG", str(exc)) from exc
-    except OSError as exc:
-        outputs.rollback()
-        raise CliError("IO", str(exc)) from exc
-    except Exception as exc:  # unexpected: still leave no partial outputs behind
-        outputs.rollback()
+        if isinstance(exc, CliError):
+            raise
+        for kind, code in _ERROR_CODES:
+            if isinstance(exc, kind):
+                raise CliError(code, str(exc)) from exc
         raise CliError("INTERNAL", f"{type(exc).__name__}: {exc}") from exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     return 0
 
 

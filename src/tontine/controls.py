@@ -68,7 +68,7 @@ class MarketParams:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.mu <= self.r:
-            warnings.warn("mu <= r: the equity premium is nonpositive", stacklevel=2)
+            warnings.warn("mu <= r: the equity premium is nonpositive", stacklevel=3)
 
     @property
     def sharpe(self) -> float:

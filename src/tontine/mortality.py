@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 DEFAULT_BASE_AGE = 65
 DEFAULT_LIMITING_AGE = 115
@@ -199,25 +197,8 @@ class GompertzMakehamFit:
     objective: float
 
 
-# Deterministic multi-start grid: 16 log-spaced starting triples.
-_START_A1 = np.geomspace(1e-4, 5e-2, 4)
-_START_A2 = np.geomspace(5e-2, 2e-1, 2)
-_START_A3 = np.geomspace(1e-4, 1e-2, 2)
-
-# Optimization runs in (log a1, log a2, a3) with a3 clamped at 0; the clamp
-# rather than a transform keeps a3 = 0 exactly reachable.
-_NM_OPTIONS = {"xatol": 1e-13, "fatol": 1e-16, "maxiter": 6000, "maxfev": 9000}
-
-
-def _fit_objective(x: np.ndarray, t: np.ndarray, s: np.ndarray, t_max: float) -> float:
-    params = GompertzMakehamParams(
-        a1=float(np.exp(x[0])),
-        a2=float(np.exp(x[1])),
-        a3=float(max(x[2], 0.0)),
-        limiting_age_years=t_max,
-    )
-    resid = s - survival(t, params)
-    return float(np.dot(resid, resid))
+# Starting triple of the single least-squares solve.
+_START = (1e-3, 0.1, 1e-3)
 
 
 def fit_gompertz_makeham(
@@ -225,10 +206,15 @@ def fit_gompertz_makeham(
 ) -> GompertzMakehamFit:
     """Least-squares fit of (a1, a2, a3) to a life table's survival column.
 
-    Minimizes the sum of squared differences between the table's survival
-    probabilities and the model survival at the same ages, via Nelder-Mead
-    from 16 deterministic log-spaced starts (best kept, then re-polished).
+    Minimizes the sum of squared residuals S(t; a) - s between the model
+    survival and the table's survival probabilities at the same ages, in one
+    bounded trust-region solve (scipy's ``least_squares``, dogbox, each a >= 0
+    so a zero constant is reachable exactly) from a fixed start, with the
+    closed-form Jacobian -S dH/da of the cumulative hazard H.
     """
+    # scipy costs most of a package import, and only fitting needs it.
+    from scipy.optimize import least_squares
+
     if len(table.ages) < 4:
         raise LifeTableError("life table too short: need at least 4 rows to fit 3 parameters")
     t = table.years_past_base
@@ -239,26 +225,28 @@ def fit_gompertz_makeham(
         else float(DEFAULT_LIMITING_AGE - table.base_age)
     )
 
-    best_x, best_f = None, np.inf
-    for a1, a2, a3 in itertools.product(_START_A1, _START_A2, _START_A3):
-        x0 = np.array([np.log(a1), np.log(a2), a3])
-        res = minimize(_fit_objective, x0, args=(t, s, t_max), method="Nelder-Mead",
-                       options=_NM_OPTIONS)
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    # Polish: restart the simplex at the winner to escape a collapsed simplex.
-    res = minimize(_fit_objective, best_x, args=(t, s, t_max), method="Nelder-Mead",
-                   options=_NM_OPTIONS)
-    if res.fun < best_f:
-        best_x, best_f = res.x, res.fun
+    def model(a: np.ndarray) -> np.ndarray:
+        return survival(t, GompertzMakehamParams(*map(float, a), limiting_age_years=t_max))
 
-    params = GompertzMakehamParams(
-        a1=float(np.exp(best_x[0])),
-        a2=float(np.exp(best_x[1])),
-        a3=float(max(best_x[2], 0.0)),
-        limiting_age_years=t_max,
+    def jacobian(a: np.ndarray) -> np.ndarray:
+        # dH/da1 = t expm1(x)/x and dH/da2 = a1 t^2 (x e^x - expm1(x))/x^2 with
+        # x = a2 t; below x = 1e-3 the second ratio is its series 1/2 + x/3 + x^2/8,
+        # which the exact form would lose to cancellation.
+        x = a[1] * t
+        growth = np.ones_like(x)
+        np.divide(np.expm1(x), x, out=growth, where=x > 0)
+        curvature = 0.5 + x / 3.0 + x * x / 8.0
+        np.divide(x * np.exp(x) - np.expm1(x), x * x, out=curvature, where=x > 1e-3)
+        dh = np.column_stack([t * growth, a[0] * t * t * curvature, t])
+        return -model(a)[:, None] * dh
+
+    res = least_squares(
+        lambda a: model(a) - s, _START, jac=jacobian, bounds=(0.0, np.inf),
+        method="dogbox", x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15,
     )
-    return GompertzMakehamFit(params=params, objective=float(best_f))
+    params = GompertzMakehamParams(*map(float, res.x), limiting_age_years=t_max)
+    resid = survival(t, params) - s
+    return GompertzMakehamFit(params=params, objective=float(np.dot(resid, resid)))
 
 
 def fit_to_csv(fit: GompertzMakehamFit) -> str:

@@ -404,19 +404,11 @@ def check_supermartingale(
     return SupermartingaleReport(pairs=tuple(pairs), martingale=tuple(marts), y0=result.y0)
 
 
-def first_moment_spd_wealth(
-    t,
-    controls: ControlSchedule,
-    market: MarketParams,
-    mortality: GompertzMakehamParams,
-    x0: float = 1.0,
-):
+def first_moment_spd_wealth(t, controls: ControlSchedule, x0: float = 1.0):
     """Closed-form E[zeta_t X*_t] = phi_0 X_0 D(t)/D(0) for the optimal controls.
 
-    ``market`` and ``mortality`` are accepted for signature symmetry with the
-    simulator; the tabulated denominator already encodes them.
+    The tabulated denominator D already encodes the market and mortality.
     """
-    del market, mortality
     phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0)
     ratio = np.exp(controls.log_denominator_at(t) - controls.log_denominator[0])
     out = phi0 * x0 * ratio

@@ -268,17 +268,47 @@ class TestErrorContract:
         self, tmp_path, capsys, monkeypatch
     ):
         # figures writes fig1..fig3 before fig4; a late failure must remove all
-        real = cli.income_curve
+        real = cli.expected_discounted_income
 
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr(cli, "income_curve", boom)
+        monkeypatch.setattr(cli, "expected_discounted_income", boom)
         code, _, err = run_cli(["figures", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error: INTERNAL:")
         assert os.listdir(tmp_path) == []
-        monkeypatch.setattr(cli, "income_curve", real)
+        monkeypatch.setattr(cli, "expected_discounted_income", real)
+
+    def test_failure_prints_no_warning_line(self, tmp_path, capsys):
+        # mu <= r warns before the unknown variant fails the run.
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(
+            ["schedule", "--mu", "0.03", "--variant", "bogus", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: CONFIG: unknown variant")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestWarnings:
+    def test_nonpositive_equity_premium(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(
+            ["schedule", "--mu", "0.03", "--variant", "power", "--out", str(out)], capsys
+        )
+        assert code == 0 and out.exists()
+        assert err == "warning: mu <= r: the equity premium is nonpositive\n"
+
+    def test_calibration_off_auto_rho(self, tmp_path, capsys):
+        out = tmp_path / "cal.csv"
+        code, _, err = run_cli(["calibrate", "--rho", "0.02", "--out", str(out)], capsys)
+        assert code == 0 and out.exists()
+        assert err == (
+            "warning: calibrating with rho != r*gamma; "
+            "feasibility may not follow the sign of gamma\n"
+        )
 
 
 class TestFigures:
@@ -308,21 +338,35 @@ class TestFigures:
         assert err.startswith("error: IO:")
 
 
+def src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-             env.get("PYTHONPATH", "")]
-        )
         out = tmp_path / "cal.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "tontine", "calibrate", "--gamma", "-3",
              "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported lazily by the life-table fit only.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tontine; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDefaults:

@@ -222,16 +222,18 @@ class TestLifeTable:
 
 class TestFit:
     def test_roundtrip_benchmark_shape(self, tmp_path):
-        truth = GompertzMakehamParams(0.006, 0.12, 0.002)
+        # a3 = 0 sits on the bound of the fit, which must stay reachable.
         ages = np.arange(65, 111)
-        table = LifeTable(
-            base_age=65, ages=ages, survival=survival(ages - 65.0, truth)
-        )
-        result = fit_gompertz_makeham(table)
-        assert result.params.a1 == pytest.approx(truth.a1, rel=FIT_COMPONENT_TOL)
-        assert result.params.a2 == pytest.approx(truth.a2, rel=FIT_COMPONENT_TOL)
-        assert result.params.a3 == pytest.approx(truth.a3, abs=FIT_COMPONENT_TOL)
-        assert result.objective < 1e-16
+        for a3 in (0.002, 0.0):
+            truth = GompertzMakehamParams(0.006, 0.12, a3)
+            table = LifeTable(
+                base_age=65, ages=ages, survival=survival(ages - 65.0, truth)
+            )
+            result = fit_gompertz_makeham(table)
+            assert result.params.a1 == pytest.approx(truth.a1, rel=FIT_COMPONENT_TOL)
+            assert result.params.a2 == pytest.approx(truth.a2, rel=FIT_COMPONENT_TOL)
+            assert result.params.a3 == pytest.approx(truth.a3, abs=FIT_COMPONENT_TOL)
+            assert result.objective < 1e-16
 
     def test_flat_hazard_degenerate_table(self):
         # Pure exponential survival: the exponential-growth term should vanish

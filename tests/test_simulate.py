@@ -219,9 +219,9 @@ class TestDiffusionLoading:
 
 
 class TestMoments:
-    def test_first_moment_at_zero(self, market, mortality, controls_cache):
+    def test_first_moment_at_zero(self, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
-        fm = first_moment_spd_wealth(0.0, controls, market, mortality, x0=100_000.0)
+        fm = first_moment_spd_wealth(0.0, controls, x0=100_000.0)
         phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0)
         assert fm == pytest.approx(phi0 * 100_000.0, rel=1e-13)
 
@@ -232,9 +232,7 @@ class TestMoments:
         for j, t in enumerate(result.times):
             if t < 1.0:
                 continue
-            closed = first_moment_spd_wealth(
-                float(t), controls, market, mortality, x0=config.initial_wealth
-            )
+            closed = first_moment_spd_wealth(float(t), controls, x0=config.initial_wealth)
             dev = abs(result.summary["mean_zetaX"][j] - closed)
             assert dev <= 3.0 * result.summary["se_zetaX"][j]
 
