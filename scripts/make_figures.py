@@ -41,40 +41,37 @@ DEFAULT_MORTALITY = GompertzMakehamParams(a1=0.00584, a2=0.12150, a3=0.0024117)
 X0 = 100_000.0
 
 
-def schedule_for(gamma: float, variant: str, market, mortality) -> PreferenceSchedule:
-    schedule = PreferenceSchedule(
-        gamma=gamma, rho=auto_rho(gamma, market.r), variant=variant
-    )
-    if variant in SCALED_VARIANTS:
-        calibration = calibrate_kappa(schedule, market, mortality)
-        if not calibration.feasible:
-            raise SystemExit(f"kappa calibration infeasible for gamma={gamma:g}")
-        schedule = schedule.with_kappa(calibration.kappa)
-    return schedule
-
-
 def headline_tables(market, mortality) -> dict[str, str]:
     """The merton, calibration and income0 CSVs, keyed by file name."""
     merton = ["gamma,pi_star"]
     for g in BENCHMARK_GAMMAS:
         merton.append(f"{g:g},{merton_fraction(market, g):.12g}")
 
+    def uncalibrated(variant: str, gamma: float) -> PreferenceSchedule:
+        return PreferenceSchedule(gamma=gamma, rho=auto_rho(gamma, market.r), variant=variant)
+
     calibration = ["variant,gamma,kappa,residual,feasible"]
+    calibrated = {}  # (variant, gamma) -> schedule, for income0
     for variant in SCALED_VARIANTS:
         for g in BENCHMARK_GAMMAS:
-            base = PreferenceSchedule(
-                gamma=g, rho=auto_rho(g, market.r), variant=variant
-            )
+            base = uncalibrated(variant, g)
             cal = calibrate_kappa(base, market, mortality)
             calibration.append(
                 f"{variant},{g:g},{cal.kappa:.12g},{cal.residual:.3e},"
                 f"{'true' if cal.feasible else 'false'}"
             )
+            if cal.feasible:
+                calibrated[variant, g] = base.with_kappa(cal.kappa)
 
     income0 = ["variant,gamma,initial_income_per_100k"]
     for variant in ("none", "power", "scaled_trimmed"):
         for g in FEASIBLE_GAMMAS:
-            schedule = schedule_for(g, variant, market, mortality)
+            if variant not in SCALED_VARIANTS:
+                schedule = uncalibrated(variant, g)
+            elif (variant, g) in calibrated:
+                schedule = calibrated[variant, g]
+            else:
+                raise SystemExit(f"kappa calibration infeasible for gamma={g:g}")
             income = expected_discounted_income(0.0, schedule, market, mortality, x0=X0)
             income0.append(f"{variant},{g:g},{income:.2f}")
 

@@ -160,6 +160,16 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_path_count_past_memory_is_runtime_error(self, tmp_path, capsys):
+        # the result arrays alone would need hundreds of TiB: refused before allocating
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(self.ARGS + ["--paths", "10000000000000", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        assert err.startswith("error: RUNTIME:") and "physical memory" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(self.ARGS + ["--out", str(a)], capsys)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from tontine import simulate
 from tontine.analytics import objective_value_closed_form
 from tontine.mortality import GompertzMakehamParams
 from tontine.simulate import (
@@ -127,6 +130,68 @@ class TestDeterminism:
         )
         assert np.array_equal(big.wealth_paths[:10], small.wealth_paths)
         assert np.array_equal(big.spd_paths[:10], small.spd_paths)
+
+
+# sha256 of the result arrays of _golden_runs, taken from the per-step loop
+# that the sub-block kernel replaced.
+GOLDEN_DIGESTS = {
+    "candidate": {
+        "wealth_paths": "8c225a2010df996fb0275126af84f96a3ea69fcb62e8da7bd910b0331ebfa5e5",
+        "spd_paths": "de8d0e33603eb2c078870f8aba237aaba627d72ad020e7977e64312bca97e92a",
+        "y_paths": "088533a2583c4e8c04233cedff019dd370a08c177fdfea40b5a7c56301c6e624",
+        "objective_paths": "7e2f05cf1a80f53550248f7ae2932192439d340f07ddfce3134864a3d6152a89",
+    },
+    "jitter": {
+        "wealth_paths": "e011fec1660ff4b0a48ae390d914fadb78fbfa8cf7d4404af851acf392a4ef7d",
+        "spd_paths": "fe7cd48e93cb196cf291c31bab0242029c0ec522d64a0c32586ba03ed0fe3efa",
+        "y_paths": "5ccef6afb9d27382da06a697fd16d8c7dd09c00c532a86a4ae700aea3fbea8aa",
+        "objective_paths": "e2413e72142798be08cd41b1297a6102d5edcbbf2bca9eeefb327137ead27054",
+    },
+}
+RESULT_ARRAYS = ("wealth_paths", "spd_paths", "y_paths", "objective_paths")
+
+
+def _golden_runs(market, mortality, controls_cache, calibrated_cache):
+    """Candidate and one jitter, objective on, every step recorded.
+
+    700 paths fill more than one sub-block and end in a partial one.
+    """
+    controls = controls_cache(-3.0, "scaled_trimmed")
+    schedule = calibrated_cache(-3.0, "scaled_trimmed")
+    config = SimulationConfig(
+        n_paths=700, horizon=10.0, step=1.0 / 26.0, seed=2024, record_times="all"
+    )
+    jittered = scaled_controls(controls, c_scale=1.1, alpha_scale=0.9)
+    return {
+        name: simulate_wealth(config, c, market, mortality, schedule=schedule)
+        for name, c in (("candidate", controls), ("jitter", jittered))
+    }
+
+
+class TestGoldenBytes:
+    def test_digests(self, market, mortality, controls_cache, calibrated_cache):
+        runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        assert runs["candidate"].n_paths > simulate._SUB_BLOCK_PATHS
+        digests = {
+            name: {
+                field: hashlib.sha256(np.ascontiguousarray(getattr(r, field)).tobytes()).hexdigest()
+                for field in RESULT_ARRAYS
+            }
+            for name, r in runs.items()
+        }
+        assert digests == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_sub_block_size_and_workers_leave_arrays_unchanged(
+        self, monkeypatch, workers, market, mortality, controls_cache, calibrated_cache
+    ):
+        default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        sharded = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        for name, result in default.items():
+            for field in RESULT_ARRAYS:
+                assert np.array_equal(getattr(sharded[name], field), getattr(result, field))
 
 
 class TestMartingaleStructure:
@@ -300,12 +365,77 @@ class TestErrors:
         assert "horizon" in str(excinfo.value)
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_non_finite_path_diagnostics(self, market):
-        controls = DeterministicControls(pi=1e300, consumption=0.0, tontine_fraction=1.0)
-        config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25)
-        with pytest.raises(SimulationError) as excinfo:
+    def test_non_finite_path_diagnostics(self, monkeypatch, market):
+        # paths 40 (from step 3) and 45 (from step 1) share a 37-path sub-block;
+        # path 100 (from step 1) is in a later one, which a second worker owns
+        poison = {40: 3, 45: 1, 100: 1}
+        fill = simulate._Substreams.fill
+
+        def poisoned_fill(self, first_path, out):
+            fill(self, first_path, out)
+            for path, step in poison.items():
+                if first_path <= path < first_path + len(out):
+                    out[path - first_path, step - 1] = np.nan
+
+        monkeypatch.setattr(simulate._Substreams, "fill", poisoned_fill)
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        overflowing = DeterministicControls(pi=1e300, consumption=0.0, tontine_fraction=1.0)
+        moderate = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+            # every path overflows on the first step
+            config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25)
+            with pytest.raises(SimulationError) as excinfo:
+                simulate_wealth(config, overflowing, market, NO_MORTALITY)
+            assert str(excinfo.value) == "non-finite increment at step 1 (t=0.25), path 0"
+            # the lowest bad path and its first bad step, not the earliest step
+            config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
+            with pytest.raises(SimulationError) as excinfo:
+                simulate_wealth(config, moderate, market, NO_MORTALITY)
+            assert str(excinfo.value) == "non-finite increment at step 3 (t=0.75), path 40"
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_worker_exception_reaches_caller(self, monkeypatch, market, workers):
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        fill = simulate._Substreams.fill
+
+        def failing_fill(self, first_path, out):
+            if first_path == 37:  # the second sub-block
+                raise RuntimeError("substream failed")
+            fill(self, first_path, out)
+
+        monkeypatch.setattr(simulate._Substreams, "fill", failing_fill)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
+        with pytest.raises(RuntimeError, match="substream failed"):
             simulate_wealth(config, controls, market, NO_MORTALITY)
-        assert "path" in str(excinfo.value)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_workers_follow_caller_floating_point_errors(
+        self, monkeypatch, market, mortality, workers
+    ):
+        # X0 = 1e-200 and gamma = -3: X^gamma overflows, and only in the
+        # workers' utility accrual (the summary sees finite X)
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25, initial_wealth=1e-200)
+        schedule = make_schedule(-3.0, "power")
+        with np.errstate(over="ignore"):
+            result = simulate_wealth(config, controls, market, mortality, schedule=schedule)
+        assert np.all(np.isinf(result.objective_paths))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            simulate_wealth(config, controls, market, mortality, schedule=schedule)
+
+    def test_result_memory_checked_before_allocating(self, market):
+        # 1,041 recorded times: 25 KB of results a path, 25 PB in all
+        controls = DeterministicControls(pi=0.0, consumption=0.0, tontine_fraction=0.0)
+        config = SimulationConfig(
+            n_paths=10**12, horizon=40.0, step=1.0 / 26.0, record_times="all"
+        )
+        with pytest.raises(SimulationError, match="physical memory"):
+            simulate_wealth(config, controls, market, NO_MORTALITY)
 
 
 class TestSummaryCsv:
