@@ -333,7 +333,7 @@ def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
 
 def _cmd_simulate(config: RunConfig, out: _OutputSet) -> None:
     merged = config.overrides
-    market, mortality, schedule, controls = _build_controls(merged)
+    market, mortality, _, controls = _build_controls(merged)
     sim_config = SimulationConfig(
         n_paths=_as_int(merged, "paths"),
         horizon=_as_float(merged, "sim_horizon"),
@@ -341,7 +341,8 @@ def _cmd_simulate(config: RunConfig, out: _OutputSet) -> None:
         seed=config.seed,
         initial_wealth=_as_float(merged, "x0"),
     )
-    result = simulate_wealth(sim_config, controls, market, mortality, schedule=schedule)
+    # no preference schedule: the summary never reads the utility objective
+    result = simulate_wealth(sim_config, controls, market, mortality)
     out.write(config.out, summary_csv(result))
 
 

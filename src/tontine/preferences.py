@@ -50,8 +50,8 @@ class CalibrationRequired(ValueError):
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (gamma < 1.0 and gamma != 0.0):
-        raise ValueError("gamma must satisfy gamma < 1 and gamma != 0")
+    if not (math.isfinite(gamma) and gamma < 1.0 and gamma != 0.0):
+        raise ValueError("gamma must be finite and satisfy gamma < 1 and gamma != 0")
 
 
 def auto_rho(gamma: float, r: float) -> float:
@@ -88,8 +88,8 @@ class PreferenceSchedule:
                 raise ValueError("kappa is only meaningful for scaled variants")
             if not (math.isfinite(self.kappa) and self.kappa > 0):
                 raise ValueError("kappa must be positive and finite")
-        if not self.horizon_years > 0:
-            raise ValueError("horizon_years must be positive")
+        if not (math.isfinite(self.horizon_years) and self.horizon_years > 0):
+            raise ValueError("horizon_years must be positive and finite")
         if self.variant == "table":
             if self.table is None:
                 raise ValueError("table variant requires (t, b) pairs")

@@ -10,14 +10,21 @@ increment of log D, so the only systematic error left is the control
 discretization itself (second order in the step).
 
 Because the controls are deterministic, one kernel advances a sub-block of a
-few hundred paths across the whole time axis at once: log X and log zeta are
-cumulative sums of affine Gaussian increments, and the Y accrual and the
-utility objective are cumulative sums of trapezoid terms, added in time
-order.  Each path's normals come from its own Philox substream keyed by
-(seed, path index); each worker thread resets one Philox to that key per
-path.  Sub-blocks are sharded over the CPUs this process may use, and the
-output bytes depend only on the seed, not on the sub-block size or the
-sharding.
+few hundred paths across the whole time axis at once.  Each path's normals
+come from its own Philox substream keyed by (seed, path index); each worker
+thread resets one Philox to that key per path and fills a path-major
+(paths, steps + 1) row.  Column 0 of the normals is zero and the per-step
+volatilities and drifts carry a leading zero and log X0 (log zeta0), so the
+affine steps are whole-row operations and log X and log zeta are cumulative
+sums along each row.  zeta*X and X^gamma then move into time-major
+(steps + 1, paths) buffers, where the trapezoid terms of the Y accrual and
+of the utility objective are row operations.  Their running totals are
+needed only at the recorded times and the last step, so they are reductions
+over axis 0 between those rows: across two or more lanes numpy adds each
+lane's terms in time order, the same bits as a cumulative sum, without
+writing one.  Sub-blocks are sharded over the CPUs this process may use,
+and the output bytes depend only on the seed, not on the sub-block size or
+the sharding.
 """
 from __future__ import annotations
 
@@ -51,8 +58,10 @@ __all__ = [
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
 # Paths per sub-block: each worker holds four (paths x (steps + 1)) float64
-# buffers, 17 MB at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran
-# the 20,000 x 1,040 audit fastest on two threads.
+# buffers, 17 MB at 1,040 steps: log X and log zeta path-major, zeta*X (then
+# X^gamma) and the trapezoid terms time-major.  Of 256, 512, 1024 and 2048
+# paths, 512 ran the 20,000 x 1,040 audit fastest on two threads, before and
+# after the move to time-major buffers.
 _SUB_BLOCK_PATHS = 512
 
 
@@ -67,10 +76,10 @@ class SimulationConfig:
     ``record_times`` selects the snapshot times stored per path (snapped to
     the nearest grid node); ``None`` keeps 0, the report times within the
     horizon, and the horizon itself, while the string ``"all"`` keeps every
-    grid node.  Only the result arrays grow with the path count, 8 bytes x
-    n_paths x (3 x recorded times + 1); ``simulate_wealth`` raises
-    ``SimulationError`` before allocating them if they would exceed the
-    machine's physical memory.
+    grid node.  Only the result arrays and the summary's temporaries grow with
+    the path count, 8 bytes x n_paths x (6 x recorded times + 1);
+    ``simulate_wealth`` raises ``SimulationError`` before allocating them if
+    they would exceed the machine's physical memory.
     """
 
     n_paths: int
@@ -87,8 +96,8 @@ class SimulationConfig:
             raise ValueError("step must be positive and finite")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
-        if not self.initial_wealth > 0:
-            raise ValueError("initial_wealth must be positive")
+        if not (math.isfinite(self.initial_wealth) and self.initial_wealth > 0):
+            raise ValueError("initial_wealth must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -192,8 +201,12 @@ def _n_workers() -> int:
 
 
 def _check_result_memory(n_paths: int, n_rec: int) -> None:
-    """Raise before allocating result arrays larger than physical memory."""
-    need = 8 * n_paths * (3 * n_rec + 1)
+    """Raise before allocating results and summary larger than physical memory.
+
+    Per path and recorded time: X, zeta and Y, then the summary's income and
+    zeta*X and one standard-deviation temporary; per path: the objective.
+    """
+    need = 8 * n_paths * (6 * n_rec + 1)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
@@ -201,8 +214,26 @@ def _check_result_memory(n_paths: int, n_rec: int) -> None:
     if need > have:
         raise SimulationError(
             f"{n_paths} paths x {n_rec} recorded times need {need / 2**30:.3g} GiB "
-            f"of results, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"of results and summary, more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def _running_totals(terms: np.ndarray, rows) -> np.ndarray:
+    """Running sums over axis 0 of the time-major ``terms`` at ``rows`` (ascending).
+
+    Each segment is reduced over axis 0 from the total so far, which is
+    written into its first row (``terms`` is overwritten there), so every
+    lane adds its terms one at a time in time order: the same bits as a
+    cumulative sum.  That holds for two or more lanes only; over a single
+    lane numpy sums pairwise.
+    """
+    out = np.empty((len(rows), terms.shape[1]))
+    first = 0
+    for j, row in enumerate(rows):
+        np.add.reduce(terms[first : row + 1], axis=0, out=out[j])
+        terms[row] = out[j]
+        first = row
+    return out
 
 
 def _resolve_record_indices(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
@@ -306,8 +337,13 @@ def simulate_wealth(
     y_arr = np.empty((n_paths, n_rec))
     objective = np.empty(n_paths) if accumulate_objective else None
 
-    log_x0 = math.log(config.initial_wealth)
-    log_z0 = math.log(phi0)
+    # A leading column of zero volatility and the initial log as drift (with a
+    # zero normal) makes the affine steps whole-row operations and column 0 of
+    # each running sum log X0 (log zeta0).
+    vol_x = np.concatenate(([0.0], vol_x))
+    drift_x = np.concatenate(([math.log(config.initial_wealth)], drift_x))
+    vol_z = np.concatenate(([0.0], vol_z))
+    drift_z = np.concatenate(([math.log(phi0)], drift_z))
     seed = int(config.seed)
     sub = _SUB_BLOCK_PATHS
     n_blocks = -(-n_paths // sub)
@@ -322,52 +358,58 @@ def simulate_wealth(
         sub-block that has one, or None; later sub-blocks hold higher paths.
         """
         normals = _Substreams(seed)
-        buffers = np.empty((4, min(sub, n_paths), n_steps + 1))
+        buffers = np.empty((4, max(min(sub, n_paths), 2), n_steps + 1))
         with np.errstate(**fp_state):
             for block in range(worker, n_blocks, n_workers):
                 start = block * sub
                 stop = min(start + sub, n_paths)
-                log_x, log_z, zx, acc = buffers[:, : stop - start]
-                normals.fill(start, log_x[:, 1:])
-                np.multiply(log_x[:, 1:], vol_z, out=log_z[:, 1:])
-                log_z[:, 1:] += drift_z
-                log_z[:, 0] = log_z0
+                m = stop - start
+                # a one-lane reduction over axis 0 would be pairwise, so a
+                # lone path runs beside a copy of itself
+                width = max(m, 2)
+                log_x, log_z = buffers[:2, :width]
+                # time-major (steps + 1, width) views of the other two buffers
+                zx, acc = (b.reshape(-1)[: (n_steps + 1) * width].reshape(n_steps + 1, width)
+                           for b in buffers[2:])
+                normals.fill(start, log_x[:m, 1:])
+                log_x[m:] = log_x[0]
+                log_x[:, 0] = 0.0
+                np.multiply(log_x, vol_z, out=log_z)
+                log_z += drift_z
                 np.cumsum(log_z, axis=1, out=log_z)
-                log_x[:, 1:] *= vol_x
-                log_x[:, 1:] += drift_x
-                log_x[:, 0] = log_x0
+                log_x *= vol_x
+                log_x += drift_x
                 np.cumsum(log_x, axis=1, out=log_x)
                 # a non-finite running sum stays non-finite, so the last column
                 # shows whether any step of a path went bad
-                if not (np.isfinite(log_x[:, -1]).all() and np.isfinite(log_z[:, -1]).all()):
-                    bad = ~(np.isfinite(log_x[:, 1:]) & np.isfinite(log_z[:, 1:]))
+                if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
+                    bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
                     row = int(np.argmax(bad.any(axis=1)))
                     return start + row, int(np.argmax(bad[row])) + 1
-                wealth[start:stop] = np.exp(log_x[:, record_idx])
-                spd[start:stop] = np.exp(log_z[:, record_idx])
-                # Y = zeta*X + running trapezoid integral of zeta*X*outflow;
-                # cumsum adds in time order, as a per-step loop would
-                np.add(log_x, log_z, out=zx)
-                np.exp(zx, out=zx)
-                np.add(zx[:, :-1], zx[:, 1:], out=acc[:, 1:])
-                acc[:, 1:] *= 0.5
-                acc[:, 1:] *= outflow
-                acc[:, 0] = 0.0
-                np.cumsum(acc, axis=1, out=acc)
-                y_arr[start:stop] = zx[:, record_idx] + acc[:, record_idx]
+                wealth[start:stop] = np.exp(log_x[:m, record_idx])
+                spd[start:stop] = np.exp(log_z[:m, record_idx])
+                # Y = zeta*X + running trapezoid integral of zeta*X*outflow
+                np.add(log_x, log_z, out=log_z)
+                np.exp(log_z, out=log_z)
+                zx[...] = log_z.T
+                np.add(zx[:-1], zx[1:], out=acc[1:])
+                acc[1:] *= 0.5
+                acc[1:] *= outflow[:, None]
+                acc[0] = 0.0
+                acc_rec = _running_totals(acc, record_idx)
+                y_arr[start:stop] = (zx[record_idx] + acc_rec)[:, :m].T
                 if accumulate_objective:
                     u = zx  # zeta*X is recorded; its buffer takes the utility
                     with np.errstate(invalid="ignore"):
-                        np.multiply(log_x, gamma, out=u)
-                        np.exp(u, out=u)
-                        u *= utility_coef
-                    np.add(u[:, :-1], u[:, 1:], out=acc[:, 1:])
-                    acc[:, 1:] *= 0.5
-                    acc[:, 1:] *= dt
-                    acc[:, 0] = 0.0
-                    # a sequential sum (np.sum is pairwise and rounds differently)
-                    np.cumsum(acc, axis=1, out=acc)
-                    objective[start:stop] = acc[:, -1]
+                        np.multiply(log_x, gamma, out=log_z)
+                        np.exp(log_z, out=log_z)
+                        u[...] = log_z.T
+                        u *= utility_coef[:, None]
+                    np.add(u[:-1], u[1:], out=acc[1:])
+                    acc[1:] *= 0.5
+                    acc[1:] *= dt[:, None]
+                    acc[0] = 0.0
+                    objective[start:stop] = _running_totals(acc, (n_steps,))[0, :m]
         return None
 
     from concurrent.futures import ThreadPoolExecutor

@@ -248,6 +248,19 @@ class TestErrorContract:
         assert err.startswith("error: CONFIG:")
         assert err.count("\n") == 1  # single line
 
+    @pytest.mark.parametrize("argv, name", [
+        (["schedule", "--gamma=-inf"], "gamma"),
+        (["schedule", "--horizon", "inf"], "horizon_years"),
+        (["simulate", "--x0", "inf"], "initial_wealth"),
+    ])
+    def test_infinite_input_is_one_config_line(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: CONFIG: {name} must be")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_sigma_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["income", "--sigma", "0", "--out", str(tmp_path / "i.csv")], capsys

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import trapezoid_denominator
@@ -43,6 +48,21 @@ class TestMarketParams:
     def test_nonpositive_premium_warns(self):
         with pytest.warns(UserWarning):
             MarketParams(0.03, 0.2, 0.03)
+
+    @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
+    @example(values=(0.1, math.inf, 0.03))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_reject(self, values):
+        mu, sigma, r = values
+        valid = all(map(math.isfinite, values)) and sigma > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # mu <= r
+            if valid:
+                market = MarketParams(mu, sigma, r)
+                assert (market.mu, market.sigma, market.r) == values
+            else:
+                with pytest.raises(ValueError):
+                    MarketParams(mu, sigma, r)
 
 
 def _flat_market(rate: float) -> MarketParams:

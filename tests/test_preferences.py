@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisect_kappa
@@ -63,6 +65,24 @@ class TestScheduleValidation:
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
             make_schedule(-3.0, "trimmed", horizon_years=0.0)
+
+    @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
+    @example(values=(-math.inf, -0.09, 1.0, 20.0))
+    @example(values=(-3.0, -0.09, 1.0, math.inf))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_reject(self, values):
+        gamma, rho, kappa, horizon = values
+        valid = (all(map(math.isfinite, values)) and gamma < 1 and gamma != 0
+                 and kappa > 0 and horizon > 0)
+        kwargs = dict(gamma=gamma, rho=rho, variant="scaled_trimmed", kappa=kappa,
+                      horizon_years=horizon)
+        if valid:
+            schedule = PreferenceSchedule(**kwargs)
+            assert (schedule.gamma, schedule.rho, schedule.kappa,
+                    schedule.horizon_years) == values
+        else:
+            with pytest.raises(ValueError):
+                PreferenceSchedule(**kwargs)
 
     def test_table_rules(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tontine import simulate
 from tontine.analytics import objective_value_closed_form
@@ -47,6 +51,19 @@ class TestConfigValidation:
             SimulationConfig(n_paths=10, horizon=1.0, seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=10, horizon=1.0, seed=2**64)
+
+    @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
+    @example(values=(1.0, 0.25, math.inf))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_reject(self, values):
+        horizon, step, x0 = values
+        valid = all(map(math.isfinite, values)) and min(values) > 0
+        if valid:
+            config = SimulationConfig(n_paths=1, horizon=horizon, step=step, initial_wealth=x0)
+            assert (config.horizon, config.step, config.initial_wealth) == values
+        else:
+            with pytest.raises(ValueError):
+                SimulationConfig(n_paths=1, horizon=horizon, step=step, initial_wealth=x0)
 
     def test_rejects_bad_record_times(self, market):
         controls = DeterministicControls(pi=0.0, consumption=0.0, tontine_fraction=0.0)
@@ -148,10 +165,43 @@ GOLDEN_DIGESTS = {
         "objective_paths": "e2413e72142798be08cd41b1297a6102d5edcbbf2bca9eeefb327137ead27054",
     },
 }
+# sha256 of _golden_runs at path counts that leave a sub-block holding one
+# path, taken from the path-major kernel that the time-major one replaced:
+# (n_paths, paths per sub-block) -> digests.
+ONE_PATH_BLOCK_DIGESTS = {
+    (1, 512): {
+        "candidate": {
+            "wealth_paths": "4fbe2ed7f0926da996ea655a6cc0f44d66bb6821eb7957bf92ba54e6fc4f8d11",
+            "spd_paths": "39130aff92628e6224d73bf90d3a76a298a966114a44f5327321aed80a3ecd25",
+            "y_paths": "0aa6aee32cebb1ca15386703685124d6e749f286844dc58fb183356a0f02a906",
+            "objective_paths": "e9e1160d61f37bda5fabb033aa7a892911d1fd86d73599b9223a861be135fd94",
+        },
+        "jitter": {
+            "wealth_paths": "e5de467078ffedfb4e552c1ad185c3678fc1190c7d84fae1be094eab94d57ac1",
+            "spd_paths": "67068b367e201427f837dd131773f764000f1c464584de4734aa9e21d8d52676",
+            "y_paths": "e1a4a6e8569f61d08effa131adaa1a21c1558e94d6fab34e50773b608e891773",
+            "objective_paths": "6d81731376102cdd2d392131f21f5547e8ae9b39c8459877ab3fa9ea0e801225",
+        },
+    },
+    (2 * 37 + 1, 37): {
+        "candidate": {
+            "wealth_paths": "f3d5028fddd96d8dbed768ddd568d89b3cdb27d2ad6217ee8547948ac433f29b",
+            "spd_paths": "26fc82c0f903d93fd74cd022562ba78001f3c0bce0d367d7f7866a76f573d6e5",
+            "y_paths": "ba386def367af3411aa847257cbd3c790db03c44d4330e4df70aec9d0feb5056",
+            "objective_paths": "b8bd4806cec1d97259a02f4404709bfd02e13ec1c686062bcd89c527eaf24686",
+        },
+        "jitter": {
+            "wealth_paths": "44440ddf0d1b85cbae988568c67ec51bd4a0d614d3765845f7b768f120469617",
+            "spd_paths": "e679451eb304a82d112764f08644c7837a0496a2c21950679aca5e5b2589576d",
+            "y_paths": "3e21db58011d0af8010d647a2dd9d4b934a396197043496ceedac980a6f9ee62",
+            "objective_paths": "19b3adcdad7bd24408c87a74610656b8821628cfe88eed11a42bef27a5367f24",
+        },
+    },
+}
 RESULT_ARRAYS = ("wealth_paths", "spd_paths", "y_paths", "objective_paths")
 
 
-def _golden_runs(market, mortality, controls_cache, calibrated_cache):
+def _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths=700):
     """Candidate and one jitter, objective on, every step recorded.
 
     700 paths fill more than one sub-block and end in a partial one.
@@ -159,7 +209,7 @@ def _golden_runs(market, mortality, controls_cache, calibrated_cache):
     controls = controls_cache(-3.0, "scaled_trimmed")
     schedule = calibrated_cache(-3.0, "scaled_trimmed")
     config = SimulationConfig(
-        n_paths=700, horizon=10.0, step=1.0 / 26.0, seed=2024, record_times="all"
+        n_paths=n_paths, horizon=10.0, step=1.0 / 26.0, seed=2024, record_times="all"
     )
     jittered = scaled_controls(controls, c_scale=1.1, alpha_scale=0.9)
     return {
@@ -168,18 +218,35 @@ def _golden_runs(market, mortality, controls_cache, calibrated_cache):
     }
 
 
+def _digests(runs):
+    return {
+        name: {
+            field: hashlib.sha256(np.ascontiguousarray(getattr(r, field)).tobytes()).hexdigest()
+            for field in RESULT_ARRAYS
+        }
+        for name, r in runs.items()
+    }
+
+
 class TestGoldenBytes:
     def test_digests(self, market, mortality, controls_cache, calibrated_cache):
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         assert runs["candidate"].n_paths > simulate._SUB_BLOCK_PATHS
-        digests = {
-            name: {
-                field: hashlib.sha256(np.ascontiguousarray(getattr(r, field)).tobytes()).hexdigest()
-                for field in RESULT_ARRAYS
-            }
-            for name, r in runs.items()
-        }
-        assert digests == GOLDEN_DIGESTS
+        assert _digests(runs) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize(
+        "n_paths, sub, workers", [(1, 512, 1), (2 * 37 + 1, 37, 1), (2 * 37 + 1, 37, 2)]
+    )
+    def test_one_path_sub_block_digests(
+        self, monkeypatch, n_paths, sub, workers, market, mortality, controls_cache,
+        calibrated_cache,
+    ):
+        # a sum over axis 0 of a single lane is pairwise in numpy, not sequential
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", sub)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
+        assert n_paths % sub == 1
+        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS[n_paths, sub]
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_sub_block_size_and_workers_leave_arrays_unchanged(
@@ -436,6 +503,30 @@ class TestErrors:
         )
         with pytest.raises(SimulationError, match="physical memory"):
             simulate_wealth(config, controls, market, NO_MORTALITY)
+
+    def test_memory_bound_counts_the_summary(self, monkeypatch, market):
+        # results: X, zeta and Y per recorded time plus the objective; the
+        # summary adds income, zeta*X and a standard-deviation temporary
+        n_paths, n_rec = 20_000, 5
+        need = 8 * n_paths * (6 * n_rec + 1)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(
+            n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
+        )
+        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": need // 8 - 1}
+        monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+        assert need - 8 > 8 * n_paths * (3 * n_rec + 1)  # above the results alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="physical memory"):
+                simulate_wealth(config, controls, market, NO_MORTALITY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_paths  # refused before any per-path array
+        pages["SC_PHYS_PAGES"] = need // 8
+        result = simulate_wealth(config, controls, market, NO_MORTALITY)
+        assert result.wealth_paths.shape == (n_paths, n_rec)
 
 
 class TestSummaryCsv:
