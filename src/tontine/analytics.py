@@ -15,6 +15,7 @@ import numpy as np
 from .controls import (
     MarketParams,
     beta,
+    log_control_rates,
     log_denominator_integral,
     log_tail_integrals,
     merton_fraction,
@@ -118,18 +119,20 @@ def alpha_curve(
     grid = np.asarray(grid, dtype=float)
     beta_value = beta(market, schedule.gamma, schedule.rho)
     log_d = log_tail_integrals(grid, schedule, mortality, market)
-    log_c = -beta_value * grid - cumulative_hazard(grid, mortality) - log_d
-    return 1.0 - np.exp(log_c + log_transformed_weight(grid, schedule, mortality))
+    _, log_bequest = log_control_rates(grid, log_d, schedule, mortality, beta_value)
+    return 1.0 - np.exp(log_bequest)
 
 
 @dataclass(frozen=True)
 class IncomeCurve:
-    """Expected discounted income rate and bequest fraction on a grid."""
+    """Expected discounted income rate and bequest fraction on a grid.
+
+    ``expected_income`` is the instantaneous annual rate E[e^{-rt} c*_t X*_t].
+    """
 
     times: np.ndarray
     expected_income: np.ndarray
     expected_bequest_fraction: np.ndarray
-    note: str = "income is the instantaneous annual rate E[e^{-rt} c*_t X*_t]"
 
 
 def income_curve(

@@ -1,5 +1,6 @@
 """Command-line front end: life-table fitting, kappa calibration, control
-schedules, income curves, Monte Carlo summaries, and the four figure CSVs.
+schedules, income curves, Monte Carlo summaries, and the paper's figure and
+headline-table CSVs.
 
 Every command is deterministic given its configuration (including the seed);
 failures exit nonzero after printing a single machine-parseable line
@@ -28,6 +29,7 @@ from .analytics import (
 from .controls import (
     MarketParams,
     build_control_schedule,
+    merton_fraction,
     schedule_csv,
 )
 from .mortality import (
@@ -346,20 +348,10 @@ def _cmd_simulate(config: RunConfig, out: _OutputSet) -> None:
     out.write(config.out, summary_csv(result))
 
 
-def _figure_defaults() -> tuple[MarketParams, GompertzMakehamParams, np.ndarray]:
-    market = MarketParams(
-        mu=float(DEFAULTS["mu"]), sigma=float(DEFAULTS["sigma"]), r=float(DEFAULTS["r"])
-    )
-    mortality = GompertzMakehamParams(
-        a1=float(DEFAULTS["a1"]), a2=float(DEFAULTS["a2"]), a3=float(DEFAULTS["a3"]),
-        limiting_age_years=float(DEFAULTS["limiting_age"]) - float(DEFAULTS["base_age"]),
-    )
-    grid = np.arange(0.0, mortality.limiting_age_years, _FIGURE_GRID_STEP)
-    return market, mortality, grid
-
-
 def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
-    market, mortality, grid = _figure_defaults()
+    market = _resolved_market(DEFAULTS)
+    mortality = _resolved_mortality(DEFAULTS)
+    grid = np.arange(0.0, mortality.limiting_age_years, _FIGURE_GRID_STEP)
     base_age = float(DEFAULTS["base_age"])
     horizon = float(DEFAULTS["horizon_years"])
     x0 = float(DEFAULTS["x0"])
@@ -367,48 +359,59 @@ def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
     if not os.path.isdir(outdir):
         raise CliError("IO", f"output directory {outdir!r} does not exist")
 
+    def write(name: str, text: str) -> None:
+        out.write(os.path.join(outdir, name), text)
+
     def schedule_for(gamma: float, variant: str) -> PreferenceSchedule:
-        sched = PreferenceSchedule(
+        return PreferenceSchedule(
             gamma=gamma, rho=auto_rho(gamma, market.r), variant=variant, horizon_years=horizon
         )
-        if variant in SCALED_VARIANTS:
-            calibration = calibrate_kappa(sched, market, mortality)
-            if not calibration.feasible:
-                raise CliError("CALIBRATION", f"infeasible kappa for gamma={gamma:g}")
-            sched = sched.with_kappa(calibration.kappa)
-        return sched
 
-    fig1 = {
-        f"alpha_{g:g}": alpha_curve(schedule_for(g, "power"), market, mortality, grid)
-        for g in BENCHMARK_GAMMAS
-    }
-    out.write(os.path.join(outdir, "fig1.csv"), figure_table_csv(fig1, grid, base_age))
+    # Each scaled variant is calibrated once per gamma; the feasible ones
+    # serve fig2, fig3, fig4 and income0.csv.
+    kappas = ["variant,gamma,kappa,residual,feasible"]
+    calibrated: dict[tuple[float, str], PreferenceSchedule] = {}
+    for variant in SCALED_VARIANTS:
+        for g in BENCHMARK_GAMMAS:
+            sched = schedule_for(g, variant)
+            cal = calibrate_kappa(sched, market, mortality)
+            kappas.append(f"{variant},{g:g},{cal.kappa:.12g},{cal.residual:.3e},"
+                          f"{'true' if cal.feasible else 'false'}")
+            if cal.feasible:
+                calibrated[g, variant] = sched.with_kappa(cal.kappa)
 
-    fig2 = {
-        f"scaled_alpha_{g:g}": alpha_curve(schedule_for(g, "scaled_power"), market, mortality, grid)
+    def resolved(gamma: float, variant: str) -> PreferenceSchedule:
+        if variant not in SCALED_VARIANTS:
+            return schedule_for(gamma, variant)
+        if (gamma, variant) not in calibrated:
+            raise CliError("CALIBRATION", f"infeasible kappa for gamma={gamma:g}")
+        return calibrated[gamma, variant]
+
+    def alphas(prefix: str, variant: str, gammas) -> dict[str, np.ndarray]:
+        return {f"{prefix}{g:g}": alpha_curve(resolved(g, variant), market, mortality, grid)
+                for g in gammas}
+
+    write("fig1.csv", figure_table_csv(alphas("alpha_", "power", BENCHMARK_GAMMAS),
+                                       grid, base_age))
+    fig2 = alphas("scaled_alpha_", "scaled_power", FEASIBLE_GAMMAS)
+    fig2.update(alphas("trimmed_alpha_", "trimmed", BENCHMARK_GAMMAS))
+    write("fig2.csv", figure_table_csv(fig2, grid, base_age))
+    write("fig3.csv", figure_table_csv(alphas("alpha_", "scaled_trimmed", FEASIBLE_GAMMAS),
+                                       grid, base_age))
+    fig4 = {
+        f"income_{g:g}": expected_discounted_income(
+            grid, resolved(g, "scaled_trimmed"), market, mortality, x0)
         for g in FEASIBLE_GAMMAS
     }
-    fig2.update(
-        {
-            f"trimmed_alpha_{g:g}": alpha_curve(schedule_for(g, "trimmed"), market, mortality, grid)
-            for g in BENCHMARK_GAMMAS
-        }
-    )
-    out.write(os.path.join(outdir, "fig2.csv"), figure_table_csv(fig2, grid, base_age))
+    write("fig4.csv", figure_table_csv(fig4, grid, base_age))
 
-    # fig3's calibrated schedules also give fig4's incomes.
-    scaled_trimmed = {g: schedule_for(g, "scaled_trimmed") for g in FEASIBLE_GAMMAS}
-    fig3 = {
-        f"alpha_{g:g}": alpha_curve(sched, market, mortality, grid)
-        for g, sched in scaled_trimmed.items()
-    }
-    out.write(os.path.join(outdir, "fig3.csv"), figure_table_csv(fig3, grid, base_age))
-
-    fig4 = {
-        f"income_{g:g}": expected_discounted_income(grid, sched, market, mortality, x0)
-        for g, sched in scaled_trimmed.items()
-    }
-    out.write(os.path.join(outdir, "fig4.csv"), figure_table_csv(fig4, grid, base_age))
+    write("merton.csv", "gamma,pi_star\n" + "".join(
+        f"{g:g},{merton_fraction(market, g):.12g}\n" for g in BENCHMARK_GAMMAS))
+    write("kappas.csv", "\n".join(kappas) + "\n")
+    write("income0.csv", "variant,gamma,initial_income_per_100k\n" + "".join(
+        f"{variant},{g:g},"
+        f"{expected_discounted_income(0.0, resolved(g, variant), market, mortality, x0):.2f}\n"
+        for variant in ("none", "power", "scaled_trimmed") for g in FEASIBLE_GAMMAS))
 
 
 _DISPATCH = {
@@ -499,6 +502,7 @@ _ERROR_CODES = (
     (LifeTableError, "DATA"),
     (CalibrationRequired, "CALIBRATION"),
     (SimulationError, "RUNTIME"),
+    (MemoryError, "RUNTIME"),
     (ValueError, "CONFIG"),
     (OSError, "IO"),
 )

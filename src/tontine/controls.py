@@ -288,6 +288,19 @@ class ControlSchedule:
         return out if np.ndim(out) else float(out)
 
 
+def log_control_rates(
+    t: np.ndarray,
+    log_d: np.ndarray,
+    schedule: PreferenceSchedule,
+    mortality: GompertzMakehamParams,
+    beta_value: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log c*_t, log(1 - alpha*_t)) at t from log D(t):
+    c*_t = e^{-beta t} S_t / D(t) and 1 - alpha*_t = c*_t b_t^{1/(1-gamma)}."""
+    log_c = -beta_value * t - cumulative_hazard(t, mortality) - log_d
+    return log_c, log_c + log_transformed_weight(t, schedule, mortality)
+
+
 def build_control_schedule(
     schedule: PreferenceSchedule,
     mortality: GompertzMakehamParams,
@@ -333,8 +346,7 @@ def build_control_schedule(
     grid = grid_full[:last]
     log_d = log_d[:last]
 
-    log_c = -beta_value * grid - cumulative_hazard(grid, mortality) - log_d
-    log_bequest = log_c + log_transformed_weight(grid, schedule, mortality)
+    log_c, log_bequest = log_control_rates(grid, log_d, schedule, mortality, beta_value)
     alpha = 1.0 - np.exp(log_bequest)
 
     return ControlSchedule(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
+from .mortality import GompertzMakehamParams, force_of_mortality
 
 VARIANTS = ("none", "power", "scaled_power", "trimmed", "scaled_trimmed", "table")
 SCALED_VARIANTS = ("scaled_power", "scaled_trimmed")
@@ -121,19 +121,9 @@ class PreferenceSchedule:
 
     def base_schedule(self) -> "PreferenceSchedule":
         """The kappa = 1 companion of a scaled variant (weight g_t)."""
-        if self.variant == "scaled_power":
-            return replace(self, variant="power", kappa=None)
-        if self.variant == "scaled_trimmed":
-            return replace(self, variant="trimmed", kappa=None)
-        raise ValueError("base_schedule is defined for scaled variants only")
-
-
-def _require_kappa(schedule: PreferenceSchedule) -> float:
-    if schedule.kappa is None:
-        raise CalibrationRequired(
-            f"{schedule.variant} schedule has no kappa; run calibrate_kappa first"
-        )
-    return schedule.kappa
+        if not self.is_scaled:
+            raise ValueError("base_schedule is defined for scaled variants only")
+        return replace(self, variant=self.variant.removeprefix("scaled_"), kappa=None)
 
 
 def _check_trimmed_hazard(mortality: GompertzMakehamParams) -> None:
@@ -145,42 +135,50 @@ def _check_trimmed_hazard(mortality: GompertzMakehamParams) -> None:
 
 def _trimmed_gap(t: np.ndarray, schedule: PreferenceSchedule,
                  mortality: GompertzMakehamParams) -> tuple[np.ndarray, np.ndarray]:
-    """1/lambda_t - 1/lambda_H wherever t < H, with its validity mask."""
+    """1/lambda_t - 1/lambda_H wherever t < H (1 elsewhere), with its validity mask."""
     _check_trimmed_hazard(mortality)
     h = schedule.horizon_years
     lam_h = force_of_mortality(h, mortality)
     inside = t < h
     lam = force_of_mortality(np.where(inside, t, 0.0), mortality)
-    gap = np.where(inside, 1.0 / lam - 1.0 / lam_h, 0.0)
+    gap = np.where(inside, 1.0 / lam - 1.0 / lam_h, 1.0)
     return gap, inside
+
+
+def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamParams):
+    """The variant table: b_t = kappa * q_t^e where ``inside``, 0 elsewhere.
+
+    Returns (q, e, inside, kappa), with kappa = 1 for unscaled variants and
+    q = 1 outside the mask.  This is the only place that branches on the
+    variant.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    variant = schedule.variant
+    if variant == "none":
+        parts = (np.ones_like(t), 1.0, np.zeros(t.shape, dtype=bool))
+    elif variant in TRIMMED_VARIANTS:
+        gap, inside = _trimmed_gap(t, schedule, mortality)
+        parts = (gap, -schedule.gamma, inside)
+    elif variant == "table":
+        ts, bs = np.array(schedule.table).T
+        parts = (np.interp(t, ts, bs, left=0.0, right=0.0), 1.0, np.ones(t.shape, dtype=bool))
+    else:  # power, scaled_power
+        parts = (np.asarray(force_of_mortality(t, mortality)), schedule.gamma,
+                 np.ones(t.shape, dtype=bool))
+    if variant not in SCALED_VARIANTS:
+        return (*parts, 1.0)
+    if schedule.kappa is None:
+        raise CalibrationRequired(f"{variant} schedule has no kappa; run calibrate_kappa first")
+    return (*parts, schedule.kappa)
 
 
 def bequest_weight(t, schedule: PreferenceSchedule, mortality: GompertzMakehamParams):
     """The weight b_t of the bequest term at time t (years past base age)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    gamma = schedule.gamma
-    variant = schedule.variant
-
-    if variant == "none":
-        out = np.zeros_like(t)
-    elif variant in ("power", "scaled_power"):
-        out = np.asarray(force_of_mortality(t, mortality)) ** gamma
-        if variant == "scaled_power":
-            out = _require_kappa(schedule) * out
-    elif variant in TRIMMED_VARIANTS:
-        gap, inside = _trimmed_gap(t, schedule, mortality)
-        with np.errstate(divide="ignore"):
-            out = np.where(inside, np.where(inside, gap, 1.0) ** (-gamma), 0.0)
-        if variant == "scaled_trimmed":
-            out = _require_kappa(schedule) * out
-    else:  # table
-        ts = np.array([p[0] for p in schedule.table])
-        bs = np.array([p[1] for p in schedule.table])
-        out = np.interp(t, ts, bs, left=0.0, right=0.0)
-        # np.interp clamps outside the knots; the contract is zero there.
-        out = np.where((t < ts[0]) | (t > ts[-1]), 0.0, out)
+    q, e, inside, kappa = _weight_parts(t, schedule, mortality)
+    with np.errstate(divide="ignore"):
+        out = np.where(inside, q**e, 0.0) * kappa
     return out if out.ndim else float(out)
 
 
@@ -192,31 +190,10 @@ def log_transformed_weight(t, schedule: PreferenceSchedule,
     exponent identities are applied analytically so extreme gamma never
     overflows an intermediate power.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    gamma = schedule.gamma
-    one_minus = 1.0 - gamma
-    variant = schedule.variant
-
-    if variant == "none":
-        out = np.full_like(t, -np.inf)
-    elif variant in ("power", "scaled_power"):
-        out = (gamma / one_minus) * np.log(force_of_mortality(t, mortality))
-        if variant == "scaled_power":
-            out = out + math.log(_require_kappa(schedule)) / one_minus
-    elif variant in TRIMMED_VARIANTS:
-        gap, inside = _trimmed_gap(t, schedule, mortality)
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                inside, (-gamma / one_minus) * np.log(np.where(inside, gap, 1.0)), -np.inf
-            )
-        if variant == "scaled_trimmed":
-            out = out + math.log(_require_kappa(schedule)) / one_minus
-    else:  # table
-        b = np.asarray(bequest_weight(t, schedule, mortality))
-        with np.errstate(divide="ignore"):
-            out = np.log(b) / one_minus
+    q, e, inside, kappa = _weight_parts(t, schedule, mortality)
+    one_minus = 1.0 - schedule.gamma
+    with np.errstate(divide="ignore"):
+        out = np.where(inside, (e / one_minus) * np.log(q), -np.inf) + math.log(kappa) / one_minus
     return out if out.ndim else float(out)
 
 

@@ -64,6 +64,11 @@ REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 # after the move to time-major buffers.
 _SUB_BLOCK_PATHS = 512
 
+# Float64 arrays over the time grid that simulate_wealth holds at once, an
+# upper bound: grid, hazard and control nodes, per-step coefficients and
+# their padded copies, and the utility coefficients.
+_STEP_ARRAYS = 32
+
 
 class SimulationError(RuntimeError):
     """Simulation could not produce finite paths."""
@@ -76,10 +81,12 @@ class SimulationConfig:
     ``record_times`` selects the snapshot times stored per path (snapped to
     the nearest grid node); ``None`` keeps 0, the report times within the
     horizon, and the horizon itself, while the string ``"all"`` keeps every
-    grid node.  Only the result arrays and the summary's temporaries grow with
-    the path count, 8 bytes x n_paths x (6 x recorded times + 1);
-    ``simulate_wealth`` raises ``SimulationError`` before allocating them if
-    they would exceed the machine's physical memory.
+    grid node.  The result arrays and the summary's temporaries take
+    8 bytes x n_paths x (6 x recorded times + 1), and each worker thread's
+    buffers 4 x 8 bytes x max(min(512, n_paths), 2) x (steps + 1);
+    ``simulate_wealth`` raises ``SimulationError`` before allocating anything
+    the length of the time grid if these would exceed the machine's physical
+    memory.
     """
 
     n_paths: int
@@ -125,15 +132,14 @@ def scaled_controls(
     controls: ControlSchedule,
     c_scale: float,
     alpha_scale: float,
-    alpha_cap: float = 1.0,
 ) -> DeterministicControls:
-    """Multiplicatively jittered copy of a tabulated schedule (alpha capped)."""
+    """Multiplicatively jittered copy of a tabulated schedule (alpha capped at 1)."""
     return DeterministicControls(
         pi=controls.pi_star,
         consumption=lambda t: c_scale * controls.consumption_at(t),
         tontine_fraction=lambda t: np.minimum(
             alpha_scale * (1.0 - controls.bequest_fraction_at(np.asarray(t, dtype=float))),
-            alpha_cap,
+            1.0,
         ),
     )
 
@@ -200,21 +206,24 @@ def _n_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _check_result_memory(n_paths: int, n_rec: int) -> None:
-    """Raise before allocating results and summary larger than physical memory.
+def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> None:
+    """Raise before allocating more than physical memory.
 
     Per path and recorded time: X, zeta and Y, then the summary's income and
-    zeta*X and one standard-deviation temporary; per path: the objective.
+    zeta*X and one standard-deviation temporary; per path: the objective; per
+    step: the time-grid arrays; per worker: its four sub-block buffers.
     """
-    need = 8 * n_paths * (6 * n_rec + 1)
+    width = max(min(_SUB_BLOCK_PATHS, n_paths), 2)
+    need = 8 * (n_paths * (6 * n_rec + 1)
+                + (_STEP_ARRAYS + 4 * n_workers * width) * (n_steps + 1))
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         return
     if need > have:
         raise SimulationError(
-            f"{n_paths} paths x {n_rec} recorded times need {need / 2**30:.3g} GiB "
-            f"of results and summary, more than the {have / 2**30:.3g} GiB of physical memory"
+            f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times) need "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -236,20 +245,20 @@ def _running_totals(terms: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def _resolve_record_indices(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
+def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarray | None:
+    """The grid indices to record, or None for every node (not yet allocated)."""
     if isinstance(config.record_times, str):
         if config.record_times != "all":
             raise ValueError("record_times must be a tuple of times, None, or 'all'")
-        return np.arange(len(times))
+        return None
     if config.record_times is None:
         wanted = [0.0, *(t for t in REPORT_TIMES if t <= config.horizon + 1e-9), config.horizon]
     else:
         wanted = [float(t) for t in config.record_times]
         if any(t < 0 or t > config.horizon + 1e-9 for t in wanted):
             raise ValueError("record_times must lie within [0, horizon]")
-    step = times[1] - times[0] if len(times) > 1 else 1.0
-    idx = np.unique(np.clip(np.round(np.asarray(wanted) / step).astype(int), 0, len(times) - 1))
-    return idx
+    step = config.horizon / n_steps
+    return np.unique(np.clip(np.round(np.asarray(wanted) / step).astype(int), 0, n_steps))
 
 
 def simulate_wealth(
@@ -268,13 +277,23 @@ def simulate_wealth(
     utility of consumption and bequest under those preferences.
 
     Raises ``SimulationError`` if the step does not divide the horizon, the
-    tabulated controls stop short of it, the result arrays would not fit in
-    physical memory, or a path goes non-finite; the last names the lowest
+    tabulated controls stop short of it, the results and buffers would not
+    fit in physical memory, or a path goes non-finite; the last names the lowest
     such path and its first non-finite step.
     """
     n_steps = round(config.horizon / config.step)
     if n_steps < 1 or abs(n_steps * config.step - config.horizon) > 1e-9:
         raise SimulationError("step must divide the horizon")
+    record_idx = _resolve_record_indices(config, n_steps)
+    n_paths = config.n_paths
+    n_rec = n_steps + 1 if record_idx is None else len(record_idx)
+    sub = _SUB_BLOCK_PATHS
+    n_blocks = -(-n_paths // sub)
+    n_workers = min(_n_workers(), n_blocks)
+    _check_memory(n_paths, n_rec, n_steps, n_workers)
+    if record_idx is None:
+        record_idx = np.arange(n_steps + 1)
+
     times = np.arange(n_steps + 1) * config.horizon / n_steps
     dt = np.diff(times)
     sqdt = np.sqrt(dt)
@@ -328,10 +347,6 @@ def simulate_wealth(
             bequest_term = np.where(b_nodes > 0, lam_nodes * b_nodes * bq_pow, 0.0)
         utility_coef = disc * (c_pow + bequest_term) / gamma
 
-    record_idx = _resolve_record_indices(config, times)
-    n_paths, n_rec = config.n_paths, len(record_idx)
-    _check_result_memory(n_paths, n_rec)
-
     wealth = np.empty((n_paths, n_rec))
     spd = np.empty((n_paths, n_rec))
     y_arr = np.empty((n_paths, n_rec))
@@ -345,9 +360,6 @@ def simulate_wealth(
     vol_z = np.concatenate(([0.0], vol_z))
     drift_z = np.concatenate(([math.log(phi0)], drift_z))
     seed = int(config.seed)
-    sub = _SUB_BLOCK_PATHS
-    n_blocks = -(-n_paths // sub)
-    n_workers = min(_n_workers(), n_blocks)
     # floating-point error handling is per thread: workers take the caller's
     fp_state = dict(np.geterr(), call=np.geterrcall())
 

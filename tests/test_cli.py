@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tontine.cli as cli
 from tontine.cli import DEFAULTS, VALID_KEYS, main
@@ -120,6 +127,16 @@ class TestSchedule:
         assert abs(float(rows[0][4])) < 1e-8
 
 
+    def test_grid_past_memory_is_runtime_error(self, tmp_path, capsys):
+        # 5e13 grid points: 364 TiB a float64 array, past any address space
+        out = tmp_path / "schedule.csv"
+        code, _, err = run_cli(["schedule", "--grid-step", "1e-12", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: RUNTIME:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestIncome:
     def test_curve_layout(self, tmp_path, capsys):
         out = tmp_path / "income.csv"
@@ -165,6 +182,16 @@ class TestSimulate:
         out = tmp_path / "sim.csv"
         code, _, err = run_cli(self.ARGS + ["--paths", "10000000000000", "--out", str(out)],
                                capsys)
+        assert code == 2
+        assert err.startswith("error: RUNTIME:") and "physical memory" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_step_past_memory_is_runtime_error(self, tmp_path, capsys):
+        # 2e13 steps: the per-worker buffers alone would need hundreds of TiB
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(["simulate", "--sim-step", "1e-12", "--paths", "2",
+                                "--out", str(out)], capsys)
         assert code == 2
         assert err.startswith("error: RUNTIME:") and "physical memory" in err
         assert err.count("\n") == 1
@@ -335,11 +362,12 @@ class TestWarnings:
 
 
 class TestFigures:
-    def test_writes_all_four_tables(self, tmp_path, capsys):
+    def test_writes_all_seven_files(self, tmp_path, capsys):
         code, _, err = run_cli(["figures", "--out", str(tmp_path)], capsys)
         assert code == 0 and err == ""
         names = sorted(os.listdir(tmp_path))
-        assert names == ["fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv"]
+        assert names == ["fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv",
+                         "income0.csv", "kappas.csv", "merton.csv"]
 
         cols, rows = read_csv(tmp_path / "fig1.csv")
         assert cols[:2] == ["t", "age"]
@@ -396,3 +424,81 @@ class TestDefaults:
     def test_default_keys_are_sorted_and_complete(self):
         assert VALID_KEYS == tuple(sorted(DEFAULTS))
         assert set(cli._FLAG_TO_KEY.values()) <= set(DEFAULTS)
+
+
+# sha256 of every CSV each command writes at its defaults.
+DEFAULT_CSV_SHA256 = {
+    "calibrate": {
+        "calibrate.csv": "8b7ef2eeb5044c8130b27e133bc346658a7e7e387d629e1dc8f6f492405e4105",
+    },
+    "schedule": {
+        "schedule.csv": "76394678d0fba5b32187b6504d0e177270f3df3f4efaace7607ef8a9e13cf41e",
+    },
+    "income": {
+        "income.csv": "9ef3fe3035ff4b6ad2775fede8715d3af6209fe7d8e0b7a86402ffbf89975fc4",
+    },
+    "simulate": {
+        "simulate.csv": "c05a109de29da3b6d8d5f74a6c6fb6b45d42cd095a2ebde319b233b12d8f519e",
+    },
+    "figures": {
+        "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",
+        "fig2.csv": "171da499258e6afe603cc707fe13f1791bb8d1124f2feb86f3f5884c5988cab3",
+        "fig3.csv": "a7b06559da9b11438f070d6de4997267da1f91f22bc2148f69d7800af2b99725",
+        "fig4.csv": "a734ef26e66a670db3a426d658ffffe050c64d7969c7f421b0274ddffda96842",
+        "merton.csv": "a5919205d11d1c1fd021a4d42503b382f1c5a71e157ba9d9caf3466ea3d990d1",
+        "kappas.csv": "181c458686b7af246a1e57ce4565333f41fec304223f646e5cb962a08f8c7fa1",
+        "income0.csv": "b3abba74ea16d03ccea68b6514796ef3b02d170d75e489f6cd573c6a29e5bdd4",
+    },
+}
+
+
+class TestDefaultBytes:
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
+    def test_sha256_at_defaults(self, tmp_path, capsys, command):
+        out = tmp_path if command == "figures" else tmp_path / f"{command}.csv"
+        code, _, err = run_cli([command, "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == DEFAULT_CSV_SHA256[command]
+
+
+# Config-file fuzzing: every key but `out` takes its default or one of
+# FUZZ_TOKENS.  The path count starts at 16, and base ages that would lengthen
+# the horizon are not drawn, so no draw costs more than the defaults.
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "abc", "1/0", "auto", "1e400")
+FUZZ_DEFAULTS = {**{k: str(v) for k, v in DEFAULTS.items() if k != "out"}, "paths": "16"}
+LONGER_HORIZON = {("base_age", "0"), ("base_age", "-1")}
+ERROR_LINE = re.compile(r"error: (USAGE|CONFIG|DATA|CALIBRATION|IO|RUNTIME): \S[^\n]*\n")
+
+
+def fuzz_value(key):
+    tokens = [t for t in FUZZ_TOKENS if (key, t) not in LONGER_HORIZON]
+    return st.sampled_from([FUZZ_DEFAULTS[key], *tokens])
+
+
+fuzz_overrides = st.lists(st.sampled_from(sorted(FUZZ_DEFAULTS)), unique=True, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({k: fuzz_value(k) for k in keys}))
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", ["calibrate", "schedule", "income", "simulate"])
+    @given(overrides=fuzz_overrides)
+    @settings(max_examples=100, deadline=None)
+    def test_one_outcome_and_no_stray_files(self, command, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "run.cfg")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{k} = {v}\n" for k, v in {**FUZZ_DEFAULTS, **overrides}.items())
+            out = os.path.join(tmp, "out.csv")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", config, "--out", out])
+            files = sorted(os.listdir(tmp))
+        err = err.getvalue()
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            assert files == ["out.csv", "run.cfg"]
+        else:
+            assert code == 2 and ERROR_LINE.fullmatch(err), err
+            assert files == ["run.cfg"]

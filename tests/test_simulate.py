@@ -503,12 +503,19 @@ class TestErrors:
         )
         with pytest.raises(SimulationError, match="physical memory"):
             simulate_wealth(config, controls, market, NO_MORTALITY)
+        # 2e13 steps of two paths: refused before the grid or its indices exist
+        config = SimulationConfig(n_paths=2, horizon=20.0, step=1e-12, record_times="all")
+        with pytest.raises(SimulationError, match="physical memory"):
+            simulate_wealth(config, controls, market, NO_MORTALITY)
 
     def test_memory_bound_counts_the_summary(self, monkeypatch, market):
         # results: X, zeta and Y per recorded time plus the objective; the
-        # summary adds income, zeta*X and a standard-deviation temporary
-        n_paths, n_rec = 20_000, 5
-        need = 8 * n_paths * (6 * n_rec + 1)
+        # summary adds income, zeta*X and a standard-deviation temporary; each
+        # step adds the time-grid arrays, and each worker four sub-block buffers
+        n_paths, n_rec, n_steps, workers = 20_000, 5, 4, 2
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
+            simulate._STEP_ARRAYS + workers * 4 * simulate._SUB_BLOCK_PATHS) * (n_steps + 1)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
