@@ -319,9 +319,10 @@ def _build_controls(merged: dict):
     return market, mortality, schedule, controls
 
 
-def _cmd_schedule(config: RunConfig, out: _OutputSet) -> None:
+def _cmd_schedule(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
     _, _, _, controls = _build_controls(config.overrides)
     out.write(config.out, schedule_csv(controls, base_age=_as_float(config.overrides, "base_age")))
+    return controls.warnings
 
 
 def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
@@ -333,7 +334,7 @@ def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
     out.write(config.out, income_csv(curve, base_age=_as_float(merged, "base_age")))
 
 
-def _cmd_simulate(config: RunConfig, out: _OutputSet) -> None:
+def _cmd_simulate(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
     merged = config.overrides
     market, mortality, _, controls = _build_controls(merged)
     sim_config = SimulationConfig(
@@ -346,6 +347,7 @@ def _cmd_simulate(config: RunConfig, out: _OutputSet) -> None:
     # no preference schedule: the summary never reads the utility objective
     result = simulate_wealth(sim_config, controls, market, mortality)
     out.write(config.out, summary_csv(result))
+    return controls.warnings
 
 
 def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
@@ -511,13 +513,14 @@ _ERROR_CODES = (
 def run(config: RunConfig) -> int:
     """Execute a resolved command; outputs are atomic and rolled back on failure.
 
-    Library warnings are held back: on success each distinct message is printed
+    Library warnings and the notes a command returns (a control schedule's
+    ``warnings``) are held back: on success each distinct message is printed
     once as ``warning: <message>``; on failure only the error line is printed.
     """
     outputs = _OutputSet()
     try:
         with warnings.catch_warnings(record=True) as caught:
-            _DISPATCH[config.command](config, outputs)
+            notes = _DISPATCH[config.command](config, outputs) or ()
     except Exception as exc:  # whatever failed, leave no partial outputs behind
         outputs.rollback()
         if isinstance(exc, CliError):
@@ -526,7 +529,7 @@ def run(config: RunConfig) -> int:
             if isinstance(exc, kind):
                 raise CliError(code, str(exc)) from exc
         raise CliError("INTERNAL", f"{type(exc).__name__}: {exc}") from exc
-    for message in dict.fromkeys(str(w.message) for w in caught):
+    for message in dict.fromkeys([*(str(w.message) for w in caught), *notes]):
         print(f"warning: {message}", file=sys.stderr)
     return 0
 

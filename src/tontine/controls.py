@@ -13,6 +13,7 @@ from the top down; each query point t adds its own head panel [t, next edge].
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +40,15 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEP_YEARS = 1.0 / 52.0
+
+# float64 values per grid point that build_control_schedule and
+# log_tail_integrals hold at once: 16 Gauss-Legendre nodes a head panel times
+# about seven integrand temporaries (tracemalloc peaks at 118 for every variant).
+_GRID_ARRAYS = 120
+
+# Text of both the MarketParams warning and the ControlSchedule note, so that
+# the CLI, which prints each distinct message once, prints it once.
+_NONPOSITIVE_PREMIUM = "mu <= r: the equity premium is nonpositive"
 
 # Log-space D values below this are treated as underflowed grid points and
 # truncated off the schedule (exp would round them to subnormal/zero).
@@ -68,7 +78,7 @@ class MarketParams:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.mu <= self.r:
-            warnings.warn("mu <= r: the equity premium is nonpositive", stacklevel=3)
+            warnings.warn(_NONPOSITIVE_PREMIUM, stacklevel=3)
 
     @property
     def sharpe(self) -> float:
@@ -88,6 +98,14 @@ def beta(market: MarketParams, gamma: float, rho: float) -> float:
 def merton_fraction(market: MarketParams, gamma: float) -> float:
     """Constant optimal equity fraction (mu - r) / ((1 - gamma) sigma^2)."""
     return (market.mu - market.r) / ((1.0 - gamma) * market.sigma**2)
+
+
+def physical_memory_bytes() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return None
 
 
 def has_integrability_warning(schedule: PreferenceSchedule) -> bool:
@@ -312,6 +330,8 @@ def build_control_schedule(
     The grid nominally spans [0, T_max] in steps of ``grid_step`` (which must
     divide T_max); the final point, where D vanishes, is dropped, and any
     additional points where D underflows are truncated with a warning note.
+    A grid whose arrays would exceed physical memory raises ``MemoryError``
+    before any of them is allocated.
     D comes from one :func:`log_tail_integrals` sweep over the grid, so each
     grid value equals :func:`log_denominator_integral` at that point.
     """
@@ -321,6 +341,12 @@ def build_control_schedule(
     n = round(t_max / grid_step)
     if n < 2 or abs(n * grid_step - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("grid_step must divide the limiting age horizon")
+    need, have = 8 * _GRID_ARRAYS * n, physical_memory_bytes()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"{n} grid points need {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
     grid_full = np.arange(n) * t_max / n  # T_max itself, where D vanishes, is left out
 
     notes: list[str] = []
@@ -330,7 +356,7 @@ def build_control_schedule(
             "for gamma > 0; D is mesh-dependent there"
         )
     if market.mu <= market.r:
-        notes.append("market: mu <= r, equity premium nonpositive")
+        notes.append(_NONPOSITIVE_PREMIUM)
 
     beta_value = beta(market, schedule.gamma, schedule.rho)
     log_d = log_tail_integrals(grid_full, schedule, mortality, market)

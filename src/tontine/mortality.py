@@ -197,8 +197,62 @@ class GompertzMakehamFit:
     objective: float
 
 
-# Starting triple of the single least-squares solve.
+# Starting triple of the least-squares solve.
 _START = (1e-3, 0.1, 1e-3)
+
+# Projected Levenberg-Marquardt: iteration cap, the relative step or cost
+# change at which it stops, the first damping, and a damping cap that ends
+# the solve where no damping gives a decrease.
+_MAX_ITERATIONS = 200
+_TOLERANCE = 1e-15
+_FIRST_DAMPING = 1e-3
+_MAX_DAMPING = 1e32
+
+
+def _projected_levenberg_marquardt(residual, jacobian, start) -> np.ndarray:
+    """Minimise |residual(a)|^2 over a >= 0 from ``start``.
+
+    Levenberg-Marquardt with Marquardt's scaling (More 1978): with
+    W = diag(J'J)^(1/2), a zero entry read as 1, the step solves
+    (J'J + mu W^2) step = -J'r, as the least-squares problem
+    [J; sqrt(mu) W] step = [-r; 0].  Each trial is projected onto a >= 0; a
+    component at 0 whose gradient points outward is frozen there, so a zero
+    constant is reached exactly.  A trial is accepted only if it strictly
+    lowers the cost (a non-finite one never does), and then mu falls tenfold;
+    otherwise mu rises tenfold.  The solve stops when |W step| or the cost
+    decrease falls to a relative 1e-15, since a larger mu only shortens the
+    step.
+    """
+    a = np.array(start, dtype=float)
+    r = residual(a)
+    cost = float(r @ r)
+    damping = _FIRST_DAMPING
+    for _ in range(_MAX_ITERATIONS):
+        jac = jacobian(a)
+        free = (a > 0) | (jac.T @ r <= 0)
+        weight = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        weight[weight == 0] = 1.0
+        size = np.linalg.norm(weight * a)
+        rhs = np.concatenate([-r, np.zeros(np.count_nonzero(free))])
+        while True:
+            system = np.vstack([jac[:, free], np.diag(np.sqrt(damping) * weight[free])])
+            trial = a.copy()
+            trial[free] = np.maximum(a[free] + np.linalg.lstsq(system, rhs, rcond=None)[0], 0.0)
+            if np.linalg.norm(weight * (trial - a)) <= _TOLERANCE * size:
+                return a
+            if np.all(np.isfinite(trial)):
+                r_trial = residual(trial)
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial < cost:  # False for NaN
+                    break
+            damping *= 10.0
+            if damping > _MAX_DAMPING:
+                return a
+        if cost - cost_trial <= _TOLERANCE * cost:
+            return trial
+        a, r, cost = trial, r_trial, cost_trial
+        damping /= 10.0
+    return a
 
 
 def fit_gompertz_makeham(
@@ -207,14 +261,11 @@ def fit_gompertz_makeham(
     """Least-squares fit of (a1, a2, a3) to a life table's survival column.
 
     Minimizes the sum of squared residuals S(t; a) - s between the model
-    survival and the table's survival probabilities at the same ages, in one
-    bounded trust-region solve (scipy's ``least_squares``, dogbox, each a >= 0
-    so a zero constant is reachable exactly) from a fixed start, with the
-    closed-form Jacobian -S dH/da of the cumulative hazard H.
+    survival and the table's survival probabilities at the same ages, by a
+    projected Levenberg-Marquardt solve (each a >= 0, so a zero constant is
+    reachable exactly) from a fixed start, with the closed-form Jacobian
+    -S dH/da of the cumulative hazard H.  It needs numpy only.
     """
-    # scipy costs most of a package import, and only fitting needs it.
-    from scipy.optimize import least_squares
-
     if len(table.ages) < 4:
         raise LifeTableError("life table too short: need at least 4 rows to fit 3 parameters")
     t = table.years_past_base
@@ -238,14 +289,16 @@ def fit_gompertz_makeham(
         curvature = 0.5 + x / 3.0 + x * x / 8.0
         np.divide(x * np.exp(x) - np.expm1(x), x * x, out=curvature, where=x > 1e-3)
         dh = np.column_stack([t * growth, a[0] * t * t * curvature, t])
-        return -model(a)[:, None] * dh
+        jac = -model(a)[:, None] * dh
+        # An overflowed dH meets S = 0 or a1 = 0 there; the product's limit is 0.
+        jac[~np.isfinite(jac)] = 0.0
+        return jac
 
-    res = least_squares(
-        lambda a: model(a) - s, _START, jac=jacobian, bounds=(0.0, np.inf),
-        method="dogbox", x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    params = GompertzMakehamParams(*map(float, res.x), limiting_age_years=t_max)
-    resid = survival(t, params) - s
+    # a steep trial overflows exp(a2 t); its survival is then 0 or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _projected_levenberg_marquardt(lambda a: model(a) - s, jacobian, _START)
+        params = GompertzMakehamParams(*map(float, a), limiting_age_years=t_max)
+        resid = survival(t, params) - s
     return GompertzMakehamFit(params=params, objective=float(np.dot(resid, resid)))
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .controls import ControlSchedule, MarketParams
+from .controls import ControlSchedule, MarketParams, physical_memory_bytes
 from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
 from .preferences import PreferenceSchedule, bequest_weight
 
@@ -216,11 +216,8 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> Non
     width = max(min(_SUB_BLOCK_PATHS, n_paths), 2)
     need = 8 * (n_paths * (6 * n_rec + 1)
                 + (_STEP_ARRAYS + 4 * n_workers * width) * (n_steps + 1))
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        return
-    if need > have:
+    have = physical_memory_bytes()
+    if have is not None and need > have:
         raise SimulationError(
             f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times) need "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"

@@ -60,6 +60,23 @@ class TestFit:
         assert a3 == pytest.approx(BENCH.a3, rel=1e-4)
         assert objective < 1e-10
 
+    @pytest.mark.parametrize("survival", [
+        (1.0, 0.99, 0.97, 0.94),                                  # 4 rows
+        tuple(max(1.0 - k / 10.0, 0.0) for k in range(46)),       # 0 from year 10
+        (1.0,) + (0.0,) * 45,                                     # 0 from year 1
+        (1.0, 0.3, 0.01) + (0.0,) * 43,                           # a very steep hazard
+    ], ids=["four-rows", "zero-at-10", "zero-at-1", "steep"])
+    def test_hostile_tables_fit_cleanly(self, tmp_path, capsys, survival):
+        table = tmp_path / "table.csv"
+        table.write_text("age,survival\n" + "".join(
+            f"{65 + k},{s!r}\n" for k, s in enumerate(survival)))
+        out = tmp_path / "fit.csv"
+        code, _, err = run_cli(["fit", "--table", str(table), "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        _, rows = read_csv(out)
+        values = np.array([float(v) for v in rows[0]])
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
     def test_missing_table_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--out", str(tmp_path / "f.csv")], capsys)
         assert code == 2
@@ -126,6 +143,15 @@ class TestSchedule:
         _, rows = read_csv(out)
         assert abs(float(rows[0][4])) < 1e-8
 
+    def test_grid_bound_checked_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 1 MiB of physical memory: the default 2,600-point grid needs 2.4 MiB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+        out = tmp_path / "schedule.csv"
+        code, _, err = run_cli(["schedule", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: RUNTIME: 2600 grid points") and "physical memory" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_grid_past_memory_is_runtime_error(self, tmp_path, capsys):
         # 5e13 grid points: 364 TiB a float64 array, past any address space
@@ -360,6 +386,18 @@ class TestWarnings:
             "feasibility may not follow the sign of gamma\n"
         )
 
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    def test_schedule_notes_reach_stderr(self, tmp_path, capsys, command):
+        # trimmed weights with gamma > 0 make D mesh-dependent; the schedule says so
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            [command, "--variant", "trimmed", "--gamma", "0.5", "--paths", "16",
+             "--out", str(out)], capsys
+        )
+        assert code == 0 and out.exists()
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: integrability:")
+
 
 class TestFigures:
     def test_writes_all_seven_files(self, tmp_path, capsys):
@@ -409,7 +447,6 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported lazily by the life-table fit only.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, tontine; "
@@ -418,6 +455,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        table = tmp_path / "table.csv"
+        synthetic_life_table_csv(table, BENCH)
+        out = tmp_path / "fit.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tontine.cli import main; "
+             f"code = main(['fit', '--table', {str(table)!r}, '--out', {str(out)!r}]); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.strip() == "0 []"
+        assert out.exists()
 
 
 class TestDefaults:

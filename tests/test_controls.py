@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import trapezoid_denominator
+from tontine import controls as controls_module
 from tontine.controls import (
     DEFAULT_GRID_STEP_YEARS,
     ControlSchedule,
@@ -368,6 +371,25 @@ class TestBuildControlSchedule:
             build_control_schedule(schedule, mortality, market, grid_step=0.0)
         with pytest.raises(ValueError):
             build_control_schedule(schedule, mortality, market, grid_step=50.0)
+
+    def test_memory_bound_checked_before_allocating(self, monkeypatch, market, mortality):
+        # the grid's arrays, counted per point, against physical memory
+        schedule = make_schedule(-3.0, "none")
+        n = 2600
+        need = 8 * controls_module._GRID_ARRAYS * n
+        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": need // 8 - 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                build_control_schedule(schedule, mortality, market, grid_step=1 / 52)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # refused before any per-point array
+        pages["SC_PHYS_PAGES"] = need // 8
+        controls = build_control_schedule(schedule, mortality, market, grid_step=1 / 52)
+        assert controls.grid.size == n
 
     def test_arrays_are_read_only(self, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 
 from helpers import synthetic_life_table_csv
 from tontine.mortality import (
+    _START,
     DEFAULT_BASE_AGE,
     DEFAULT_LIMITING_AGE,
     GompertzMakehamParams,
@@ -220,6 +222,30 @@ class TestLifeTable:
             LifeTable(base_age=65, ages=np.array([65]), survival=np.array([1.0]))
 
 
+def dogbox_objective(table: LifeTable) -> float:
+    """The fit's objective from scipy's bounded dogbox trust region (the
+    package's former solve), with the closed-form Jacobian -S dH/da."""
+    t = table.years_past_base
+
+    def model(a):
+        return survival(t, GompertzMakehamParams(*map(float, a)))
+
+    def jacobian(a):
+        x = a[1] * t
+        growth = np.ones_like(x)
+        np.divide(np.expm1(x), x, out=growth, where=x > 0)
+        curvature = 0.5 + x / 3.0 + x * x / 8.0
+        np.divide(x * np.exp(x) - np.expm1(x), x * x, out=curvature, where=x > 1e-3)
+        return -model(a)[:, None] * np.column_stack([t * growth, a[0] * t * t * curvature, t])
+
+    res = least_squares(
+        lambda a: model(a) - table.survival, _START, jac=jacobian, bounds=(0.0, np.inf),
+        method="dogbox", x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    resid = model(res.x) - table.survival
+    return float(resid @ resid)
+
+
 class TestFit:
     def test_roundtrip_benchmark_shape(self, tmp_path):
         # a3 = 0 sits on the bound of the fit, which must stay reachable.
@@ -293,6 +319,31 @@ class TestFit:
             assert result.params.a2 == pytest.approx(truth.a2, rel=1e-4)
             assert result.params.a3 == pytest.approx(truth.a3, abs=1e-6)
             assert result.objective < 1e-16
+
+    def test_objective_matches_dogbox_oracle(self):
+        # clean, 0.2%-noisy and 4-decimal tables over the random-triple box,
+        # plus the a3 = 0 bound and the flat hazard
+        rng = np.random.default_rng(20261018)
+        ages = np.arange(65, 111)
+        t = ages - 65.0
+        columns = []
+        for _ in range(30):
+            truth = GompertzMakehamParams(
+                float(np.exp(rng.uniform(np.log(1e-4), np.log(2e-2)))),
+                float(rng.uniform(0.05, 0.2)),
+                float(rng.uniform(0.0, 0.01)),
+            )
+            clean = survival(t, truth)
+            noisy = clean * (1.0 + 0.002 * rng.standard_normal(t.size))
+            noisy[0] = 1.0
+            columns += [clean, np.minimum.accumulate(np.clip(noisy, 0.0, 1.0)),
+                        np.round(clean, 4)]
+        columns += [survival(t, GompertzMakehamParams(0.006, 0.12, 0.0)),
+                    survival(t, GompertzMakehamParams(0.0, 0.0, 0.05))]
+        for column in columns:
+            table = LifeTable(base_age=65, ages=ages, survival=column)
+            oracle = dogbox_objective(table)
+            assert fit_gompertz_makeham(table).objective <= oracle * (1.0 + 1e-9) + 1e-20
 
     def test_fit_to_csv_format(self, mortality):
         ages = np.arange(65, 111)
