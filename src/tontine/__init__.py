@@ -57,10 +57,12 @@ from .simulate import (
     check_supermartingale,
     first_moment_spd_wealth,
     objective_estimate,
+    optimality_audit,
     scaled_controls,
     second_moment_spd_wealth_bound,
     simulate_wealth,
     summary_csv,
+    value_function,
 )
 
 __version__ = "0.1.0"

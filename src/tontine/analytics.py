@@ -154,16 +154,9 @@ def income_curve(
 
 def income_csv(curve: IncomeCurve, base_age: float = 65.0) -> str:
     """Render an income curve as `t,age,expected_income,expected_bequest_fraction`."""
-    lines = ["t,age,expected_income,expected_bequest_fraction"]
-    for i, t in enumerate(curve.times):
-        lines.append(
-            ",".join(
-                format(v, ".12g")
-                for v in (t, base_age + t, curve.expected_income[i],
-                          curve.expected_bequest_fraction[i])
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return figure_table_csv({"expected_income": curve.expected_income,
+                             "expected_bequest_fraction": curve.expected_bequest_fraction},
+                            curve.times, base_age)
 
 
 def figure_table_csv(

@@ -1,6 +1,6 @@
 """Command-line front end: life-table fitting, kappa calibration, control
-schedules, income curves, Monte Carlo summaries, and the paper's figure and
-headline-table CSVs.
+schedules, income curves, Monte Carlo summaries, the optimality audit, and
+the paper's figure and headline-table CSVs.
 
 Every command is deterministic given its configuration (including the seed);
 failures exit nonzero after printing a single machine-parseable line
@@ -50,11 +50,13 @@ from .preferences import (
 from .simulate import (
     SimulationConfig,
     SimulationError,
+    audit_csv,
+    optimality_audit,
     simulate_wealth,
     summary_csv,
 )
 
-COMMANDS = ("fit", "calibrate", "schedule", "income", "simulate", "figures")
+COMMANDS = ("fit", "calibrate", "schedule", "income", "simulate", "verify", "figures")
 
 # Default parameter set (calibrated market and mortality constants, base age
 # 65, limiting age 115, bequest horizon 20); `figures` always uses these.
@@ -91,6 +93,7 @@ _DEFAULT_OUT = {
     "schedule": "schedule.csv",
     "income": "income.csv",
     "simulate": "simulation.csv",
+    "verify": "verify.csv",
     "figures": ".",
 }
 
@@ -197,9 +200,7 @@ def _as_int(merged: dict, key: str) -> int:
 
 def _resolved_market(merged: dict) -> MarketParams:
     try:
-        return MarketParams(
-            mu=_as_float(merged, "mu"), sigma=_as_float(merged, "sigma"), r=_as_float(merged, "r")
-        )
+        return MarketParams(*(_as_float(merged, key) for key in ("mu", "sigma", "r")))
     except ValueError as exc:
         raise CliError("CONFIG", str(exc)) from exc
 
@@ -209,12 +210,8 @@ def _resolved_mortality(merged: dict) -> GompertzMakehamParams:
     if not limiting > 0:
         raise CliError("CONFIG", "limiting_age must exceed base_age")
     try:
-        return GompertzMakehamParams(
-            a1=_as_float(merged, "a1"),
-            a2=_as_float(merged, "a2"),
-            a3=_as_float(merged, "a3"),
-            limiting_age_years=limiting,
-        )
+        return GompertzMakehamParams(*(_as_float(merged, key) for key in ("a1", "a2", "a3")),
+                                     limiting_age_years=limiting)
     except ValueError as exc:
         raise CliError("CONFIG", str(exc)) from exc
 
@@ -280,9 +277,8 @@ def _cmd_fit(config: RunConfig, out: _OutputSet) -> None:
         raise CliError("IO", f"cannot read life table {table_path}: {exc}") from exc
     except LifeTableError as exc:
         raise CliError("DATA", str(exc)) from exc
-    limiting = (
-        _as_float(config.overrides, "limiting_age") - _as_float(config.overrides, "base_age")
-    )
+    merged = config.overrides
+    limiting = _as_float(merged, "limiting_age") - _as_float(merged, "base_age")
     fit = fit_gompertz_makeham(table, limiting_age_years=limiting)
     out.write(config.out, fit_to_csv(fit))
 
@@ -298,25 +294,34 @@ def _cmd_calibrate(config: RunConfig, out: _OutputSet) -> None:
             f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), "
             f"got {schedule.variant!r}",
         )
-    calibration = calibrate_kappa(schedule, market, mortality)
-    text = "kappa,residual,feasible\n" + ",".join(
-        (
-            format(calibration.kappa, ".12g"),
-            format(calibration.residual, ".12g"),
-            "true" if calibration.feasible else "false",
-        )
-    ) + "\n"
-    out.write(config.out, text)
+    cal = calibrate_kappa(schedule, market, mortality)
+    out.write(config.out, f"kappa,residual,feasible\n{cal.kappa:.12g},{cal.residual:.12g},"
+                          f"{'true' if cal.feasible else 'false'}\n")
+
+
+def _resolved(merged: dict):
+    market = _resolved_market(merged)
+    mortality = _resolved_mortality(merged)
+    return market, mortality, _resolved_schedule(merged, market, mortality)
 
 
 def _build_controls(merged: dict):
-    market = _resolved_market(merged)
-    mortality = _resolved_mortality(merged)
-    schedule = _resolved_schedule(merged, market, mortality)
+    market, mortality, schedule = _resolved(merged)
     controls = build_control_schedule(
         schedule, mortality, market, grid_step=_as_float(merged, "grid_step")
     )
     return market, mortality, schedule, controls
+
+
+def _sim_config(config: RunConfig) -> SimulationConfig:
+    merged = config.overrides
+    return SimulationConfig(
+        n_paths=_as_int(merged, "paths"),
+        horizon=_as_float(merged, "sim_horizon"),
+        step=_as_float(merged, "sim_step"),
+        seed=config.seed,
+        initial_wealth=_as_float(merged, "x0"),
+    )
 
 
 def _cmd_schedule(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
@@ -327,26 +332,30 @@ def _cmd_schedule(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
 
 def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
     merged = config.overrides
-    market = _resolved_market(merged)
-    mortality = _resolved_mortality(merged)
-    schedule = _resolved_schedule(merged, market, mortality)
+    market, mortality, schedule = _resolved(merged)
     curve = income_curve(schedule, market, mortality, x0=_as_float(merged, "x0"))
     out.write(config.out, income_csv(curve, base_age=_as_float(merged, "base_age")))
 
 
 def _cmd_simulate(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    merged = config.overrides
-    market, mortality, _, controls = _build_controls(merged)
-    sim_config = SimulationConfig(
-        n_paths=_as_int(merged, "paths"),
-        horizon=_as_float(merged, "sim_horizon"),
-        step=_as_float(merged, "sim_step"),
-        seed=config.seed,
-        initial_wealth=_as_float(merged, "x0"),
-    )
+    market, mortality, _, controls = _build_controls(config.overrides)
     # no preference schedule: the summary never reads the utility objective
-    result = simulate_wealth(sim_config, controls, market, mortality)
+    result = simulate_wealth(_sim_config(config), controls, market, mortality)
     out.write(config.out, summary_csv(result))
+    return controls.warnings
+
+
+def _cmd_verify(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
+    market, mortality, schedule, controls = _build_controls(config.overrides)
+    report = optimality_audit(_sim_config(config), controls, market, mortality, schedule)
+    if not report.ok:
+        n = len(report.jitters)
+        raise CliError("AUDIT", (
+            f"optimality audit failed: martingale "
+            f"{'holds' if report.martingale.martingale_ok else 'violated'} at 3 SE; "
+            f"supermartingale under {sum(j.supermartingale_ok for j in report.jitters)}/{n} "
+            f"jitters; candidate wins {report.wins}/{n} ({n - 1} needed)"))
+    out.write(config.out, audit_csv(report))
     return controls.warnings
 
 
@@ -422,6 +431,7 @@ _DISPATCH = {
     "schedule": _cmd_schedule,
     "income": _cmd_income,
     "simulate": _cmd_simulate,
+    "verify": _cmd_verify,
     "figures": _cmd_figures,
 }
 
@@ -430,24 +440,25 @@ _DISPATCH = {
 # Entry point
 # ----------------------------------------------------------------------------
 
-_FLAG_TO_KEY = {
-    "gamma": "gamma",
-    "mu": "mu",
-    "sigma": "sigma",
-    "r": "r",
-    "rho": "rho",
-    "variant": "variant",
-    "kappa": "kappa",
-    "horizon": "horizon_years",
-    "base_age": "base_age",
-    "limiting_age": "limiting_age",
-    "grid_step": "grid_step",
-    "paths": "paths",
-    "seed": "seed",
-    "x0": "x0",
-    "table": "table_path",
-    "sim_horizon": "sim_horizon",
-    "sim_step": "sim_step",
+# Command-line flags: the config key each one sets, its flag, and its help.
+_FLAGS = {
+    "gamma": ("--gamma", "risk aversion (< 1, nonzero)"),
+    "mu": ("--mu", "stock drift per year"),
+    "sigma": ("--sigma", "stock volatility per sqrt(year)"),
+    "r": ("--r", "risk-free rate per year"),
+    "rho": ("--rho", "subjective discount rate, or 'auto' for r*gamma"),
+    "variant": ("--variant", f"bequest variant: {', '.join(VARIANTS)}"),
+    "kappa": ("--kappa", "scale for scaled variants, or 'auto' to calibrate"),
+    "horizon_years": ("--horizon", "bequest horizon H in years"),
+    "base_age": ("--base-age", "base age in years"),
+    "limiting_age": ("--limiting-age", "limiting age in years"),
+    "grid_step": ("--grid-step", "schedule grid step (e.g. 1/52)"),
+    "paths": ("--paths", "Monte Carlo path count"),
+    "seed": ("--seed", "simulation seed"),
+    "x0": ("--x0", "initial wealth"),
+    "sim_horizon": ("--sim-horizon", "simulation horizon in years"),
+    "sim_step": ("--sim-step", "simulation step in years"),
+    "table_path": ("--table", "life-table CSV path (fit command)"),
 }
 
 
@@ -457,23 +468,8 @@ def _build_parser() -> _Parser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("--config", help="flat key=value config file (flags win)")
-        p.add_argument("--gamma", help="risk aversion (< 1, nonzero)")
-        p.add_argument("--mu", help="stock drift per year")
-        p.add_argument("--sigma", help="stock volatility per sqrt(year)")
-        p.add_argument("--r", help="risk-free rate per year")
-        p.add_argument("--rho", help="subjective discount rate, or 'auto' for r*gamma")
-        p.add_argument("--variant", help=f"bequest variant: {', '.join(VARIANTS)}")
-        p.add_argument("--kappa", help="scale for scaled variants, or 'auto' to calibrate")
-        p.add_argument("--horizon", help="bequest horizon H in years")
-        p.add_argument("--base-age", dest="base_age", help="base age in years")
-        p.add_argument("--limiting-age", dest="limiting_age", help="limiting age in years")
-        p.add_argument("--grid-step", dest="grid_step", help="schedule grid step (e.g. 1/52)")
-        p.add_argument("--paths", help="Monte Carlo path count")
-        p.add_argument("--seed", help="simulation seed")
-        p.add_argument("--x0", help="initial wealth")
-        p.add_argument("--sim-horizon", dest="sim_horizon", help="simulation horizon in years")
-        p.add_argument("--sim-step", dest="sim_step", help="simulation step in years")
-        p.add_argument("--table", help="life-table CSV path (fit command)")
+        for key, (flag, text) in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=text)
         p.add_argument("--out", help="output file (or directory for figures)")
     return parser
 
@@ -483,8 +479,8 @@ def build_run_config(argv: list[str]) -> RunConfig:
     merged: dict[str, object] = dict(DEFAULTS)
     if args.config:
         merged.update(_parse_config_file(args.config))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag)
+    for key in _FLAGS:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     if args.out is not None:

@@ -366,7 +366,7 @@ def build_control_schedule(
         raise ValueError("denominator underflows over the whole grid; check parameters")
     if last < n:
         notes.append(
-            f"truncation: dropped {n + 1 - last} trailing grid points where D(t) "
+            f"truncation: dropped {n - last} trailing grid points where D(t) "
             "underflows (D vanishes at the limiting age)"
         )
     grid = grid_full[:last]
@@ -395,18 +395,8 @@ def build_control_schedule(
 def schedule_csv(controls: ControlSchedule, base_age: float = 65.0) -> str:
     """Render a tabulated schedule as `t,age,pi_star,c_star,alpha_star,D` CSV."""
     lines = ["t,age,pi_star,c_star,alpha_star,D"]
-    for i, t in enumerate(controls.grid):
-        lines.append(
-            ",".join(
-                format(v, ".12g")
-                for v in (
-                    t,
-                    base_age + t,
-                    controls.pi_star,
-                    controls.c_star[i],
-                    controls.alpha_star[i],
-                    controls.denominator[i],
-                )
-            )
-        )
+    for t, c, a, d in zip(controls.grid, controls.c_star, controls.alpha_star,
+                          controls.denominator):
+        lines.append(",".join(format(v, ".12g")
+                              for v in (t, base_age + t, controls.pi_star, c, a, d)))
     return "\n".join(lines) + "\n"

@@ -96,9 +96,8 @@ class PreferenceSchedule:
             pairs = tuple((float(t), float(b)) for t, b in self.table)
             if len(pairs) < 2:
                 raise ValueError("table variant needs at least 2 rows")
-            ts = np.array([p[0] for p in pairs])
-            bs = np.array([p[1] for p in pairs])
-            if np.any(~np.isfinite(ts)) or np.any(~np.isfinite(bs)):
+            ts, bs = np.array(pairs).T
+            if not np.all(np.isfinite(pairs)):
                 raise ValueError("table entries must be finite")
             if np.any(np.diff(ts) <= 0):
                 raise ValueError("table times must be strictly increasing")
@@ -126,17 +125,13 @@ class PreferenceSchedule:
         return replace(self, variant=self.variant.removeprefix("scaled_"), kappa=None)
 
 
-def _check_trimmed_hazard(mortality: GompertzMakehamParams) -> None:
+def _trimmed_gap(t: np.ndarray, schedule: PreferenceSchedule,
+                 mortality: GompertzMakehamParams) -> tuple[np.ndarray, np.ndarray]:
+    """1/lambda_t - 1/lambda_H wherever t < H (1 elsewhere), with its validity mask."""
     if not (mortality.a1 > 0 and mortality.a2 > 0):
         raise ValueError(
             "trimmed variants require a strictly increasing hazard (a1 > 0 and a2 > 0)"
         )
-
-
-def _trimmed_gap(t: np.ndarray, schedule: PreferenceSchedule,
-                 mortality: GompertzMakehamParams) -> tuple[np.ndarray, np.ndarray]:
-    """1/lambda_t - 1/lambda_H wherever t < H (1 elsewhere), with its validity mask."""
-    _check_trimmed_hazard(mortality)
     h = schedule.horizon_years
     lam_h = force_of_mortality(h, mortality)
     inside = t < h

@@ -1,36 +1,27 @@
 """Monte Carlo simulation of the wealth dynamics under deterministic-in-time
-controls, alongside the state-price density, and statistical verification of
-the martingale structure and moment formulas.
+controls, alongside the state-price density; statistical checks of the
+martingale structure and moment formulas; and the optimality audit by duality.
 
 The per-step update is the exact lognormal solution given piecewise-constant
 controls; hazard mass over each step enters through the exact increment of
-the cumulative hazard rather than a left-point rate, and for tabulated
-optimal controls the consumption/allocation drift enters through the exact
-increment of log D, so the only systematic error left is the control
-discretization itself (second order in the step).
+the cumulative hazard, and for tabulated optimal controls the consumption/
+allocation drift through the exact increment of log D, so the only
+systematic error left is the control discretization (second order in the step).
 
 Because the controls are deterministic, one kernel advances a sub-block of a
-few hundred paths across the whole time axis at once.  Each path's normals
-come from its own Philox substream keyed by (seed, path index); each worker
-thread resets one Philox to that key per path and fills a path-major
-(paths, steps + 1) row.  Column 0 of the normals is zero and the per-step
-volatilities and drifts carry a leading zero and log X0 (log zeta0), so the
-affine steps are whole-row operations and log X and log zeta are cumulative
-sums along each row.  zeta*X and X^gamma then move into time-major
-(steps + 1, paths) buffers, where the trapezoid terms of the Y accrual and
-of the utility objective are row operations.  Their running totals are
-needed only at the recorded times and the last step, so they are reductions
-over axis 0 between those rows: across two or more lanes numpy adds each
-lane's terms in time order, the same bits as a cumulative sum, without
-writing one.  Sub-blocks are sharded over the CPUs this process may use,
-and the output bytes depend only on the seed, not on the sub-block size or
-the sharding.
+few hundred paths across the whole time axis at once.  Path p's normals come
+from its own Philox substream keyed by (seed, p); log X and log zeta are
+cumulative sums along path-major rows, and the trapezoid terms of Y and of
+the utility objective are summed over time-major buffers up to the recorded
+times only (``_running_totals``: the same bits as a cumulative sum).
+Sub-blocks are sharded over the CPUs this process may use, and the output
+bytes depend only on the seed, not on the sub-block size or the sharding.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -53,6 +44,10 @@ __all__ = [
     "second_moment_spd_wealth_bound",
     "objective_estimate",
     "summary_csv",
+    "value_function",
+    "optimality_audit",
+    "AuditReport",
+    "audit_csv",
 ]
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
@@ -325,10 +320,7 @@ def simulate_wealth(
     drift_z = -market.r * dt - d_lam - 0.5 * theta**2 * dt
     vol_z = -theta * sqdt
 
-    if candidate:
-        phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0)
-    else:
-        phi0 = 1.0
+    phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0) if candidate else 1.0
 
     accumulate_objective = schedule is not None
     if accumulate_objective:
@@ -452,7 +444,7 @@ def simulate_wealth(
         objective_paths=objective,
         summary=summary,
         n_paths=config.n_paths,
-        step=float(times[1] - times[0]) if n_steps else config.step,
+        step=float(times[1] - times[0]),
         horizon=config.horizon,
         seed=int(config.seed),
         initial_wealth=config.initial_wealth,
@@ -528,9 +520,7 @@ def check_supermartingale(
     pairs = []
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
-            diff = y[:, j] - y[:, i]
-            mean_diff = float(diff.mean())
-            se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+            mean_diff, se = _mean_se(y[:, j] - y[:, i])
             pairs.append(PairCheck(float(times[i]), float(times[j]), mean_diff, se,
                                    mean_diff <= z * se))
     marts = []
@@ -568,14 +558,152 @@ def second_moment_spd_wealth_bound(
     return out if np.ndim(out) else float(out)
 
 
+def value_function(t, x, controls: ControlSchedule):
+    """V(t, x) = e^{-rho t} S_t (x^gamma / gamma) (c*_t)^{gamma-1}: the optimal
+    objective from t on with wealth x, discounted to 0 and weighted by survival.
+
+    With c*_t = e^{-beta t} S_t / D(t) it is (x^gamma / gamma) e^{(beta-rho) t}
+    D(t) (c*_t)^gamma, read from the tabulated controls; V(0, X0) is the
+    closed-form optimal value (X0^gamma / gamma) D(0)^{1-gamma}.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any((t < 0.0) | (t > controls.t_end + 1e-9)):
+        raise ValueError(f"t must lie in [0, {controls.t_end:.6g}]")
+    gamma = controls.gamma
+    log_scale = ((controls.beta - controls.rho) * t + controls.log_denominator_at(t)
+                 + gamma * np.interp(t, controls.grid, controls.log_c_star))
+    out = np.asarray(x, dtype=float) ** gamma / gamma * np.exp(log_scale)
+    return out if np.ndim(out) else float(out)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error (nan if any value is non-finite, 0 for one value)."""
+    mean = float(values.mean())
+    if not np.all(np.isfinite(values)):
+        return mean, float("nan")
+    return mean, float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+
+
+def _margin(mean: float, se: float) -> float:
+    """mean / se, or +-inf where the standard error is 0 or undefined."""
+    return mean / se if se > 0 else math.copysign(math.inf, mean)
+
+
 def objective_estimate(result: SimulationResult) -> tuple[float, float]:
     """Mean and standard error of the per-path discounted-utility integrals."""
     if result.objective_paths is None:
         raise ValueError("simulation was run without a preference schedule")
-    obj = result.objective_paths
-    mean = float(obj.mean())
-    if len(obj) > 1 and np.all(np.isfinite(obj)):
-        se = float(obj.std(ddof=1) / math.sqrt(len(obj)))
-    else:
-        se = float("nan") if not np.all(np.isfinite(obj)) else 0.0
-    return mean, se
+    return _mean_se(result.objective_paths)
+
+
+# ============================================================================
+# Optimality audit
+# ============================================================================
+
+@dataclass(frozen=True)
+class JitterCheck:
+    """A jittered control set against the candidate on the same paths.
+
+    ``mean_diff`` and ``se_diff`` pair the completed objectives J_H + V(H, X_H),
+    candidate minus jitter (+inf where the alpha cap zeroes a bequest the
+    weights price at -inf); ``truncated_margin`` pairs J_H alone, in SE.
+    """
+
+    c_scale: float
+    alpha_scale: float
+    supermartingale_ok: bool
+    mean_diff: float
+    se_diff: float
+    truncated_margin: float
+
+    @property
+    def margin(self) -> float:
+        return _margin(self.mean_diff, self.se_diff)
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """The candidate's martingale report and dual gap E[J_H + V(H, X_H)] - V(0, X0)
+    (zero at any horizon H for the optimum), and each jitter's checks."""
+
+    martingale: SupermartingaleReport
+    horizon: float
+    dual_gap: float
+    dual_gap_se: float
+    jitters: tuple[JitterCheck, ...]
+
+    @property
+    def dual_gap_z(self) -> float:
+        return _margin(self.dual_gap, self.dual_gap_se)
+
+    @property
+    def wins(self) -> int:
+        return sum(j.mean_diff > 0.0 for j in self.jitters)
+
+    @property
+    def ok(self) -> bool:
+        """Y a martingale within 3 SE under the candidate and a supermartingale
+        under every jitter, and the candidate wins all but at most one pair."""
+        return (self.martingale.martingale_ok
+                and all(j.supermartingale_ok for j in self.jitters)
+                and self.wins >= len(self.jitters) - 1)
+
+
+def optimality_audit(
+    config: SimulationConfig,
+    controls: ControlSchedule,
+    market: MarketParams,
+    mortality: GompertzMakehamParams,
+    schedule: PreferenceSchedule,
+) -> AuditReport:
+    """Audit tabulated controls by duality against 20 jitters on common random numbers.
+
+    The jitters scale consumption and the tontine allocation by pairs drawn
+    from U[0.8, 1.2] with seed 2024; every run takes ``config`` at its default
+    record times.  E[J_H + V(H, X_H)] is V(0, X0) under the optimum and at
+    most that under any admissible control, so the paired comparison of the
+    completed objectives holds at any horizon H, whereas J_H alone favours
+    jitters that defer consumption past H.
+    """
+    config = replace(config, record_times=None)
+
+    def completed(result: SimulationResult) -> np.ndarray:
+        return result.objective_paths + value_function(
+            config.horizon, result.wealth_paths[:, -1], controls)
+
+    candidate = simulate_wealth(config, controls, market, mortality, schedule=schedule)
+    martingale = check_supermartingale(candidate, candidate=True)
+    best, truncated = completed(candidate), candidate.objective_paths
+    del candidate  # one simulation's arrays alive at a time
+
+    def against(c_scale: float, a_scale: float) -> JitterCheck:
+        run = simulate_wealth(config, scaled_controls(controls, c_scale, a_scale),
+                              market, mortality, schedule=schedule)
+        return JitterCheck(c_scale, a_scale, check_supermartingale(run).supermartingale_ok,
+                           *_mean_se(best - completed(run)),
+                           _margin(*_mean_se(truncated - run.objective_paths)))
+
+    draws = np.random.default_rng(2024).uniform(0.8, 1.2, size=(20, 2))
+    return AuditReport(
+        martingale, config.horizon,
+        *_mean_se(best - value_function(0.0, config.initial_wealth, controls)),
+        tuple(against(float(c), float(a)) for c, a in draws),
+    )
+
+
+def audit_csv(report: AuditReport) -> str:
+    """Render an audit as `check,t,c_scale,alpha_scale,mean,se,ok` CSV: the
+    candidate's E[Y_t] - Y_0 (``martingale``) and dual gap (``value``), and
+    each ``jitter``'s paired completed difference, ok when it is positive and
+    Y under the jitter is a supermartingale (Y and the dual gap at 3 SE)."""
+    h = report.horizon
+    rows = [("martingale", m.t, 1.0, 1.0, m.deviation, m.se, m.ok)
+            for m in report.martingale.martingale]
+    rows.append(("value", h, 1.0, 1.0, report.dual_gap, report.dual_gap_se,
+                 abs(report.dual_gap_z) <= 3.0))
+    rows += [("jitter", h, j.c_scale, j.alpha_scale, j.mean_diff, j.se_diff,
+              j.mean_diff > 0.0 and j.supermartingale_ok) for j in report.jitters]
+    lines = ["check,t,c_scale,alpha_scale,mean,se,ok"]
+    lines += [",".join([check, *(format(v, ".12g") for v in values), str(ok).lower()])
+              for check, *values, ok in rows]
+    return "\n".join(lines) + "\n"

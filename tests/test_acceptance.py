@@ -37,8 +37,7 @@ from tontine.preferences import (
 )
 from tontine.simulate import (
     SimulationConfig,
-    check_supermartingale,
-    scaled_controls,
+    optimality_audit,
     simulate_wealth,
 )
 
@@ -356,61 +355,35 @@ class TestAcceptance:
     def test_martingale_suite(self, capsys, market, mortality):
         """criterion 7: the deflated-wealth process is a martingale under the optimal
         controls, a supermartingale under jittered controls, and the optimal
-        objective beats at least 19 of 20 jitters under common random numbers."""
+        completed objective J_40 + V(40, X_40) beats at least 19 of 20 jitters
+        under common random numbers."""
         start = time.perf_counter()
-        details, ok = [], True
-
         schedule = _calibrated(-3.0, "scaled_trimmed", market, mortality)
         controls = build_control_schedule(schedule, mortality, market, grid_step=1 / 52)
         config = SimulationConfig(
             n_paths=100_000, horizon=40.0, step=1 / 26, seed=424_242, initial_wealth=X0
         )
-        candidate = simulate_wealth(config, controls, market, mortality, schedule=schedule)
-        report = check_supermartingale(candidate, candidate=True)
-        if not report.martingale_ok:
-            ok = False
+        audit = optimality_audit(config, controls, market, mortality, schedule)
+        report = audit.martingale
         worst = max(abs(m.deviation) / (m.se or 1.0) for m in report.martingale)
-        details.append(
+        finite = [j for j in audit.jitters if np.isfinite(j.mean_diff)]
+        n = len(audit.jitters)
+        details = [
             f"optimal controls: E[Y_t] = Y_0 within 3 SE at all "
             f"{len(report.martingale)} report times (worst |dev|/SE = {worst:.2f})"
-            + ("" if report.martingale_ok else "  <-- martingale violation")
-        )
-
-        rng = np.random.default_rng(2024)
-        wins, super_fail, capped = 0, 0, 0
-        worst_margin = np.inf
-        for c_scale, a_scale in rng.uniform(0.8, 1.2, size=(20, 2)):
-            jittered = scaled_controls(controls, float(c_scale), float(a_scale))
-            perturbed = simulate_wealth(config, jittered, market, mortality, schedule=schedule)
-            if not check_supermartingale(perturbed).supermartingale_ok:
-                super_fail += 1
-            diff = candidate.objective_paths - perturbed.objective_paths
-            if np.all(np.isfinite(diff)):
-                margin = float(diff.mean()) / float(diff.std(ddof=1) / np.sqrt(len(diff)))
-                worst_margin = min(worst_margin, margin)
-                wins += diff.mean() > 0.0
-            else:
-                # the alpha cap zeroes the bequest inside the bequest window, which
-                # is unboundedly bad under gamma < 0: a win with certainty
-                capped += 1
-                wins += 1
-        if super_fail or wins < 19:
-            ok = False
-        details.append(
+            + ("" if report.martingale_ok else "  <-- martingale violation"),
             f"jittered controls (c,alpha scales in [0.8,1.2]): supermartingale "
-            f"holds in {20 - super_fail}/20 runs; optimal objective wins "
-            f"{wins}/20 paired comparisons (weakest finite margin "
-            f"{worst_margin:.1f} SE; {capped} jitters hit the alpha cap and "
-            f"score -inf utility outright)"
-        )
-        details.append(
-            "objectives integrate to year 40 so that deferred consumption of "
-            "over-saving jitters is priced in; truncating at year 20 would "
-            "flip comparisons against high-consumption jitters"
-        )
+            f"holds in {sum(j.supermartingale_ok for j in audit.jitters)}/{n} runs; "
+            f"optimal objective wins {audit.wins}/{n} paired comparisons (weakest "
+            f"finite margin {min((j.margin for j in finite), default=np.inf):.1f} SE; {n - len(finite)} "
+            f"jitters hit the alpha cap and score -inf utility outright)",
+            f"each objective is completed to J_40 + V(40, X_40) with the candidate's "
+            f"value function, so the comparison holds at any horizon (J_40 alone: "
+            f"weakest finite margin {min((j.truncated_margin for j in finite), default=np.inf):.1f} SE); "
+            f"the candidate's completed mean is {audit.dual_gap_z:+.2f} SE from V(0, X0)",
+        ]
         elapsed = time.perf_counter() - start
-        if elapsed >= 300.0:
-            ok = False
+        ok = audit.ok and elapsed < 300.0
         _emit(capsys, ok, "criterion 7 (martingale suite)",
               f"martingale + 20 perturbations under common random numbers "
               f"[{elapsed:.1f}s]", details)

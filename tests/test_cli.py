@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tontine.cli as cli
+import tontine.simulate as simulate
 from tontine.cli import DEFAULTS, VALID_KEYS, main
 from tontine.mortality import GompertzMakehamParams
 
@@ -228,6 +229,22 @@ class TestSimulate:
         run_cli(self.ARGS + ["--out", str(a)], capsys)
         run_cli(self.ARGS + ["--seed", "99", "--out", str(b)], capsys)
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestVerify:
+    ARGS = [
+        "verify", "--paths", "500", "--sim-step", "1/12", "--sim-horizon", "5",
+        "--grid-step", "1/12",
+    ]
+
+    def test_failing_audit_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate.AuditReport, "ok", property(lambda self: False))
+        out = tmp_path / "verify.csv"
+        code, _, err = run_cli(self.ARGS + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: AUDIT: optimality audit failed:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -475,7 +492,11 @@ class TestEntryPoint:
 class TestDefaults:
     def test_default_keys_are_sorted_and_complete(self):
         assert VALID_KEYS == tuple(sorted(DEFAULTS))
-        assert set(cli._FLAG_TO_KEY.values()) <= set(DEFAULTS)
+        assert set(cli._FLAGS) <= set(DEFAULTS)
+
+    def test_every_command_has_a_handler_and_an_output(self):
+        assert len(set(cli.COMMANDS)) == len(cli.COMMANDS)
+        assert set(cli.COMMANDS) == set(cli._DISPATCH) == set(cli._DEFAULT_OUT)
 
 
 # sha256 of every CSV each command writes at its defaults.
@@ -491,6 +512,9 @@ DEFAULT_CSV_SHA256 = {
     },
     "simulate": {
         "simulate.csv": "c05a109de29da3b6d8d5f74a6c6fb6b45d42cd095a2ebde319b233b12d8f519e",
+    },
+    "verify": {
+        "verify.csv": "8fe9f396d704688924c345e008fa7588c626c92fe33e316041669546192d3af0",
     },
     "figures": {
         "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",

@@ -338,6 +338,16 @@ class TestBuildControlSchedule:
         assert controls.t_end < 45.0
         assert np.isfinite(controls.log_denominator[-1])
 
+    def test_truncation_note_counts_only_grid_points(self, market, mortality):
+        # 200 grid points below the limiting age (which is never on the grid);
+        # 172 survive the underflow cut, so 28 were dropped
+        mortality = GompertzMakehamParams(mortality.a1, mortality.a2, 16.0)
+        controls = build_control_schedule(
+            make_schedule(-3.0, "none"), mortality, market, grid_step=0.25
+        )
+        assert len(controls.grid) == 172
+        assert any("dropped 28 trailing grid points" in note for note in controls.warnings)
+
     def test_divergent_cell_matches_per_point_value(self, market, mortality, controls_cache):
         # the trimmed gamma > 0 integral diverges, so D depends on the panels;
         # the schedule must use the same panels as the per-point route

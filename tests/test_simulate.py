@@ -13,20 +13,23 @@ from hypothesis import strategies as st
 
 from tontine import simulate
 from tontine.analytics import objective_value_closed_form
-from tontine.mortality import GompertzMakehamParams
+from tontine.mortality import GompertzMakehamParams, survival
 from tontine.simulate import (
     REPORT_TIMES,
     DeterministicControls,
     SimulationConfig,
     SimulationError,
     SimulationResult,
+    audit_csv,
     check_supermartingale,
     first_moment_spd_wealth,
     objective_estimate,
+    optimality_audit,
     scaled_controls,
     second_moment_spd_wealth_bound,
     simulate_wealth,
     summary_csv,
+    value_function,
 )
 
 from conftest import make_schedule
@@ -534,6 +537,66 @@ class TestErrors:
         pages["SC_PHYS_PAGES"] = need // 8
         result = simulate_wealth(config, controls, market, NO_MORTALITY)
         assert result.wealth_paths.shape == (n_paths, n_rec)
+
+
+class TestValueFunction:
+    @pytest.mark.parametrize("gamma, variant", [
+        (-3.0, "scaled_trimmed"), (-5.0, "power"), (0.5, "power"), (-3.0, "none"),
+    ])
+    def test_at_zero_is_closed_form(self, market, mortality, controls_cache,
+                                    calibrated_cache, gamma, variant):
+        schedule = (calibrated_cache(gamma, variant) if variant.startswith("scaled")
+                    else make_schedule(gamma, variant))
+        closed = objective_value_closed_form(schedule, market, mortality, x0=100_000.0)
+        got = value_function(0.0, 100_000.0, controls_cache(gamma, variant))
+        assert abs(got - closed) <= 1e-12 * abs(closed)
+
+    def test_matches_survival_form_on_grid(self, mortality, controls_cache):
+        # e^{-rho t} S_t x^gamma / gamma (c*_t)^{gamma-1}, S_t from the hazard law
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        t, x, gamma = controls.grid[::52], np.linspace(5e4, 2e5, 50), controls.gamma
+        want = (np.exp(-controls.rho * t) * survival(t, mortality) * x**gamma / gamma
+                * controls.c_star[::52] ** (gamma - 1.0))
+        np.testing.assert_allclose(value_function(t, x, controls), want, rtol=1e-11)
+
+    def test_rejects_times_off_the_tabulation(self, controls_cache):
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        for t in (-1.0, controls.t_end + 1.0):
+            with pytest.raises(ValueError):
+                value_function(t, 1.0, controls)
+
+
+@pytest.fixture(scope="module")
+def short_audit(market, mortality, controls_cache, calibrated_cache):
+    """Criterion 7's audit cut to H = 10: 20,000 paths, step 1/52, seed 424242."""
+    config = SimulationConfig(n_paths=20_000, horizon=10.0, step=1 / 52, seed=424_242)
+    return optimality_audit(config, controls_cache(-3.0, "scaled_trimmed"), market,
+                            mortality, calibrated_cache(-3.0, "scaled_trimmed"))
+
+
+class TestOptimalityAudit:
+    def test_candidate_completed_mean_is_the_value(self, short_audit):
+        assert np.isfinite(short_audit.dual_gap_se) and short_audit.dual_gap_se > 0
+        assert abs(short_audit.dual_gap_z) <= 3.0
+
+    def test_every_jitter_loses_the_completed_comparison(self, short_audit):
+        assert len(short_audit.jitters) == 20
+        assert all(j.supermartingale_ok for j in short_audit.jitters)
+        assert min(j.margin for j in short_audit.jitters) > 3.0
+        assert short_audit.wins == 20 and short_audit.ok
+
+    def test_truncated_objective_misranks(self, short_audit):
+        # J_10 alone prefers jitters that defer consumption past year 10: the
+        # value-function completion is what makes a short horizon sound
+        assert sum(j.truncated_margin < 0.0 for j in short_audit.jitters) >= 1
+
+    def test_csv_layout(self, short_audit):
+        lines = audit_csv(short_audit).splitlines()
+        assert lines[0] == "check,t,c_scale,alpha_scale,mean,se,ok"
+        checks = [line.split(",")[0] for line in lines[1:]]
+        n_mart = len(short_audit.martingale.martingale)
+        assert checks == ["martingale"] * n_mart + ["value"] + ["jitter"] * 20
+        assert all(line.endswith(",true") for line in lines[1:])
 
 
 class TestSummaryCsv:
