@@ -48,6 +48,11 @@ BENCHMARK_GAMMAS = (0.5, -1.0, -3.0, -5.0, -8.0, -11.0)
 FEASIBLE_GAMMAS = (-1.0, -3.0, -5.0, -8.0, -11.0)
 
 
+def _check_x0(x0: float) -> None:
+    if not (math.isfinite(x0) and x0 > 0):
+        raise ValueError(f"x0 must be positive and finite, got {x0!r}")
+
+
 def income_log_slope(market: MarketParams, gamma: float, rho: float) -> float:
     """Growth rate (mu-r)pi* - beta of the expected discounted income curve."""
     return (market.mu - market.r) * merton_fraction(market, gamma) - beta(market, gamma, rho)
@@ -61,6 +66,7 @@ def expected_discounted_income(
     x0: float = 100_000.0,
 ):
     """E[e^{-rt} c*_t X*_t] = X0 e^{((mu-r)pi* - beta) t} / D(0)."""
+    _check_x0(x0)
     log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
     slope = income_log_slope(market, schedule.gamma, schedule.rho)
     out = x0 * np.exp(slope * np.asarray(t, dtype=float) - log_d0)
@@ -89,6 +95,7 @@ def expected_wealth(
     x0: float = 100_000.0,
 ):
     """E[X*_t] = X0 e^{(r + (mu-r)pi*) t} D(t) / (D(0) S_t) under the optimal controls."""
+    _check_x0(x0)
     t = np.asarray(t, dtype=float)
     log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
     log_d = log_tail_integrals(t, schedule, mortality, market)
@@ -104,6 +111,7 @@ def objective_value_closed_form(
     x0: float = 100_000.0,
 ) -> float:
     """Optimal value (X0^gamma / gamma) * D(0)^{1-gamma} of the utility objective."""
+    _check_x0(x0)
     log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
     gamma = schedule.gamma
     return x0**gamma / gamma * math.exp((1.0 - gamma) * log_d0)

@@ -11,9 +11,11 @@ systematic error left is the control discretization (second order in the step).
 Because the controls are deterministic, one kernel advances a sub-block of a
 few hundred paths across the whole time axis at once.  Path p's normals come
 from its own Philox substream keyed by (seed, p); log X and log zeta are
-cumulative sums along path-major rows, and the trapezoid terms of Y and of
-the utility objective are summed over time-major buffers up to the recorded
-times only (``_running_totals``: the same bits as a cumulative sum).
+cumulative sums along path-major rows.  One chunked pass
+(``_trapezoid_totals``) exponentiates a few dozen nodes at a time into a
+small time-major scratch and sums the trapezoid terms of Y, then of the
+utility objective, up to the recorded times only: the same bits as a
+cumulative sum, with two full buffers per worker.
 Sub-blocks are sharded over the CPUs this process may use, and the output
 bytes depend only on the seed, not on the sub-block size or the sharding.
 """
@@ -52,12 +54,17 @@ __all__ = [
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
-# Paths per sub-block: each worker holds four (paths x (steps + 1)) float64
-# buffers, 17 MB at 1,040 steps: log X and log zeta path-major, zeta*X (then
-# X^gamma) and the trapezoid terms time-major.  Of 256, 512, 1024 and 2048
-# paths, 512 ran the 20,000 x 1,040 audit fastest on two threads, before and
-# after the move to time-major buffers.
+# Paths per sub-block: each worker holds two path-major (paths x (steps + 1))
+# float64 buffers, log X and log zeta (then log zeta*X, then gamma log X),
+# 8.5 MB at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
+# 20,000 x 1,040 audit fastest on two threads, before and after the move to
+# time-major sums.
 _SUB_BLOCK_PATHS = 512
+
+# Time nodes per chunk of the trapezoid pass over Y and the objective: each
+# worker's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB at 512 paths.
+# 64 and 128 ran the audit equally fast; 32 was slower.
+_CHUNK_NODES = 64
 
 # Float64 arrays over the time grid that simulate_wealth holds at once, an
 # upper bound: grid, hazard and control nodes, per-step coefficients and
@@ -78,7 +85,8 @@ class SimulationConfig:
     horizon, and the horizon itself, while the string ``"all"`` keeps every
     grid node.  The result arrays and the summary's temporaries take
     8 bytes x n_paths x (6 x recorded times + 1), and each worker thread's
-    buffers 4 x 8 bytes x max(min(512, n_paths), 2) x (steps + 1);
+    buffers and scratch 2 x 8 bytes x max(min(512, n_paths), 2) x (steps +
+    min(64, steps) + 2);
     ``simulate_wealth`` raises ``SimulationError`` before allocating anything
     the length of the time grid if these would exceed the machine's physical
     memory.
@@ -206,11 +214,13 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> Non
 
     Per path and recorded time: X, zeta and Y, then the summary's income and
     zeta*X and one standard-deviation temporary; per path: the objective; per
-    step: the time-grid arrays; per worker: its four sub-block buffers.
+    step: the time-grid arrays; per worker: its two sub-block buffers and the
+    two halves of its time-major scratch.
     """
     width = max(min(_SUB_BLOCK_PATHS, n_paths), 2)
     need = 8 * (n_paths * (6 * n_rec + 1)
-                + (_STEP_ARRAYS + 4 * n_workers * width) * (n_steps + 1))
+                + (_STEP_ARRAYS + 2 * n_workers * width) * (n_steps + 1)
+                + 2 * n_workers * width * (min(_CHUNK_NODES, n_steps) + 1))
     have = physical_memory_bytes()
     if have is not None and need > have:
         raise SimulationError(
@@ -219,22 +229,49 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> Non
         )
 
 
-def _running_totals(terms: np.ndarray, rows) -> np.ndarray:
-    """Running sums over axis 0 of the time-major ``terms`` at ``rows`` (ascending).
+def _trapezoid_totals(logs, coef, half_weight, rows, scratch, out, *, with_value) -> None:
+    """Running trapezoid integrals of f = exp(``logs``) x ``coef`` at ``rows``.
 
-    Each segment is reduced over axis 0 from the total so far, which is
-    written into its first row (``terms`` is overwritten there), so every
-    lane adds its terms one at a time in time order: the same bits as a
-    cumulative sum.  That holds for two or more lanes only; over a single
-    lane numpy sums pairwise.
+    ``logs`` is path-major (lanes, nodes), ``coef`` per node or None, and
+    ``half_weight`` half of each step's weight.  Column j of ``out`` receives
+    the integral up to node ``rows[j]`` (ascending), plus f there if
+    ``with_value``.  Chunks of C nodes pass through the time-major halves of
+    ``scratch`` (2, C + 1, lanes or more): f behind f at the node before, and
+    the trapezoid terms behind the total so far, which a reduction over axis 0
+    extends one term at a time per lane.  That gives the bits of a cumulative
+    sum for two or more lanes; over a single lane numpy sums pairwise.
     """
-    out = np.empty((len(rows), terms.shape[1]))
-    first = 0
-    for j, row in enumerate(rows):
-        np.add.reduce(terms[first : row + 1], axis=0, out=out[j])
-        terms[row] = out[j]
-        first = row
-    return out
+    width, n_nodes = logs.shape
+    m = out.shape[0]
+    chunk = scratch.shape[1] - 1
+    vals, terms = (b.reshape(-1)[: (chunk + 1) * width].reshape(chunk + 1, width)
+                   for b in scratch)
+    np.exp(logs[:, :1].T, out=vals[:1])
+    if coef is not None:
+        vals[0] *= coef[0]
+    total = np.zeros(width)
+    j = 0
+    for a in range(1, n_nodes, chunk):
+        n = min(chunk, n_nodes - a)  # row i of the chunk holds node a - 1 + i
+        np.exp(logs[:, a : a + n].T, out=vals[1 : n + 1])
+        if coef is not None:
+            vals[1 : n + 1] *= coef[a : a + n, None]
+        np.add(vals[:n], vals[1 : n + 1], out=terms[1 : n + 1])
+        terms[1 : n + 1] *= half_weight[a - 1 : a + n - 1, None]
+        terms[0] = total
+        first = 0
+        while j < len(rows) and rows[j] < a + n:
+            local = rows[j] - a + 1
+            np.add.reduce(terms[first : local + 1], axis=0, out=total)
+            terms[local] = total
+            first = local
+            if with_value:
+                np.add(vals[local, :m], total[:m], out=out[:, j])
+            else:
+                out[:, j] = total[:m]
+            j += 1
+        np.add.reduce(terms[first : n + 1], axis=0, out=total)
+        vals[0] = vals[n]
 
 
 def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarray | None:
@@ -319,6 +356,9 @@ def simulate_wealth(
     vol_x = market.sigma * pi_step * sqdt
     drift_z = -market.r * dt - d_lam - 0.5 * theta**2 * dt
     vol_z = -theta * sqdt
+    # the trapezoid rule's 0.5 folded into the per-step weights (exactly)
+    half_outflow = 0.5 * outflow
+    half_dt = 0.5 * dt
 
     phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0) if candidate else 1.0
 
@@ -359,7 +399,9 @@ def simulate_wealth(
         sub-block that has one, or None; later sub-blocks hold higher paths.
         """
         normals = _Substreams(seed)
-        buffers = np.empty((4, max(min(sub, n_paths), 2), n_steps + 1))
+        lanes = max(min(sub, n_paths), 2)
+        buffers = np.empty((2, lanes, n_steps + 1))
+        scratch = np.empty((2, min(_CHUNK_NODES, n_steps) + 1, lanes))
         with np.errstate(**fp_state):
             for block in range(worker, n_blocks, n_workers):
                 start = block * sub
@@ -368,10 +410,7 @@ def simulate_wealth(
                 # a one-lane reduction over axis 0 would be pairwise, so a
                 # lone path runs beside a copy of itself
                 width = max(m, 2)
-                log_x, log_z = buffers[:2, :width]
-                # time-major (steps + 1, width) views of the other two buffers
-                zx, acc = (b.reshape(-1)[: (n_steps + 1) * width].reshape(n_steps + 1, width)
-                           for b in buffers[2:])
+                log_x, log_z = buffers[:, :width]
                 normals.fill(start, log_x[:m, 1:])
                 log_x[m:] = log_x[0]
                 log_x[:, 0] = 0.0
@@ -387,30 +426,21 @@ def simulate_wealth(
                     bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
                     row = int(np.argmax(bad.any(axis=1)))
                     return start + row, int(np.argmax(bad[row])) + 1
-                wealth[start:stop] = np.exp(log_x[:m, record_idx])
-                spd[start:stop] = np.exp(log_z[:m, record_idx])
+                # in place: a (paths x recorded times) temporary would be a
+                # third full buffer when every node is recorded
+                for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
+                    np.take(logs[:m], record_idx, axis=1, out=rec)
+                    np.exp(rec, out=rec)
                 # Y = zeta*X + running trapezoid integral of zeta*X*outflow
                 np.add(log_x, log_z, out=log_z)
-                np.exp(log_z, out=log_z)
-                zx[...] = log_z.T
-                np.add(zx[:-1], zx[1:], out=acc[1:])
-                acc[1:] *= 0.5
-                acc[1:] *= outflow[:, None]
-                acc[0] = 0.0
-                acc_rec = _running_totals(acc, record_idx)
-                y_arr[start:stop] = (zx[record_idx] + acc_rec)[:, :m].T
+                _trapezoid_totals(log_z, None, half_outflow, record_idx, scratch,
+                                  y_arr[start:stop], with_value=True)
                 if accumulate_objective:
-                    u = zx  # zeta*X is recorded; its buffer takes the utility
+                    # zeta*X is recorded; its buffer takes gamma log X
                     with np.errstate(invalid="ignore"):
                         np.multiply(log_x, gamma, out=log_z)
-                        np.exp(log_z, out=log_z)
-                        u[...] = log_z.T
-                        u *= utility_coef[:, None]
-                    np.add(u[:-1], u[1:], out=acc[1:])
-                    acc[1:] *= 0.5
-                    acc[1:] *= dt[:, None]
-                    acc[0] = 0.0
-                    objective[start:stop] = _running_totals(acc, (n_steps,))[0, :m]
+                        _trapezoid_totals(log_z, utility_coef, half_dt, (n_steps,), scratch,
+                                          objective[start:stop, None], with_value=False)
         return None
 
     from concurrent.futures import ThreadPoolExecutor

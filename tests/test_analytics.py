@@ -175,6 +175,23 @@ class TestObjectiveValue:
         ) > 0.0
 
 
+class TestInitialWealthValidation:
+    @pytest.mark.parametrize("x0", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("curve", [
+        lambda s, m, h, x0: expected_discounted_income(0.0, s, m, h, x0),
+        lambda s, m, h, x0: expected_discounted_bequest_value(0.0, s, m, h, x0),
+        lambda s, m, h, x0: expected_wealth(1.0, s, m, h, x0),
+        lambda s, m, h, x0: objective_value_closed_form(s, m, h, x0),
+        lambda s, m, h, x0: income_curve(s, m, h, x0, grid=[0.0, 1.0]),
+    ], ids=["income", "bequest_value", "wealth", "objective", "income_curve"])
+    def test_rejects_non_finite_or_non_positive_x0(
+        self, market, mortality, calibrated_cache, curve, x0
+    ):
+        schedule = calibrated_cache(-3.0, "scaled_trimmed")
+        with pytest.raises(ValueError, match="x0 must be positive and finite"):
+            curve(schedule, market, mortality, x0)
+
+
 class TestAlphaCurve:
     def test_agrees_with_tabulated_schedule(
         self, market, mortality, calibrated_cache, controls_cache

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -173,6 +174,15 @@ class TestIncome:
         assert cols == ["t", "age", "expected_income", "expected_bequest_fraction"]
         assert len(rows) == 200  # quarterly grid over the 50-year pool horizon
         assert float(rows[0][2]) > 0.0
+
+    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf", "1e400", "0", "-5"])
+    def test_bad_x0_is_one_config_line(self, tmp_path, capsys, x0):
+        out = tmp_path / "income.csv"
+        code, _, err = run_cli(["income", f"--x0={x0}", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: CONFIG: x0 must be positive and finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -557,6 +567,18 @@ fuzz_overrides = st.lists(st.sampled_from(sorted(FUZZ_DEFAULTS)), unique=True, m
     lambda keys: st.fixed_dictionaries({k: fuzz_value(k) for k in keys}))
 
 
+def numeric_cells(path):
+    """Every cell of a CSV body that parses as a float."""
+    _, rows = read_csv(path)
+    cells = []
+    for cell in (c for row in rows for c in row):
+        try:
+            cells.append(float(cell))
+        except ValueError:
+            pass
+    return cells
+
+
 class TestConfigFuzz:
     @pytest.mark.parametrize("command", ["calibrate", "schedule", "income", "simulate"])
     @given(overrides=fuzz_overrides)
@@ -571,10 +593,14 @@ class TestConfigFuzz:
             with contextlib.redirect_stderr(err):
                 code = main([command, "--config", config, "--out", out])
             files = sorted(os.listdir(tmp))
+            cells = numeric_cells(out) if code == 0 else []
         err = err.getvalue()
         if code == 0:
             assert all(line.startswith("warning: ") for line in err.splitlines()), err
             assert files == ["out.csv", "run.cfg"]
+            # calibrate's infeasible row `nan,inf,false` is documented output
+            if command != "calibrate":
+                assert all(math.isfinite(v) for v in cells), (overrides, cells)
         else:
             assert code == 2 and ERROR_LINE.fullmatch(err), err
             assert files == ["run.cfg"]

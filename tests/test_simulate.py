@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,15 @@ class TestGoldenBytes:
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
         assert n_paths % sub == 1
         assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS[n_paths, sub]
+
+    @pytest.mark.parametrize("chunk", (1, 5))
+    def test_chunk_size_leaves_digests_unchanged(
+        self, monkeypatch, chunk, market, mortality, controls_cache, calibrated_cache
+    ):
+        # every node is recorded, so chunk edges fall on and between them
+        monkeypatch.setattr(simulate, "_CHUNK_NODES", chunk)
+        runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        assert _digests(runs) == GOLDEN_DIGESTS
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_sub_block_size_and_workers_leave_arrays_unchanged(
@@ -514,11 +524,14 @@ class TestErrors:
     def test_memory_bound_counts_the_summary(self, monkeypatch, market):
         # results: X, zeta and Y per recorded time plus the objective; the
         # summary adds income, zeta*X and a standard-deviation temporary; each
-        # step adds the time-grid arrays, and each worker four sub-block buffers
+        # step adds the time-grid arrays, and each worker two sub-block
+        # buffers and a two-part scratch of min(chunk, steps) + 1 nodes
         n_paths, n_rec, n_steps, workers = 20_000, 5, 4, 2
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        sub = simulate._SUB_BLOCK_PATHS
         need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
-            simulate._STEP_ARRAYS + workers * 4 * simulate._SUB_BLOCK_PATHS) * (n_steps + 1)
+            simulate._STEP_ARRAYS + workers * 2 * sub) * (n_steps + 1) + 8 * (
+            workers * 2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
@@ -537,6 +550,32 @@ class TestErrors:
         pages["SC_PHYS_PAGES"] = need // 8
         result = simulate_wealth(config, controls, market, NO_MORTALITY)
         assert result.wealth_paths.shape == (n_paths, n_rec)
+
+    @pytest.mark.parametrize("with_objective", (True, False))
+    def test_worker_buffers_stay_two_per_worker(
+        self, monkeypatch, with_objective, market, mortality, controls_cache, calibrated_cache
+    ):
+        n_paths, n_steps, workers = 2048, 1040, 2
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        schedule = calibrated_cache(-3.0, "scaled_trimmed") if with_objective else None
+        config = SimulationConfig(n_paths=n_paths, horizon=40.0, step=1.0 / 26.0, seed=3)
+        # a first call keeps about 1.3 MB alive for the process; make it untraced
+        simulate_wealth(replace(config, n_paths=2), controls, market, mortality, schedule)
+        tracemalloc.start()
+        try:
+            result = simulate_wealth(config, controls, market, mortality, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sub, n_rec = simulate._SUB_BLOCK_PATHS, len(result.times)
+        assert n_paths == 2 * workers * sub
+        buffer = 8 * sub * (n_steps + 1)  # one full (paths x (steps + 1)) buffer
+        fixed = 8 * n_paths * (6 * n_rec + 1) + 8 * simulate._STEP_ARRAYS * (n_steps + 1)
+        scratch = 8 * 2 * sub * (simulate._CHUNK_NODES + 1)
+        assert peak <= fixed + workers * (2 * buffer + scratch)  # the memory check's bound
+        four_buffers = fixed + workers * 4 * buffer  # the bound before the chunked pass
+        assert peak <= four_buffers - workers * buffer
 
 
 class TestValueFunction:
