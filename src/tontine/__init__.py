@@ -22,7 +22,6 @@ from .controls import (
     MarketParams,
     beta,
     build_control_schedule,
-    denominator_integral,
     log_denominator_integral,
     merton_fraction,
     schedule_csv,

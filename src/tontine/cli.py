@@ -307,10 +307,9 @@ def _resolved(merged: dict):
 
 def _build_controls(merged: dict):
     market, mortality, schedule = _resolved(merged)
-    controls = build_control_schedule(
+    return build_control_schedule(
         schedule, mortality, market, grid_step=_as_float(merged, "grid_step")
     )
-    return market, mortality, schedule, controls
 
 
 def _sim_config(config: RunConfig) -> SimulationConfig:
@@ -325,7 +324,7 @@ def _sim_config(config: RunConfig) -> SimulationConfig:
 
 
 def _cmd_schedule(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    _, _, _, controls = _build_controls(config.overrides)
+    controls = _build_controls(config.overrides)
     out.write(config.out, schedule_csv(controls, base_age=_as_float(config.overrides, "base_age")))
     return controls.warnings
 
@@ -338,16 +337,17 @@ def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
 
 
 def _cmd_simulate(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    market, mortality, _, controls = _build_controls(config.overrides)
+    controls = _build_controls(config.overrides)
     # no preference schedule: the summary never reads the utility objective
-    result = simulate_wealth(_sim_config(config), controls, market, mortality)
+    result = simulate_wealth(_sim_config(config), controls, controls.market, controls.mortality)
     out.write(config.out, summary_csv(result))
     return controls.warnings
 
 
 def _cmd_verify(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    market, mortality, schedule, controls = _build_controls(config.overrides)
-    report = optimality_audit(_sim_config(config), controls, market, mortality, schedule)
+    controls = _build_controls(config.overrides)
+    report = optimality_audit(_sim_config(config), controls, controls.market,
+                              controls.mortality, controls.schedule)
     if not report.ok:
         n = len(report.jitters)
         raise CliError("AUDIT", (

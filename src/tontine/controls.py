@@ -31,7 +31,6 @@ __all__ = [
     "ControlSchedule",
     "beta",
     "merton_fraction",
-    "denominator_integral",
     "log_denominator_integral",
     "log_tail_integrals",
     "build_control_schedule",
@@ -214,16 +213,6 @@ def log_denominator_integral(
     return float(log_tail_integrals(t, schedule, mortality, market))
 
 
-def denominator_integral(
-    t: float,
-    schedule: PreferenceSchedule,
-    mortality: GompertzMakehamParams,
-    market: MarketParams,
-) -> float:
-    """D(t), the survival- and preference-weighted discount integral."""
-    return math.exp(log_denominator_integral(t, schedule, mortality, market))
-
-
 def truncation_sensitivity(
     schedule: PreferenceSchedule,
     mortality: GompertzMakehamParams,
@@ -248,62 +237,77 @@ def truncation_sensitivity(
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Optimal controls tabulated on a uniform grid.
+    """Optimal controls tabulated on a uniform grid, with the preference
+    schedule, mortality and market they were built from; gamma, rho, beta,
+    pi*, c*, alpha* and D are derived from these once, on construction.
 
     ``grid`` runs from 0 to the last point where D stays above underflow
     (one step short of the limiting age, where D vanishes identically; any
     further truncation is recorded in ``warnings``).  Off-grid queries
-    interpolate log-linearly, matching the near-exponential decay of D.
+    interpolate log-linearly, matching the near-exponential decay of D,
+    except in a cell where the interpolated log(1 - alpha*) is -inf (a zero
+    bequest weight at an end, as at the trimmed horizon): there
+    ``bequest_fraction_at`` evaluates c*_t b_t^{1/(1-gamma)} at t itself.
     """
 
+    schedule: PreferenceSchedule
+    mortality: GompertzMakehamParams
+    market: MarketParams
     grid: np.ndarray
-    pi_star: float
-    c_star: np.ndarray
-    alpha_star: np.ndarray
-    denominator: np.ndarray
-    beta: float
-    gamma: float
-    rho: float
     grid_step: float
     log_denominator: np.ndarray = field(repr=False)
     log_c_star: np.ndarray = field(repr=False)
     log_bequest_fraction: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
+    gamma: float = field(init=False)
+    rho: float = field(init=False)
+    beta: float = field(init=False)
+    pi_star: float = field(init=False)
+    c_star: np.ndarray = field(init=False, repr=False)
+    alpha_star: np.ndarray = field(init=False, repr=False)
+    denominator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("grid", "c_star", "alpha_star", "denominator",
-                     "log_denominator", "log_c_star", "log_bequest_fraction"):
-            arr = getattr(self, name)
-            arr = np.asarray(arr, dtype=float)
+        gamma, rho = self.schedule.gamma, self.schedule.rho
+        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("grid", "log_denominator", "log_c_star", "log_bequest_fraction")}
+        arrays.update(c_star=np.exp(arrays["log_c_star"]),
+                      alpha_star=1.0 - np.exp(arrays["log_bequest_fraction"]),
+                      denominator=np.exp(arrays["log_denominator"]))
+        for arr in arrays.values():
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        derived = dict(arrays, gamma=gamma, rho=rho, beta=beta(self.market, gamma, rho),
+                       pi_star=merton_fraction(self.market, gamma))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
 
+    @property
+    def spd0(self) -> float:
+        """phi_0 = (c*_0)^{gamma-1}, the initial state-price density of Y."""
+        return float(self.c_star[0]) ** (self.gamma - 1.0)
+
     def log_denominator_at(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.log_denominator)
-
-    def denominator_at(self, t) -> np.ndarray:
-        return np.exp(self.log_denominator_at(t))
 
     def consumption_at(self, t) -> np.ndarray:
         return np.exp(np.interp(t, self.grid, self.log_c_star))
 
     def bequest_fraction_at(self, t) -> np.ndarray:
-        """1 - alpha*_t, interpolated in log space (linearly across a zero)."""
+        """1 - alpha*_t, interpolated in log space except in a cell with a
+        zero end, where it is c*_t b_t^{1/(1-gamma)} at t."""
         t = np.asarray(t, dtype=float)
-        out = np.exp(np.interp(t, self.grid, self.log_bequest_fraction))
-        bad = ~np.isfinite(out) & np.isfinite(t)
-        if np.any(bad):
-            linear = np.interp(t, self.grid, 1.0 - self.alpha_star)
-            out = np.where(bad, linear, out)
+        log_frac = np.asarray(np.interp(t, self.grid, self.log_bequest_fraction))
+        cell = np.isneginf(log_frac)
+        if np.any(cell):
+            at = t[cell]
+            log_frac[cell] = (np.interp(at, self.grid, self.log_c_star)
+                              + log_transformed_weight(at, self.schedule, self.mortality))
+        out = np.exp(log_frac)
         return out if out.ndim else float(out)
-
-    def tontine_fraction_at(self, t) -> np.ndarray:
-        out = 1.0 - self.bequest_fraction_at(t)
-        return out if np.ndim(out) else float(out)
 
 
 def log_control_rates(
@@ -358,7 +362,6 @@ def build_control_schedule(
     if market.mu <= market.r:
         notes.append(_NONPOSITIVE_PREMIUM)
 
-    beta_value = beta(market, schedule.gamma, schedule.rho)
     log_d = log_tail_integrals(grid_full, schedule, mortality, market)
 
     last = int(np.searchsorted(-log_d, -_LOG_UNDERFLOW))
@@ -371,24 +374,19 @@ def build_control_schedule(
         )
     grid = grid_full[:last]
     log_d = log_d[:last]
-
-    log_c, log_bequest = log_control_rates(grid, log_d, schedule, mortality, beta_value)
-    alpha = 1.0 - np.exp(log_bequest)
+    log_c, log_bequest = log_control_rates(
+        grid, log_d, schedule, mortality, beta(market, schedule.gamma, schedule.rho))
 
     return ControlSchedule(
+        schedule=schedule,
+        mortality=mortality,
+        market=market,
         grid=grid,
-        pi_star=merton_fraction(market, schedule.gamma),
-        c_star=np.exp(log_c),
-        alpha_star=alpha,
-        denominator=np.exp(log_d),
-        beta=beta_value,
-        gamma=schedule.gamma,
-        rho=schedule.rho,
         grid_step=float(grid_step),
-        warnings=tuple(notes),
         log_denominator=log_d,
         log_c_star=log_c,
         log_bequest_fraction=log_bequest,
+        warnings=tuple(notes),
     )
 
 

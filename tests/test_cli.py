@@ -256,6 +256,17 @@ class TestVerify:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [["--sim-step", "1/104"], ["--grid-step", "1/4"]])
+    def test_passes_with_nodes_inside_the_horizon_cell(self, tmp_path, capsys, extra):
+        # simulation nodes strictly inside the last grid cell before the
+        # bequest horizon H = 20 once made every jitter win
+        out = tmp_path / "verify.csv"
+        code, _, err = run_cli(["verify", "--paths", "2000", *extra, "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        _, rows = read_csv(out)
+        jitters = [row for row in rows if row[0] == "jitter"]
+        assert len(jitters) == 20 and all(row[-1] == "true" for row in jitters)
+
 
 class TestConfigFile:
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -524,7 +535,7 @@ DEFAULT_CSV_SHA256 = {
         "simulate.csv": "c05a109de29da3b6d8d5f74a6c6fb6b45d42cd095a2ebde319b233b12d8f519e",
     },
     "verify": {
-        "verify.csv": "8fe9f396d704688924c345e008fa7588c626c92fe33e316041669546192d3af0",
+        "verify.csv": "1ab9a93dd54f01f038e4d4d6df18f83b9855b6907d4076d4ad8cf7a78b3be1fb",
     },
     "figures": {
         "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",

@@ -22,8 +22,8 @@ from tontine.controls import (
     _log_integrand,
     beta,
     build_control_schedule,
-    denominator_integral,
     has_integrability_warning,
+    log_control_rates,
     log_denominator_integral,
     log_tail_integrals,
     merton_fraction,
@@ -93,7 +93,7 @@ class TestBeta:
         horizon = 3000.0
         mortality = GompertzMakehamParams(0.0, 0.0, 0.0, limiting_age_years=horizon)
         schedule = make_schedule(gamma, "none")
-        d0 = denominator_integral(0.0, schedule, mortality, market)
+        d0 = math.exp(log_denominator_integral(0.0, schedule, mortality, market))
         assert d0 == pytest.approx(-np.expm1(-b * horizon) / b, rel=1e-11)
         assert 1.0 / d0 == pytest.approx(b, rel=1e-9)
 
@@ -148,7 +148,7 @@ class TestDenominatorIntegral:
         rate = b + m
         for t in (0.0, 5.0, 17.3):
             expected = (np.exp(-rate * t) - np.exp(-rate * 50.0)) / rate
-            got = denominator_integral(t, schedule, mortality, market)
+            got = math.exp(log_denominator_integral(t, schedule, mortality, market))
             assert got == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "table", "table_off_grid"])
@@ -163,7 +163,7 @@ class TestDenominatorIntegral:
         else:
             schedule = make_schedule(-3.0, variant)
         oracle = trapezoid_denominator(0.0, schedule, mortality, market)
-        got = denominator_integral(0.0, schedule, mortality, market)
+        got = math.exp(log_denominator_integral(0.0, schedule, mortality, market))
         assert got == pytest.approx(oracle, rel=QUAD_REL_TOL)
         # the weekly schedule's D agrees with the oracle too
         controls = build_control_schedule(schedule, mortality, market)
@@ -305,13 +305,24 @@ class TestBuildControlSchedule:
             controls.consumption_at(controls.grid[idx]), controls.c_star[idx], rtol=1e-14
         )
         assert np.allclose(
-            controls.denominator_at(controls.grid[idx]),
+            np.exp(controls.log_denominator_at(controls.grid[idx])),
             controls.denominator[idx],
             rtol=1e-14,
         )
         # off-grid values bracketed by neighbours (D decreasing)
         mid = 0.5 * (controls.grid[10] + controls.grid[11])
-        assert controls.denominator[11] < controls.denominator_at(mid) < controls.denominator[10]
+        d_mid = np.exp(controls.log_denominator_at(mid))
+        assert controls.denominator[11] < d_mid < controls.denominator[10]
+
+    @pytest.mark.parametrize("t", [0.0, 7.3, np.float64(19.99), 20.0 - 1.0 / 104.0, 20.0, 30.0])
+    def test_scalar_queries_return_floats(self, controls_cache, t):
+        # 19.99 and 20 - 1/104 lie in the last cell before the horizon
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        for query in (controls.consumption_at, controls.bequest_fraction_at,
+                      controls.log_denominator_at):
+            value = query(t)
+            assert isinstance(value, float) and np.ndim(value) == 0
+            assert value == query(np.array([t]))[0]
 
     def test_bequest_fraction_across_cutoff(self, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
@@ -320,7 +331,20 @@ class TestBuildControlSchedule:
         assert np.all(np.isfinite(frac))
         assert np.all((frac >= 0.0) & (frac <= 1.0))
         assert np.all(frac[t >= 20.0 + 1.0 / 52.0] == 0.0)
-        assert np.all(controls.tontine_fraction_at(t) == 1.0 - frac)
+
+    def test_bequest_fraction_in_the_horizon_cell(self, market, mortality, controls_cache):
+        # log(1 - alpha*) is -inf at H = 20, so log-linear interpolation would
+        # read 0 across the last cell before it; the true value is positive
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        schedule = controls.schedule
+        t = 20.0 - controls.grid_step * np.array([0.999, 0.75, 0.5, 0.25, 0.001])
+        log_d = log_tail_integrals(t, schedule, mortality, market)
+        _, log_exact = log_control_rates(t, log_d, schedule, mortality, controls.beta)
+        got = controls.bequest_fraction_at(t)
+        assert np.all(got > 0.0)
+        # what is left is the interpolation error of log c*
+        assert np.allclose(got, np.exp(log_exact), rtol=2e-6, atol=0)
+        assert controls.bequest_fraction_at(20.0 - 1.0 / 104.0) == pytest.approx(0.00426, rel=1e-3)
 
     def test_trimmed_allocation_saturates_past_cutoff(self, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisect_kappa
-from tontine.controls import denominator_integral, log_denominator_integral
+from tontine.controls import log_denominator_integral
 from tontine.mortality import GompertzMakehamParams, force_of_mortality
 from tontine.preferences import (
     DEFAULT_BEQUEST_HORIZON_YEARS,
@@ -319,8 +319,8 @@ class TestFeasibilityBoundary:
     def _gap(gamma: float, market, mortality) -> float:
         base = make_schedule(gamma, "power")
         none = make_schedule(gamma, "none")
-        b_val = denominator_integral(0.0, base, mortality, market) - denominator_integral(
-            0.0, none, mortality, market
+        b_val = math.exp(log_denominator_integral(0.0, base, mortality, market)) - math.exp(
+            log_denominator_integral(0.0, none, mortality, market)
         )
         g0 = np.exp(log_transformed_weight(0.0, base, mortality))
         return float(g0 - b_val)

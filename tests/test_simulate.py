@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tontine import simulate
 from tontine.analytics import objective_value_closed_form
+from tontine.controls import build_control_schedule
 from tontine.mortality import GompertzMakehamParams, survival
 from tontine.simulate import (
     REPORT_TIMES,
@@ -312,14 +313,14 @@ class TestMartingaleStructure:
             times=np.array([0.0, 1.0, 2.0]),
             wealth_paths=y, spd_paths=np.ones_like(y), y_paths=y,
             objective_paths=None, summary={}, n_paths=n, step=1.0, horizon=2.0,
-            seed=0, initial_wealth=10.0, spd0=1.0,
+            initial_wealth=10.0, spd0=1.0,
         )
         assert not check_supermartingale(result).supermartingale_ok
         falling = SimulationResult(
             times=np.array([0.0, 1.0, 2.0]),
             wealth_paths=y, spd_paths=np.ones_like(y), y_paths=y[:, ::-1],
             objective_paths=None, summary={}, n_paths=n, step=1.0, horizon=2.0,
-            seed=0, initial_wealth=10.0, spd0=1.0,
+            initial_wealth=10.0, spd0=1.0,
         )
         assert check_supermartingale(falling).supermartingale_ok
 
@@ -387,9 +388,7 @@ class TestMoments:
         result = simulate_wealth(config, controls, market, mortality)
         sq = (result.spd_paths * result.wealth_paths) ** 2
         for j, t in enumerate(result.times):
-            bound = second_moment_spd_wealth_bound(
-                float(t), controls, market, x0=config.initial_wealth
-            )
+            bound = second_moment_spd_wealth_bound(float(t), controls, x0=config.initial_wealth)
             m2 = float(sq[:, j].mean())
             se2 = float(sq[:, j].std(ddof=1) / np.sqrt(sq.shape[0]))
             assert m2 <= bound * (1.0 + 1e-12) + 5.0 * se2
@@ -411,6 +410,25 @@ class TestObjective:
         )
         assert np.isfinite(mc) and se > 0.0
         assert abs(mc - closed) <= 3.0 * se
+
+    @pytest.mark.parametrize("grid_step, step, horizon",
+                             [(1 / 52, 1 / 104, 40.0), (1 / 4, 1 / 52, 20.0)])
+    def test_finite_across_the_bequest_horizon(
+        self, market, mortality, calibrated_cache, grid_step, step, horizon
+    ):
+        # nodes inside the last grid cell before H = 20 need the positive
+        # estate fraction there: a zero one makes lambda b (1 - alpha)^gamma
+        # and so the objective -inf on every path
+        schedule = calibrated_cache(-3.0, "scaled_trimmed")
+        controls = build_control_schedule(schedule, mortality, market, grid_step=grid_step)
+        config = SimulationConfig(n_paths=2000, horizon=horizon, step=step, seed=7)
+        result = simulate_wealth(config, controls, market, mortality, schedule=schedule)
+        mc, se = objective_estimate(result)
+        assert np.isfinite(mc) and np.isfinite(se)
+        completed = result.objective_paths + value_function(
+            horizon, result.wealth_paths[:, -1], controls)
+        mean, se = completed.mean(), completed.std(ddof=1) / np.sqrt(config.n_paths)
+        assert abs(mean - value_function(0.0, config.initial_wealth, controls)) <= 3.0 * se
 
     def test_requires_schedule(self, market, mortality, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
