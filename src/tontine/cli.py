@@ -56,8 +56,6 @@ from .simulate import (
     summary_csv,
 )
 
-COMMANDS = ("fit", "calibrate", "schedule", "income", "simulate", "verify", "figures")
-
 # Default parameter set (calibrated market and mortality constants, base age
 # 65, limiting age 115, bequest horizon 20); `figures` always uses these.
 DEFAULTS: dict[str, object] = {
@@ -86,16 +84,6 @@ DEFAULTS: dict[str, object] = {
 VALID_KEYS = tuple(sorted(DEFAULTS))
 
 _FIGURE_GRID_STEP = 0.25
-
-_DEFAULT_OUT = {
-    "fit": "fit.csv",
-    "calibrate": "calibration.csv",
-    "schedule": "schedule.csv",
-    "income": "income.csv",
-    "simulate": "simulation.csv",
-    "verify": "verify.csv",
-    "figures": ".",
-}
 
 
 class CliError(Exception):
@@ -205,13 +193,17 @@ def _resolved_market(merged: dict) -> MarketParams:
         raise CliError("CONFIG", str(exc)) from exc
 
 
-def _resolved_mortality(merged: dict) -> GompertzMakehamParams:
+def _limiting_age_years(merged: dict) -> float:
     limiting = _as_float(merged, "limiting_age") - _as_float(merged, "base_age")
     if not limiting > 0:
         raise CliError("CONFIG", "limiting_age must exceed base_age")
+    return limiting
+
+
+def _resolved_mortality(merged: dict) -> GompertzMakehamParams:
     try:
         return GompertzMakehamParams(*(_as_float(merged, key) for key in ("a1", "a2", "a3")),
-                                     limiting_age_years=limiting)
+                                     limiting_age_years=_limiting_age_years(merged))
     except ValueError as exc:
         raise CliError("CONFIG", str(exc)) from exc
 
@@ -277,9 +269,7 @@ def _cmd_fit(config: RunConfig, out: _OutputSet) -> None:
         raise CliError("IO", f"cannot read life table {table_path}: {exc}") from exc
     except LifeTableError as exc:
         raise CliError("DATA", str(exc)) from exc
-    merged = config.overrides
-    limiting = _as_float(merged, "limiting_age") - _as_float(merged, "base_age")
-    fit = fit_gompertz_makeham(table, limiting_age_years=limiting)
+    fit = fit_gompertz_makeham(table, limiting_age_years=_limiting_age_years(config.overrides))
     out.write(config.out, fit_to_csv(fit))
 
 
@@ -346,8 +336,7 @@ def _cmd_simulate(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
 
 def _cmd_verify(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
     controls = _build_controls(config.overrides)
-    report = optimality_audit(_sim_config(config), controls, controls.market,
-                              controls.mortality, controls.schedule)
+    report = optimality_audit(_sim_config(config), controls)
     if not report.ok:
         n = len(report.jitters)
         raise CliError("AUDIT", (
@@ -425,14 +414,15 @@ def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
         for variant in ("none", "power", "scaled_trimmed") for g in FEASIBLE_GAMMAS))
 
 
-_DISPATCH = {
-    "fit": _cmd_fit,
-    "calibrate": _cmd_calibrate,
-    "schedule": _cmd_schedule,
-    "income": _cmd_income,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "figures": _cmd_figures,
+# Each command's handler and default output, in help order.
+COMMANDS = {
+    "fit": (_cmd_fit, "fit.csv"),
+    "calibrate": (_cmd_calibrate, "calibration.csv"),
+    "schedule": (_cmd_schedule, "schedule.csv"),
+    "income": (_cmd_income, "income.csv"),
+    "simulate": (_cmd_simulate, "simulation.csv"),
+    "verify": (_cmd_verify, "verify.csv"),
+    "figures": (_cmd_figures, "."),
 }
 
 
@@ -485,7 +475,7 @@ def build_run_config(argv: list[str]) -> RunConfig:
             merged[key] = value
     if args.out is not None:
         merged["out"] = args.out
-    out = str(merged["out"]).strip() or _DEFAULT_OUT[args.command]
+    out = str(merged["out"]).strip() or COMMANDS[args.command][1]
     seed = _as_int(merged, "seed")
     return RunConfig(
         command=args.command,
@@ -516,7 +506,7 @@ def run(config: RunConfig) -> int:
     outputs = _OutputSet()
     try:
         with warnings.catch_warnings(record=True) as caught:
-            notes = _DISPATCH[config.command](config, outputs) or ()
+            notes = COMMANDS[config.command][0](config, outputs) or ()
     except Exception as exc:  # whatever failed, leave no partial outputs behind
         outputs.rollback()
         if isinstance(exc, CliError):

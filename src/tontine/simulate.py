@@ -304,11 +304,19 @@ def simulate_wealth(
     Supplying ``schedule`` turns on per-path accumulation of the discounted
     utility of consumption and bequest under those preferences.
 
-    Raises ``SimulationError`` if the step does not divide the horizon, the
+    Raises ``ValueError`` naming the field if a ``ControlSchedule`` was built
+    from another ``market``, ``mortality`` or (when given) ``schedule``: its
+    tabulated optimum holds only under its own model.  Raises
+    ``SimulationError`` if the step does not divide the horizon, the
     tabulated controls stop short of it, the results and buffers would not
     fit in physical memory, or a path goes non-finite; the last names the lowest
     such path and its first non-finite step.
     """
+    candidate = isinstance(controls, ControlSchedule)
+    if candidate:
+        for name, given in (("market", market), ("mortality", mortality), ("schedule", schedule)):
+            if given is not None and given != getattr(controls, name):
+                raise ValueError(f"{name} differs from the {name} the controls were built from")
     n_steps = round(config.horizon / config.step)
     if n_steps < 1 or abs(n_steps * config.step - config.horizon) > 1e-9:
         raise SimulationError("step must divide the horizon")
@@ -329,7 +337,6 @@ def simulate_wealth(
     d_lam = np.diff(lam_cum)
     theta = market.sharpe
 
-    candidate = isinstance(controls, ControlSchedule)
     if candidate:
         if config.horizon > controls.t_end + 1e-9:
             raise SimulationError(
@@ -675,36 +682,36 @@ class AuditReport:
                 and self.wins >= len(self.jitters) - 1)
 
 
-def optimality_audit(
-    config: SimulationConfig,
-    controls: ControlSchedule,
-    market: MarketParams,
-    mortality: GompertzMakehamParams,
-    schedule: PreferenceSchedule,
-) -> AuditReport:
+def optimality_audit(config: SimulationConfig, controls: ControlSchedule) -> AuditReport:
     """Audit tabulated controls by duality against 20 jitters on common random numbers.
 
-    The jitters scale consumption and the tontine allocation by pairs drawn
-    from U[0.8, 1.2] with seed 2024; every run takes ``config`` at its default
-    record times.  E[J_H + V(H, X_H)] is V(0, X0) under the optimum and at
-    most that under any admissible control, so the paired comparison of the
-    completed objectives holds at any horizon H, whereas J_H alone favours
-    jitters that defer consumption past H.
+    The candidate and every jitter are simulated under the model the controls
+    were built from: ``controls.market``, ``controls.mortality`` and the
+    preferences ``controls.schedule``.  The jitters scale consumption and the
+    tontine allocation by pairs drawn from U[0.8, 1.2] with seed 2024; every
+    run takes ``config`` at its default record times.  E[J_H + V(H, X_H)] is
+    V(0, X0) under the optimum and at most that under any admissible control,
+    so the paired comparison of the completed objectives holds at any horizon
+    H, whereas J_H alone favours jitters that defer consumption past H.
+    Raises ``ValueError`` for fewer than 2 paths, where every standard error
+    is 0 and each check degenerates.
     """
+    if config.n_paths < 2:
+        raise ValueError("the optimality audit needs at least 2 paths")
     config = replace(config, record_times=None)
+    model = (controls.market, controls.mortality, controls.schedule)
 
     def completed(result: SimulationResult) -> np.ndarray:
         return result.objective_paths + value_function(
             config.horizon, result.wealth_paths[:, -1], controls)
 
-    candidate = simulate_wealth(config, controls, market, mortality, schedule=schedule)
+    candidate = simulate_wealth(config, controls, *model)
     martingale = check_supermartingale(candidate, candidate=True)
     best, truncated = completed(candidate), candidate.objective_paths
     del candidate  # one simulation's arrays alive at a time
 
     def against(c_scale: float, a_scale: float) -> JitterCheck:
-        run = simulate_wealth(config, scaled_controls(controls, c_scale, a_scale),
-                              market, mortality, schedule=schedule)
+        run = simulate_wealth(config, scaled_controls(controls, c_scale, a_scale), *model)
         return JitterCheck(c_scale, a_scale, check_supermartingale(run).supermartingale_ok,
                            *_mean_se(best - completed(run)),
                            _margin(*_mean_se(truncated - run.objective_paths)))

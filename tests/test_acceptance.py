@@ -363,7 +363,7 @@ class TestAcceptance:
         config = SimulationConfig(
             n_paths=100_000, horizon=40.0, step=1 / 26, seed=424_242, initial_wealth=X0
         )
-        audit = optimality_audit(config, controls, market, mortality, schedule)
+        audit = optimality_audit(config, controls)
         report = audit.martingale
         worst = max(abs(m.deviation) / (m.se or 1.0) for m in report.martingale)
         finite = [j for j in audit.jitters if np.isfinite(j.mean_diff)]
@@ -376,7 +376,10 @@ class TestAcceptance:
             f"holds in {sum(j.supermartingale_ok for j in audit.jitters)}/{n} runs; "
             f"optimal objective wins {audit.wins}/{n} paired comparisons (weakest "
             f"finite margin {min((j.margin for j in finite), default=np.inf):.1f} SE; {n - len(finite)} "
-            f"jitters hit the alpha cap and score -inf utility outright)",
+            f"jitters hit the alpha cap and score -inf utility outright); Y has zero "
+            f"drift under any deterministic control, so the supermartingale half "
+            f"checks the budget identity and the kernel, and the optimality evidence "
+            f"is the paired completed-objective comparison",
             f"each objective is completed to J_40 + V(40, X_40) with the candidate's "
             f"value function, so the comparison holds at any horizon (J_40 alone: "
             f"weakest finite margin {min((j.truncated_margin for j in finite), default=np.inf):.1f} SE); "

@@ -79,6 +79,17 @@ class TestFit:
         values = np.array([float(v) for v in rows[0]])
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
+    @pytest.mark.parametrize("command", ["fit", "schedule"])
+    def test_limiting_age_below_base_age(self, tmp_path, capsys, command):
+        table = tmp_path / "table.csv"
+        synthetic_life_table_csv(table, BENCH)
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([command, "--table", str(table), "--limiting-age", "60",
+                                "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: CONFIG: limiting_age must exceed base_age\n"
+        assert not out.exists()
+
     def test_missing_table_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--out", str(tmp_path / "f.csv")], capsys)
         assert code == 2
@@ -255,6 +266,17 @@ class TestVerify:
         assert err.startswith("error: AUDIT: optimality audit failed:")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_one_path_is_one_config_line(self, tmp_path, capsys):
+        # a single path has a standard error of 0, so every check degenerates
+        out = tmp_path / "verify.csv"
+        args = ["verify", "--sim-horizon", "1", "--sim-step", "1/4", "--out", str(out)]
+        code, _, err = run_cli(args + ["--paths", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error: CONFIG:") and err.count("\n") == 1
+        assert not out.exists()
+        code, _, err = run_cli(args + ["--paths", "2"], capsys)
+        assert code == 0 or err.startswith("error: AUDIT:")
 
     @pytest.mark.parametrize("extra", [["--sim-step", "1/104"], ["--grid-step", "1/4"]])
     def test_passes_with_nodes_inside_the_horizon_cell(self, tmp_path, capsys, extra):
@@ -516,8 +538,10 @@ class TestDefaults:
         assert set(cli._FLAGS) <= set(DEFAULTS)
 
     def test_every_command_has_a_handler_and_an_output(self):
-        assert len(set(cli.COMMANDS)) == len(cli.COMMANDS)
-        assert set(cli.COMMANDS) == set(cli._DISPATCH) == set(cli._DEFAULT_OUT)
+        assert tuple(cli.COMMANDS) == (
+            "fit", "calibrate", "schedule", "income", "simulate", "verify", "figures")
+        for handler, out in cli.COMMANDS.values():
+            assert callable(handler) and out
 
 
 # sha256 of every CSV each command writes at its defaults.

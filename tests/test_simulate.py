@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tontine import simulate
 from tontine.analytics import objective_value_closed_form
-from tontine.controls import build_control_schedule
+from tontine.controls import MarketParams, build_control_schedule
 from tontine.mortality import GompertzMakehamParams, survival
 from tontine.simulate import (
     REPORT_TIMES,
@@ -85,6 +85,32 @@ class TestConfigValidation:
         result = simulate_wealth(config, controls, market, NO_MORTALITY)
         expected = [0.0, *(t for t in REPORT_TIMES if t <= 20.0)]
         assert np.allclose(result.times, sorted(set(expected) | {20.0}))
+
+
+class TestModelOfTheControls:
+    """Tabulated controls are optimal only under the model they were built from."""
+
+    CONFIG = SimulationConfig(n_paths=4, horizon=1.0, step=0.25, seed=1)
+
+    @pytest.mark.parametrize("field", ["market", "mortality", "schedule"])
+    def test_rejects_another_model(self, market, mortality, controls_cache, field):
+        controls = controls_cache(-3.0, "scaled_trimmed")  # built with mu = 0.10
+        model = {"market": market, "mortality": mortality, "schedule": controls.schedule}
+        model[field] = {
+            "market": MarketParams(0.08, 0.20, 0.03),
+            "mortality": replace(mortality, a1=0.004),
+            "schedule": make_schedule(-5.0, "power"),
+        }[field]
+        with pytest.raises(ValueError, match=f"^{field} differs"):
+            simulate_wealth(self.CONFIG, controls, **model)
+
+    def test_accepts_an_equal_model_and_no_schedule(self, mortality, controls_cache):
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        market = MarketParams(0.10, 0.20, 0.03)
+        assert market is not controls.market
+        result = simulate_wealth(self.CONFIG, controls, market, mortality, controls.schedule)
+        assert np.isfinite(result.objective_paths).all()
+        assert simulate_wealth(self.CONFIG, controls, market, mortality).objective_paths is None
 
 
 class TestExactDynamics:
@@ -624,11 +650,10 @@ class TestValueFunction:
 
 
 @pytest.fixture(scope="module")
-def short_audit(market, mortality, controls_cache, calibrated_cache):
+def short_audit(controls_cache):
     """Criterion 7's audit cut to H = 10: 20,000 paths, step 1/52, seed 424242."""
     config = SimulationConfig(n_paths=20_000, horizon=10.0, step=1 / 52, seed=424_242)
-    return optimality_audit(config, controls_cache(-3.0, "scaled_trimmed"), market,
-                            mortality, calibrated_cache(-3.0, "scaled_trimmed"))
+    return optimality_audit(config, controls_cache(-3.0, "scaled_trimmed"))
 
 
 class TestOptimalityAudit:
