@@ -150,12 +150,18 @@ def income_curve(
     x0: float = 100_000.0,
     grid=None,
 ) -> IncomeCurve:
-    """Tabulate expected discounted income and 1 - alpha*_t on a grid."""
+    """Tabulate expected discounted income and 1 - alpha*_t on a grid.
+
+    Raises ``ValueError`` naming the first t where either value is not finite.
+    """
     if grid is None:
         grid = np.arange(0.0, mortality.limiting_age_years, 0.25)
     grid = np.asarray(grid, dtype=float)
     income = np.asarray(expected_discounted_income(grid, schedule, market, mortality, x0))
     bequest_fraction = 1.0 - alpha_curve(schedule, market, mortality, grid)
+    bad = ~(np.isfinite(income) & np.isfinite(bequest_fraction))
+    if np.any(bad):
+        raise ValueError(f"income curve is not finite at t={grid[bad][0]:g}")
     return IncomeCurve(times=grid, expected_income=income,
                        expected_bequest_fraction=bequest_fraction)
 

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -98,17 +97,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise CliError("USAGE", message)
-
-
-@dataclass
-class RunConfig:
-    """A resolved command invocation: command name, merged key=value
-    overrides (defaults < config file < flags), and output location."""
-
-    command: str
-    overrides: dict[str, object]
-    out: str
-    seed: int
 
 
 class _OutputSet:
@@ -244,7 +232,8 @@ def _resolved_schedule(
         if not calibration.feasible:
             raise CliError(
                 "CALIBRATION",
-                f"kappa calibration infeasible for gamma={schedule.gamma:g} (requires gamma < 0)",
+                f"kappa calibration infeasible for gamma={schedule.gamma:g}: "
+                "no positive finite kappa zeroes alpha*_0",
             )
         kappa = calibration.kappa
     else:
@@ -259,8 +248,8 @@ def _resolved_schedule(
 # Commands
 # ----------------------------------------------------------------------------
 
-def _cmd_fit(config: RunConfig, out: _OutputSet) -> None:
-    table_path = str(config.overrides["table_path"]).strip()
+def _cmd_fit(merged: dict, outputs: _OutputSet) -> None:
+    table_path = str(merged["table_path"]).strip()
     if not table_path:
         raise CliError("CONFIG", "fit requires a life-table CSV (--table or table_path=)")
     try:
@@ -269,12 +258,11 @@ def _cmd_fit(config: RunConfig, out: _OutputSet) -> None:
         raise CliError("IO", f"cannot read life table {table_path}: {exc}") from exc
     except LifeTableError as exc:
         raise CliError("DATA", str(exc)) from exc
-    fit = fit_gompertz_makeham(table, limiting_age_years=_limiting_age_years(config.overrides))
-    out.write(config.out, fit_to_csv(fit))
+    fit = fit_gompertz_makeham(table, limiting_age_years=_limiting_age_years(merged))
+    outputs.write(merged["out"], fit_to_csv(fit))
 
 
-def _cmd_calibrate(config: RunConfig, out: _OutputSet) -> None:
-    merged = config.overrides
+def _cmd_calibrate(merged: dict, outputs: _OutputSet) -> None:
     market = _resolved_market(merged)
     mortality = _resolved_mortality(merged)
     schedule = _uncalibrated_schedule(merged, market)
@@ -285,8 +273,8 @@ def _cmd_calibrate(config: RunConfig, out: _OutputSet) -> None:
             f"got {schedule.variant!r}",
         )
     cal = calibrate_kappa(schedule, market, mortality)
-    out.write(config.out, f"kappa,residual,feasible\n{cal.kappa:.12g},{cal.residual:.12g},"
-                          f"{'true' if cal.feasible else 'false'}\n")
+    outputs.write(merged["out"], f"kappa,residual,feasible\n{cal.kappa:.12g},"
+                                 f"{cal.residual:.12g},{'true' if cal.feasible else 'false'}\n")
 
 
 def _resolved(merged: dict):
@@ -302,41 +290,39 @@ def _build_controls(merged: dict):
     )
 
 
-def _sim_config(config: RunConfig) -> SimulationConfig:
-    merged = config.overrides
+def _sim_config(merged: dict) -> SimulationConfig:
     return SimulationConfig(
         n_paths=_as_int(merged, "paths"),
         horizon=_as_float(merged, "sim_horizon"),
         step=_as_float(merged, "sim_step"),
-        seed=config.seed,
+        seed=_as_int(merged, "seed"),
         initial_wealth=_as_float(merged, "x0"),
     )
 
 
-def _cmd_schedule(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    controls = _build_controls(config.overrides)
-    out.write(config.out, schedule_csv(controls, base_age=_as_float(config.overrides, "base_age")))
+def _cmd_schedule(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:
+    controls = _build_controls(merged)
+    outputs.write(merged["out"], schedule_csv(controls, base_age=_as_float(merged, "base_age")))
     return controls.warnings
 
 
-def _cmd_income(config: RunConfig, out: _OutputSet) -> None:
-    merged = config.overrides
+def _cmd_income(merged: dict, outputs: _OutputSet) -> None:
     market, mortality, schedule = _resolved(merged)
     curve = income_curve(schedule, market, mortality, x0=_as_float(merged, "x0"))
-    out.write(config.out, income_csv(curve, base_age=_as_float(merged, "base_age")))
+    outputs.write(merged["out"], income_csv(curve, base_age=_as_float(merged, "base_age")))
 
 
-def _cmd_simulate(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    controls = _build_controls(config.overrides)
+def _cmd_simulate(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:
+    controls = _build_controls(merged)
     # no preference schedule: the summary never reads the utility objective
-    result = simulate_wealth(_sim_config(config), controls, controls.market, controls.mortality)
-    out.write(config.out, summary_csv(result))
+    result = simulate_wealth(_sim_config(merged), controls, controls.market, controls.mortality)
+    outputs.write(merged["out"], summary_csv(result))
     return controls.warnings
 
 
-def _cmd_verify(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
-    controls = _build_controls(config.overrides)
-    report = optimality_audit(_sim_config(config), controls)
+def _cmd_verify(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:
+    controls = _build_controls(merged)
+    report = optimality_audit(_sim_config(merged), controls)
     if not report.ok:
         n = len(report.jitters)
         raise CliError("AUDIT", (
@@ -344,31 +330,27 @@ def _cmd_verify(config: RunConfig, out: _OutputSet) -> tuple[str, ...]:
             f"{'holds' if report.martingale.martingale_ok else 'violated'} at 3 SE; "
             f"supermartingale under {sum(j.supermartingale_ok for j in report.jitters)}/{n} "
             f"jitters; candidate wins {report.wins}/{n} ({n - 1} needed)"))
-    out.write(config.out, audit_csv(report))
+    outputs.write(merged["out"], audit_csv(report))
     return controls.warnings
 
 
-def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
+def _cmd_figures(merged: dict, outputs: _OutputSet) -> None:
     market = _resolved_market(DEFAULTS)
     mortality = _resolved_mortality(DEFAULTS)
     grid = np.arange(0.0, mortality.limiting_age_years, _FIGURE_GRID_STEP)
-    base_age = float(DEFAULTS["base_age"])
-    horizon = float(DEFAULTS["horizon_years"])
-    x0 = float(DEFAULTS["x0"])
-    outdir = config.out or "."
+    base_age, x0 = _as_float(DEFAULTS, "base_age"), _as_float(DEFAULTS, "x0")
+    outdir = merged["out"]
     if not os.path.isdir(outdir):
         raise CliError("IO", f"output directory {outdir!r} does not exist")
 
     def write(name: str, text: str) -> None:
-        out.write(os.path.join(outdir, name), text)
+        outputs.write(os.path.join(outdir, name), text)
 
     def schedule_for(gamma: float, variant: str) -> PreferenceSchedule:
-        return PreferenceSchedule(
-            gamma=gamma, rho=auto_rho(gamma, market.r), variant=variant, horizon_years=horizon
-        )
+        return _uncalibrated_schedule(dict(DEFAULTS, gamma=gamma, variant=variant), market)
 
     # Each scaled variant is calibrated once per gamma; the feasible ones
-    # serve fig2, fig3, fig4 and income0.csv.
+    # serve fig2, fig3, fig4 and income0.csv, which ask for no other.
     kappas = ["variant,gamma,kappa,residual,feasible"]
     calibrated: dict[tuple[float, str], PreferenceSchedule] = {}
     for variant in SCALED_VARIANTS:
@@ -381,11 +363,9 @@ def _cmd_figures(config: RunConfig, out: _OutputSet) -> None:
                 calibrated[g, variant] = sched.with_kappa(cal.kappa)
 
     def resolved(gamma: float, variant: str) -> PreferenceSchedule:
-        if variant not in SCALED_VARIANTS:
-            return schedule_for(gamma, variant)
-        if (gamma, variant) not in calibrated:
-            raise CliError("CALIBRATION", f"infeasible kappa for gamma={gamma:g}")
-        return calibrated[gamma, variant]
+        if variant in SCALED_VARIANTS:
+            return calibrated[gamma, variant]
+        return schedule_for(gamma, variant)
 
     def alphas(prefix: str, variant: str, gammas) -> dict[str, np.ndarray]:
         return {f"{prefix}{g:g}": alpha_curve(resolved(g, variant), market, mortality, grid)
@@ -464,25 +444,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def build_run_config(argv: list[str]) -> RunConfig:
+def build_run_config(argv: list[str]) -> tuple[str, dict[str, object]]:
+    """The command and its settings: defaults < config file < flags, with
+    ``out`` resolved to the command's default output when unset.  Each key
+    is parsed only by the commands that read it."""
     args = _build_parser().parse_args(argv)
     merged: dict[str, object] = dict(DEFAULTS)
     if args.config:
         merged.update(_parse_config_file(args.config))
-    for key in _FLAGS:
+    for key in (*_FLAGS, "out"):
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    if args.out is not None:
-        merged["out"] = args.out
-    out = str(merged["out"]).strip() or COMMANDS[args.command][1]
-    seed = _as_int(merged, "seed")
-    return RunConfig(
-        command=args.command,
-        overrides=merged,
-        out=out,
-        seed=seed,
-    )
+    merged["out"] = str(merged["out"]).strip() or COMMANDS[args.command][1]
+    return args.command, merged
 
 
 # Library exceptions and their error codes, most specific first.
@@ -496,7 +471,7 @@ _ERROR_CODES = (
 )
 
 
-def run(config: RunConfig) -> int:
+def run(command: str, merged: dict[str, object]) -> int:
     """Execute a resolved command; outputs are atomic and rolled back on failure.
 
     Library warnings and the notes a command returns (a control schedule's
@@ -506,7 +481,7 @@ def run(config: RunConfig) -> int:
     outputs = _OutputSet()
     try:
         with warnings.catch_warnings(record=True) as caught:
-            notes = COMMANDS[config.command][0](config, outputs) or ()
+            notes = COMMANDS[command][0](merged, outputs) or ()
     except Exception as exc:  # whatever failed, leave no partial outputs behind
         outputs.rollback()
         if isinstance(exc, CliError):
@@ -523,8 +498,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = build_run_config(argv)
-        return run(config)
+        return run(*build_run_config(argv))
     except CliError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
         return 2

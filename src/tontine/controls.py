@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,6 +53,9 @@ _NONPOSITIVE_PREMIUM = "mu <= r: the equity premium is nonpositive"
 # Log-space D values below this are treated as underflowed grid points and
 # truncated off the schedule (exp would round them to subnormal/zero).
 _LOG_UNDERFLOW = -700.0
+
+# log of the largest float64: a tabulated D(0) above it would overflow.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
@@ -217,16 +221,16 @@ def truncation_sensitivity(
     schedule: PreferenceSchedule,
     mortality: GompertzMakehamParams,
     market: MarketParams,
-    extra_years: float = 10.0,
 ) -> float:
-    """Relative change |D(0; T_max + extra) - D(0; T_max)| / D(0; T_max).
+    """Relative change |D(0; T_max + 10) - D(0; T_max)| / D(0; T_max).
 
     Diagnostic for the truncation of the upper integration limit at the
-    limiting age; the integrand decays faster than any exponential, so this
-    is typically far below double precision for the default horizon.
+    limiting age, extended here by 10 years; the integrand decays faster
+    than any exponential, so this is typically far below double precision
+    for the default horizon.
     """
     log_d = log_denominator_integral(0.0, schedule, mortality, market)
-    extended = mortality.with_limiting_age_years(mortality.limiting_age_years + extra_years)
+    extended = mortality.with_limiting_age_years(mortality.limiting_age_years + 10.0)
     log_d_ext = log_denominator_integral(0.0, schedule, extended, market)
     return abs(math.expm1(log_d_ext - log_d))
 
@@ -335,7 +339,8 @@ def build_control_schedule(
     divide T_max); the final point, where D vanishes, is dropped, and any
     additional points where D underflows are truncated with a warning note.
     A grid whose arrays would exceed physical memory raises ``MemoryError``
-    before any of them is allocated.
+    before any of them is allocated, and a D(0) beyond float64 raises
+    ``ValueError`` before any D is exponentiated.
     D comes from one :func:`log_tail_integrals` sweep over the grid, so each
     grid value equals :func:`log_denominator_integral` at that point.
     """
@@ -363,6 +368,9 @@ def build_control_schedule(
         notes.append(_NONPOSITIVE_PREMIUM)
 
     log_d = log_tail_integrals(grid_full, schedule, mortality, market)
+    if log_d[0] > _LOG_FLOAT_MAX:
+        raise ValueError(f"D(0) = exp({log_d[0]:.6g}) overflows float64 at "
+                         f"gamma={schedule.gamma:g}")
 
     last = int(np.searchsorted(-log_d, -_LOG_UNDERFLOW))
     if last < 1:

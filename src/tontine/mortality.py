@@ -7,7 +7,6 @@ are truncated at a limiting age carried on the parameter object.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -123,7 +122,7 @@ class LifeTable:
             raise LifeTableError("first row must be the base age")
         if abs(surv[0] - 1.0) > 1e-9:
             raise LifeTableError("survival at the base age must equal 1")
-        if np.any(surv < 0) or np.any(surv > 1):
+        if not np.all((surv >= 0) & (surv <= 1)):  # NaN fails too
             raise LifeTableError("survival values must lie in [0, 1]")
         if np.any(np.diff(surv) > 1e-12):
             raise LifeTableError(
@@ -157,21 +156,17 @@ class LifeTable:
             raise LifeTableError("ages and qx must be 1-d arrays of equal length")
         if np.any(np.diff(ages) != 1):
             raise LifeTableError("qx rows must be at consecutive integer ages")
-        if np.any(qx < 0) or np.any(qx > 1):
+        if not np.all((qx >= 0) & (qx <= 1)):  # NaN fails too
             raise LifeTableError("death probabilities must lie in [0, 1]")
         out_ages = np.concatenate([ages, [ages[-1] + 1]])
         surv = np.concatenate([[1.0], np.cumprod(1.0 - qx)])
         return cls(base_age=int(ages[0]), ages=out_ages, survival=surv)
 
     @classmethod
-    def from_csv(cls, path_or_buf) -> "LifeTable":
-        """Read `age,survival` or `age,qx` CSV (blank lines ignored)."""
-        if hasattr(path_or_buf, "read"):
-            text = path_or_buf.read()
-        else:
-            with open(path_or_buf, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    def from_csv(cls, path) -> "LifeTable":
+        """Read the `age,survival` or `age,qx` CSV at ``path`` (blank lines ignored)."""
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
         if not rows:
             raise LifeTableError("empty life-table CSV")
         header = [c.strip().lower() for c in rows[0]]

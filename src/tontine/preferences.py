@@ -197,13 +197,21 @@ def log_transformed_weight(t, schedule: PreferenceSchedule,
 # allocation is exactly zero.
 # ============================================================================
 
+# A rebuilt |alpha*_0| above this marks the calibration infeasible: genuine
+# solutions rebuild to about 1e-14, while a B = D_base - A lost to rounding
+# (gamma near 1) rebuilds to 1.
+_RESIDUAL_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class KappaCalibration:
     """Result of the zero-initial-allocation calibration.
 
     ``residual`` is the |alpha*_0| achieved when the controls are rebuilt
-    with the returned kappa.  Infeasible cases (possible only for gamma > 0)
-    carry kappa = nan and residual = inf.
+    with the returned kappa.  Infeasible cases carry kappa = nan and
+    residual = inf: those with no positive solution (gamma > 0), and those
+    where an integral or kappa is not a finite positive float or the rebuilt
+    |alpha*_0| exceeds 1e-9.
     """
 
     kappa: float
@@ -222,9 +230,10 @@ def calibrate_kappa(
     weight, the condition alpha*_0 = 0 reads m*g_0 = A + m*B with
     A = integral of e^{-beta*u} S_u and B = integral of e^{-beta*u} S_u
     g_u lambda_u over [0, T_max].  The equation is linear in m and feasible
-    exactly when g_0 - B > 0; kappa = m^{1-gamma}.  A warning is issued when
-    rho deviates from r*gamma, for which the feasibility characterisation
-    was derived.
+    exactly when g_0 - B > 0; kappa = m^{1-gamma}.  B is formed as
+    D_base - A, so the answer is checked by rebuilding alpha*_0 with it.
+    A warning is issued when rho deviates from r*gamma, for which the
+    feasibility characterisation was derived.
     """
     from .controls import log_denominator_integral  # deferred: avoids an import cycle
 
@@ -237,21 +246,26 @@ def calibrate_kappa(
             stacklevel=2,
         )
 
+    infeasible = KappaCalibration(kappa=float("nan"), residual=float("inf"), feasible=False)
     base = schedule.base_schedule()
     none = replace(base, variant="none", table=None, kappa=None)
     log_a = log_denominator_integral(0.0, none, mortality, market)
     log_d_base = log_denominator_integral(0.0, base, mortality, market)
-    a_val = math.exp(log_a)
-    b_val = math.exp(log_d_base) - a_val
-    g0 = math.exp(log_transformed_weight(0.0, base, mortality))
-
-    denom = g0 - b_val
-    if not denom > 0:
-        return KappaCalibration(kappa=float("nan"), residual=float("inf"), feasible=False)
-
-    m = a_val / denom
-    kappa = m ** (1.0 - schedule.gamma)
-    calibrated = schedule.with_kappa(kappa)
-    log_d0 = log_denominator_integral(0.0, calibrated, mortality, market)
-    alpha0 = 1.0 - math.exp(log_transformed_weight(0.0, calibrated, mortality) - log_d0)
+    try:  # math.exp and float ** raise OverflowError past float64
+        a_val = math.exp(log_a)
+        d_base = math.exp(log_d_base)
+        g0 = math.exp(log_transformed_weight(0.0, base, mortality))
+        denom = g0 - (d_base - a_val)
+        if not (a_val > 0 and denom > 0):  # False for nan, and for an inf A or D_base
+            return infeasible
+        kappa = (a_val / denom) ** (1.0 - schedule.gamma)
+        if not 0 < kappa < math.inf:
+            return infeasible
+        calibrated = schedule.with_kappa(kappa)
+        log_d0 = log_denominator_integral(0.0, calibrated, mortality, market)
+        alpha0 = 1.0 - math.exp(log_transformed_weight(0.0, calibrated, mortality) - log_d0)
+    except OverflowError:
+        return infeasible
+    if not abs(alpha0) <= _RESIDUAL_TOLERANCE:
+        return infeasible
     return KappaCalibration(kappa=float(kappa), residual=abs(alpha0), feasible=True)

@@ -306,20 +306,23 @@ def simulate_wealth(
 
     Raises ``ValueError`` naming the field if a ``ControlSchedule`` was built
     from another ``market``, ``mortality`` or (when given) ``schedule``: its
-    tabulated optimum holds only under its own model.  Raises
-    ``SimulationError`` if the step does not divide the horizon, the
-    tabulated controls stop short of it, the results and buffers would not
-    fit in physical memory, or a path goes non-finite; the last names the lowest
-    such path and its first non-finite step.
+    tabulated optimum holds only under its own model.  Raises ``ValueError``
+    too if the tabulated controls stop short of the horizon or the step does
+    not divide it.  Raises ``SimulationError`` if the results and buffers
+    would not fit in physical memory, or a path goes non-finite; the last
+    names the lowest such path and its first non-finite step.
     """
     candidate = isinstance(controls, ControlSchedule)
     if candidate:
         for name, given in (("market", market), ("mortality", mortality), ("schedule", schedule)):
             if given is not None and given != getattr(controls, name):
                 raise ValueError(f"{name} differs from the {name} the controls were built from")
+        if config.horizon > controls.t_end + 1e-9:
+            raise ValueError(f"controls tabulated only to t={controls.t_end:.6g}, "
+                             f"horizon {config.horizon:.6g} not covered")
     n_steps = round(config.horizon / config.step)
     if n_steps < 1 or abs(n_steps * config.step - config.horizon) > 1e-9:
-        raise SimulationError("step must divide the horizon")
+        raise ValueError("step must divide the horizon")
     record_idx = _resolve_record_indices(config, n_steps)
     n_paths = config.n_paths
     n_rec = n_steps + 1 if record_idx is None else len(record_idx)
@@ -338,11 +341,6 @@ def simulate_wealth(
     theta = market.sharpe
 
     if candidate:
-        if config.horizon > controls.t_end + 1e-9:
-            raise SimulationError(
-                f"controls tabulated only to t={controls.t_end:.6g}, "
-                f"horizon {config.horizon:.6g} not covered"
-            )
         log_d_nodes = controls.log_denominator_at(times)
         outflow = -np.diff(log_d_nodes)  # exact integral of c + lambda(1-alpha) per step
         x_control_drift = -outflow + d_lam  # exact integral of -c + alpha*lambda

@@ -90,6 +90,27 @@ class TestFit:
         assert err == "error: CONFIG: limiting_age must exceed base_age\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("age,survival\n65,1\n67,0.9\n66,0.8\n68,0.7\n", "ages must be strictly increasing"),
+        ("age,survival\n65,1\n66,-0.1\n67,0.8\n68,0.7\n", "survival values must lie in"),
+        ("age,qx\n65,0.01\n67,0.02\n68,0.03\n69,0.04\n", "qx rows must be at consecutive"),
+        ("age,qx\n65,0.01\n66,1.5\n67,0.03\n68,0.04\n", "death probabilities must lie in"),
+        ("", "empty life-table CSV"),
+        ("age,survival\n65,1\n66,abc\n67,0.8\n68,0.7\n", "malformed life-table row"),
+        ("age,survival\n65,1\n66,0.99\n67,0.97\n", "life table too short"),
+        ("age,survival\n65,1\n66,nan\n67,0.9\n68,0.8\n69,0.7\n", "survival values must lie in"),
+        ("age,qx\n65,0.01\n66,nan\n67,0.02\n68,0.03\n", "death probabilities must lie in"),
+    ], ids=["ages-order", "survival-range", "qx-gap", "qx-range", "empty", "malformed",
+            "short", "survival-nan", "qx-nan"])
+    def test_bad_table_is_one_data_line(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        out = tmp_path / "fit.csv"
+        code, _, err = run_cli(["fit", "--table", str(table), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: DATA: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_table_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--out", str(tmp_path / "f.csv")], capsys)
         assert code == 2
@@ -121,6 +142,29 @@ class TestCalibrate:
         kappa, _, feasible = rows[0]
         assert feasible == "false"
         assert np.isnan(float(kappa))
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "0.9"],    # alpha*_0 rebuilt under the solved kappa is 1, not 0
+        ["--gamma", "0.94"],   # D_base past float64
+        ["--sigma", "1e-9"],   # A underflows, so the solved kappa is 0
+        ["--mu", "1e3"],
+    ])
+    def test_unreachable_zero_start_writes_infeasible_row(self, tmp_path, capsys, flags):
+        out = tmp_path / "cal.csv"
+        code, _, err = run_cli(["calibrate", *flags, "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        assert out.read_text() == "kappa,residual,feasible\nnan,inf,false\n"
+
+    @pytest.mark.parametrize("command", ["schedule", "income", "simulate", "verify"])
+    @pytest.mark.parametrize("gamma", ["0.9", "0.95"])
+    def test_infeasible_calibration_is_one_line(self, tmp_path, capsys, command, gamma):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([command, "--gamma", gamma, "--paths", "16", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: CALIBRATION: kappa calibration infeasible for "
+                              f"gamma={gamma}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unscaled_variant_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -166,6 +210,16 @@ class TestSchedule:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    def test_denominator_past_float64_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([command, "--gamma", "0.95", "--variant", "power",
+                                "--paths", "16", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: CONFIG: D(0) = exp(") and "gamma=0.95" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_past_memory_is_runtime_error(self, tmp_path, capsys):
         # 5e13 grid points: 364 TiB a float64 array, past any address space
         out = tmp_path / "schedule.csv"
@@ -193,6 +247,16 @@ class TestIncome:
         assert code == 2
         assert err.startswith("error: CONFIG: x0 must be positive and finite")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+
+    def test_non_finite_curve_is_one_config_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("a2 = 0.95\n")
+        out = tmp_path / "income.csv"
+        code, _, err = run_cli(["income", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: CONFIG: income curve is not finite at t=18\n"
         assert not out.exists()
 
 
@@ -243,6 +307,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: RUNTIME:") and "physical memory" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sim-step", "0.3", "--sim-horizon", "1"], "step must divide the horizon"),
+        (["--sim-horizon", "50"], "controls tabulated only to t=49.9808, horizon 50 not covered"),
+    ])
+    def test_grid_mismatch_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(["simulate", "--paths", "16", *flags, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"error: CONFIG: {message}\n"
         assert not out.exists()
 
     def test_seed_changes_output(self, tmp_path, capsys):
@@ -343,6 +418,15 @@ class TestConfigFile:
         assert err.startswith("error: CONFIG:") and "finite" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_seed_is_parsed_only_where_read(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(["schedule", "--seed", "abc", "--grid-step", "1/4",
+                                "--out", str(out)], capsys)
+        assert code == 0 and err == "" and out.exists()
+        code, _, err = run_cli(["simulate", "--seed", "abc", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: CONFIG: seed: cannot parse 'abc' as an integer\n"
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -585,11 +669,12 @@ class TestDefaultBytes:
 
 
 # Config-file fuzzing: every key but `out` takes its default or one of
-# FUZZ_TOKENS.  The path count starts at 16, and base ages that would lengthen
-# the horizon are not drawn, so no draw costs more than the defaults.
-FUZZ_TOKENS = ("nan", "inf", "-1", "0", "abc", "1/0", "auto", "1e400")
+# FUZZ_TOKENS (0.95 puts gamma next to 1).  The path count starts at 16, and
+# base ages that would lengthen the horizon are not drawn, so no draw costs
+# more than the defaults.
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "abc", "1/0", "auto", "1e400", "0.95")
 FUZZ_DEFAULTS = {**{k: str(v) for k, v in DEFAULTS.items() if k != "out"}, "paths": "16"}
-LONGER_HORIZON = {("base_age", "0"), ("base_age", "-1")}
+LONGER_HORIZON = {("base_age", "0"), ("base_age", "-1"), ("base_age", "0.95")}
 ERROR_LINE = re.compile(r"error: (USAGE|CONFIG|DATA|CALIBRATION|IO|RUNTIME): \S[^\n]*\n")
 
 

@@ -406,6 +406,16 @@ class TestBuildControlSchedule:
         with pytest.raises(ValueError):
             build_control_schedule(schedule, mortality, market, grid_step=50.0)
 
+    def test_denominator_past_float64_rejected(self, market, mortality):
+        # power weights at gamma = 0.95 put D(0) near e^1158; gamma = 0.93 gives 1.2e248
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma=0.95"):
+                build_control_schedule(make_schedule(0.95, "power"), mortality, market)
+            controls = build_control_schedule(make_schedule(0.93, "power"), mortality, market)
+        assert controls.denominator[0] == pytest.approx(1.2e248, rel=0.01)
+        assert np.all(np.isfinite(controls.c_star)) and controls.spd0 < np.inf
+
     def test_memory_bound_checked_before_allocating(self, monkeypatch, market, mortality):
         # the grid's arrays, counted per point, against physical memory
         schedule = make_schedule(-3.0, "none")

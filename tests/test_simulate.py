@@ -478,13 +478,13 @@ class TestErrors:
     def test_step_must_divide_horizon(self, market, mortality, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
         config = SimulationConfig(n_paths=4, horizon=1.0, step=0.3)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValueError, match="step must divide the horizon"):
             simulate_wealth(config, controls, market, mortality)
 
     def test_horizon_beyond_tabulation(self, market, mortality, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
         config = SimulationConfig(n_paths=4, horizon=50.0, step=0.25)
-        with pytest.raises(SimulationError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             simulate_wealth(config, controls, market, mortality)
         assert "horizon" in str(excinfo.value)
 
