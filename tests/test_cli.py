@@ -458,6 +458,33 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # One case per library check the CLI reports: each keeps its exact line.
+    # `a1` has no flag, so it comes from a config file.
+    @pytest.mark.parametrize("argv, line", [
+        (["schedule", "--sigma", "0"], "CONFIG: sigma must be positive"),
+        (["schedule", "--config", "a1.cfg"],
+         "CONFIG: hazard constants a1, a2, a3 must be nonnegative"),
+        (["schedule", "--horizon", "0"], "CONFIG: horizon_years must be positive and finite"),
+        (["schedule", "--gamma", "1"],
+         "CONFIG: gamma must be finite and satisfy gamma < 1 and gamma != 0"),
+        (["schedule", "--kappa", "-1"], "CONFIG: kappa must be positive and finite"),
+        (["schedule", "--variant", "bogus"],
+         "CONFIG: unknown variant 'bogus'; valid variants: "
+         "none, power, scaled_power, trimmed, scaled_trimmed, table"),
+        (["calibrate", "--variant", "power"],
+         "CONFIG: calibrate requires a scaled variant (scaled_power, scaled_trimmed), "
+         "got 'power'"),
+        (["fit", "--table", "table.csv"],
+         "DATA: survival must be nonincreasing in age; first violation after age 66"),
+    ])
+    def test_library_error_is_one_exact_line(self, tmp_path, capsys, monkeypatch, argv, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a1.cfg").write_text("a1 = -1\n")
+        (tmp_path / "table.csv").write_text("age,survival\n65,1\n66,0.99\n67,0.995\n68,0.97\n")
+        code, _, err = run_cli([*argv, "--out", "out.csv"], capsys)
+        assert (code, err) == (2, f"error: {line}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_sigma_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["income", "--sigma", "0", "--out", str(tmp_path / "i.csv")], capsys
