@@ -15,6 +15,7 @@ import numpy as np
 from .controls import (
     MarketParams,
     beta,
+    check_log_d0,
     log_control_rates,
     log_denominator_integral,
     log_tail_integrals,
@@ -65,9 +66,14 @@ def expected_discounted_income(
     mortality: GompertzMakehamParams,
     x0: float = 100_000.0,
 ):
-    """E[e^{-rt} c*_t X*_t] = X0 e^{((mu-r)pi* - beta) t} / D(0)."""
+    """E[e^{-rt} c*_t X*_t] = X0 e^{((mu-r)pi* - beta) t} / D(0).
+
+    Raises ``ValueError`` when D(0) overflows float64, where the income
+    would silently round to 0.
+    """
     _check_x0(x0)
     log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
+    check_log_d0(log_d0, schedule.gamma)
     slope = income_log_slope(market, schedule.gamma, schedule.rho)
     out = x0 * np.exp(slope * np.asarray(t, dtype=float) - log_d0)
     return out if np.ndim(out) else float(out)
@@ -152,7 +158,9 @@ def income_curve(
 ) -> IncomeCurve:
     """Tabulate expected discounted income and 1 - alpha*_t on a grid.
 
-    Raises ``ValueError`` naming the first t where either value is not finite.
+    Raises ``ValueError`` when D(0) is beyond float64, as
+    :func:`~tontine.controls.build_control_schedule` does, and names the
+    first t where either value is not finite.
     """
     if grid is None:
         grid = np.arange(0.0, mortality.limiting_age_years, 0.25)

@@ -29,6 +29,7 @@ from .controls import (
     MarketParams,
     build_control_schedule,
     merton_fraction,
+    model_notes,
     schedule_csv,
 )
 from .mortality import (
@@ -174,11 +175,12 @@ def _as_int(merged: dict, key: str) -> int:
         raise CliError("CONFIG", f"{key}: cannot parse {merged[key]!r} as an integer") from exc
 
 
+def _is_auto(value: object) -> bool:
+    return isinstance(value, str) and value.strip() == "auto"
+
+
 def _resolved_market(merged: dict) -> MarketParams:
-    try:
-        return MarketParams(*(_as_float(merged, key) for key in ("mu", "sigma", "r")))
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from exc
+    return MarketParams(*(_as_float(merged, key) for key in ("mu", "sigma", "r")))
 
 
 def _limiting_age_years(merged: dict) -> float:
@@ -189,34 +191,16 @@ def _limiting_age_years(merged: dict) -> float:
 
 
 def _resolved_mortality(merged: dict) -> GompertzMakehamParams:
-    try:
-        return GompertzMakehamParams(*(_as_float(merged, key) for key in ("a1", "a2", "a3")),
-                                     limiting_age_years=_limiting_age_years(merged))
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from exc
+    return GompertzMakehamParams(*(_as_float(merged, key) for key in ("a1", "a2", "a3")),
+                                 limiting_age_years=_limiting_age_years(merged))
 
 
 def _uncalibrated_schedule(merged: dict, market: MarketParams) -> PreferenceSchedule:
     """Build the preference schedule with kappa unset."""
-    variant = str(merged["variant"]).strip()
-    if variant not in VARIANTS:
-        raise CliError(
-            "CONFIG", f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}"
-        )
     gamma = _as_float(merged, "gamma")
-    rho_raw = merged["rho"]
-    try:
-        rho = (
-            auto_rho(gamma, market.r)
-            if isinstance(rho_raw, str) and rho_raw.strip() == "auto"
-            else _as_float(merged, "rho")
-        )
-        return PreferenceSchedule(
-            gamma=gamma, rho=rho, variant=variant,
-            horizon_years=_as_float(merged, "horizon_years"),
-        )
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from exc
+    rho = auto_rho(gamma, market.r) if _is_auto(merged["rho"]) else _as_float(merged, "rho")
+    return PreferenceSchedule(gamma=gamma, rho=rho, variant=str(merged["variant"]).strip(),
+                              horizon_years=_as_float(merged, "horizon_years"))
 
 
 def _resolved_schedule(
@@ -226,22 +210,16 @@ def _resolved_schedule(
     schedule = _uncalibrated_schedule(merged, market)
     if not schedule.is_scaled:
         return schedule
-    kappa_raw = merged["kappa"]
-    if isinstance(kappa_raw, str) and kappa_raw.strip() == "auto":
-        calibration = calibrate_kappa(schedule, market, mortality)
-        if not calibration.feasible:
-            raise CliError(
-                "CALIBRATION",
-                f"kappa calibration infeasible for gamma={schedule.gamma:g}: "
-                "no positive finite kappa zeroes alpha*_0",
-            )
-        kappa = calibration.kappa
-    else:
-        kappa = _as_float(merged, "kappa")
-    try:
-        return schedule.with_kappa(kappa)
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from exc
+    if not _is_auto(merged["kappa"]):
+        return schedule.with_kappa(_as_float(merged, "kappa"))
+    calibration = calibrate_kappa(schedule, market, mortality)
+    if not calibration.feasible:
+        raise CliError(
+            "CALIBRATION",
+            f"kappa calibration infeasible for gamma={schedule.gamma:g}: "
+            "no positive finite kappa zeroes alpha*_0",
+        )
+    return schedule.with_kappa(calibration.kappa)
 
 
 # ----------------------------------------------------------------------------
@@ -256,8 +234,6 @@ def _cmd_fit(merged: dict, outputs: _OutputSet) -> None:
         table = LifeTable.from_csv(table_path)
     except OSError as exc:
         raise CliError("IO", f"cannot read life table {table_path}: {exc}") from exc
-    except LifeTableError as exc:
-        raise CliError("DATA", str(exc)) from exc
     fit = fit_gompertz_makeham(table, limiting_age_years=_limiting_age_years(merged))
     outputs.write(merged["out"], fit_to_csv(fit))
 
@@ -265,14 +241,7 @@ def _cmd_fit(merged: dict, outputs: _OutputSet) -> None:
 def _cmd_calibrate(merged: dict, outputs: _OutputSet) -> None:
     market = _resolved_market(merged)
     mortality = _resolved_mortality(merged)
-    schedule = _uncalibrated_schedule(merged, market)
-    if not schedule.is_scaled:
-        raise CliError(
-            "CONFIG",
-            f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), "
-            f"got {schedule.variant!r}",
-        )
-    cal = calibrate_kappa(schedule, market, mortality)
+    cal = calibrate_kappa(_uncalibrated_schedule(merged, market), market, mortality)
     outputs.write(merged["out"], f"kappa,residual,feasible\n{cal.kappa:.12g},"
                                  f"{cal.residual:.12g},{'true' if cal.feasible else 'false'}\n")
 
@@ -306,10 +275,11 @@ def _cmd_schedule(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:
     return controls.warnings
 
 
-def _cmd_income(merged: dict, outputs: _OutputSet) -> None:
+def _cmd_income(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:
     market, mortality, schedule = _resolved(merged)
     curve = income_curve(schedule, market, mortality, x0=_as_float(merged, "x0"))
     outputs.write(merged["out"], income_csv(curve, base_age=_as_float(merged, "base_age")))
+    return model_notes(schedule, market)
 
 
 def _cmd_simulate(merged: dict, outputs: _OutputSet) -> tuple[str, ...]:

@@ -35,6 +35,8 @@ __all__ = [
     "log_denominator_integral",
     "log_tail_integrals",
     "build_control_schedule",
+    "check_log_d0",
+    "model_notes",
     "schedule_csv",
     "truncation_sensitivity",
 ]
@@ -119,6 +121,26 @@ def has_integrability_warning(schedule: PreferenceSchedule) -> bool:
     is still computed (panel values stay finite) but is mesh-dependent.
     """
     return schedule.variant in TRIMMED_VARIANTS and schedule.gamma > 0
+
+
+def model_notes(schedule: PreferenceSchedule, market: MarketParams) -> tuple[str, ...]:
+    """Notes on the model itself, before any grid: a divergent trimmed
+    integral for gamma > 0, and a nonpositive equity premium."""
+    notes = []
+    if has_integrability_warning(schedule):
+        notes.append(
+            "integrability: transformed bequest weight diverges at the horizon "
+            "for gamma > 0; D is mesh-dependent there"
+        )
+    if market.mu <= market.r:
+        notes.append(_NONPOSITIVE_PREMIUM)
+    return tuple(notes)
+
+
+def check_log_d0(log_d0: float, gamma: float) -> None:
+    """Raise ``ValueError`` naming gamma when D(0) = exp(log_d0) overflows float64."""
+    if log_d0 > _LOG_FLOAT_MAX:
+        raise ValueError(f"D(0) = exp({log_d0:.6g}) overflows float64 at gamma={gamma:g}")
 
 
 # ============================================================================
@@ -243,7 +265,8 @@ def truncation_sensitivity(
 class ControlSchedule:
     """Optimal controls tabulated on a uniform grid, with the preference
     schedule, mortality and market they were built from; gamma, rho, beta,
-    pi*, c*, alpha* and D are derived from these once, on construction.
+    pi*, c*, alpha* and D are derived from these and log D on the grid once,
+    on construction (c* and 1 - alpha* through :func:`log_control_rates`).
 
     ``grid`` runs from 0 to the last point where D stays above underflow
     (one step short of the limiting age, where D vanishes identically; any
@@ -260,9 +283,9 @@ class ControlSchedule:
     grid: np.ndarray
     grid_step: float
     log_denominator: np.ndarray = field(repr=False)
-    log_c_star: np.ndarray = field(repr=False)
-    log_bequest_fraction: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
+    log_c_star: np.ndarray = field(init=False, repr=False)
+    log_bequest_fraction: np.ndarray = field(init=False, repr=False)
     gamma: float = field(init=False)
     rho: float = field(init=False)
     beta: float = field(init=False)
@@ -273,14 +296,17 @@ class ControlSchedule:
 
     def __post_init__(self) -> None:
         gamma, rho = self.schedule.gamma, self.schedule.rho
-        arrays = {name: np.asarray(getattr(self, name), dtype=float)
-                  for name in ("grid", "log_denominator", "log_c_star", "log_bequest_fraction")}
-        arrays.update(c_star=np.exp(arrays["log_c_star"]),
-                      alpha_star=1.0 - np.exp(arrays["log_bequest_fraction"]),
-                      denominator=np.exp(arrays["log_denominator"]))
+        beta_value = beta(self.market, gamma, rho)
+        grid = np.asarray(self.grid, dtype=float)
+        log_d = np.asarray(self.log_denominator, dtype=float)
+        log_c, log_bequest = log_control_rates(grid, log_d, self.schedule, self.mortality,
+                                               beta_value)
+        arrays = dict(grid=grid, log_denominator=log_d, log_c_star=log_c,
+                      log_bequest_fraction=log_bequest, c_star=np.exp(log_c),
+                      alpha_star=1.0 - np.exp(log_bequest), denominator=np.exp(log_d))
         for arr in arrays.values():
             arr.setflags(write=False)
-        derived = dict(arrays, gamma=gamma, rho=rho, beta=beta(self.market, gamma, rho),
+        derived = dict(arrays, gamma=gamma, rho=rho, beta=beta_value,
                        pi_star=merton_fraction(self.market, gamma))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -358,19 +384,9 @@ def build_control_schedule(
         )
     grid_full = np.arange(n) * t_max / n  # T_max itself, where D vanishes, is left out
 
-    notes: list[str] = []
-    if has_integrability_warning(schedule):
-        notes.append(
-            "integrability: transformed bequest weight diverges at the horizon "
-            "for gamma > 0; D is mesh-dependent there"
-        )
-    if market.mu <= market.r:
-        notes.append(_NONPOSITIVE_PREMIUM)
-
+    notes = list(model_notes(schedule, market))
     log_d = log_tail_integrals(grid_full, schedule, mortality, market)
-    if log_d[0] > _LOG_FLOAT_MAX:
-        raise ValueError(f"D(0) = exp({log_d[0]:.6g}) overflows float64 at "
-                         f"gamma={schedule.gamma:g}")
+    check_log_d0(log_d[0], schedule.gamma)
 
     last = int(np.searchsorted(-log_d, -_LOG_UNDERFLOW))
     if last < 1:
@@ -380,20 +396,13 @@ def build_control_schedule(
             f"truncation: dropped {n - last} trailing grid points where D(t) "
             "underflows (D vanishes at the limiting age)"
         )
-    grid = grid_full[:last]
-    log_d = log_d[:last]
-    log_c, log_bequest = log_control_rates(
-        grid, log_d, schedule, mortality, beta(market, schedule.gamma, schedule.rho))
-
     return ControlSchedule(
         schedule=schedule,
         mortality=mortality,
         market=market,
-        grid=grid,
+        grid=grid_full[:last],
         grid_step=float(grid_step),
-        log_denominator=log_d,
-        log_c_star=log_c,
-        log_bequest_fraction=log_bequest,
+        log_denominator=log_d[:last],
         warnings=tuple(notes),
     )
 

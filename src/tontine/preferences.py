@@ -82,7 +82,9 @@ class PreferenceSchedule:
         if not math.isfinite(self.rho):
             raise ValueError("rho must be finite")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}")
+            raise ValueError(
+                f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
+            )
         if self.kappa is not None:
             if self.variant not in SCALED_VARIANTS:
                 raise ValueError("kappa is only meaningful for scaled variants")
@@ -238,7 +240,8 @@ def calibrate_kappa(
     from .controls import log_denominator_integral  # deferred: avoids an import cycle
 
     if schedule.variant not in SCALED_VARIANTS:
-        raise ValueError("calibrate_kappa applies to scaled variants only")
+        raise ValueError(f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), "
+                         f"got {schedule.variant!r}")
     if abs(schedule.rho - auto_rho(schedule.gamma, market.r)) > 1e-12:
         warnings.warn(
             "calibrating with rho != r*gamma; feasibility may not follow the "

@@ -217,6 +217,12 @@ class TestIncomeCurve:
         assert curve.expected_bequest_fraction[0] == pytest.approx(1.0, abs=1e-10)
         assert np.all(curve.expected_bequest_fraction[curve.times >= 20.0] == 0.0)
 
+    def test_denominator_past_float64_rejected(self, market, mortality):
+        # X0 / D(0) would round to 0 in every cell, as build_control_schedule refuses
+        with pytest.raises(ValueError, match=r"D\(0\) = exp\(1158\.\d+\) overflows float64 "
+                                             r"at gamma=0\.95"):
+            income_curve(make_schedule(0.95, "power"), market, mortality)
+
     def test_income_csv_format(self, market, mortality, calibrated_cache):
         schedule = calibrated_cache(-3.0, "scaled_trimmed")
         curve = income_curve(schedule, market, mortality, grid=np.array([0.0, 1.0, 2.0]))

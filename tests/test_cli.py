@@ -210,7 +210,7 @@ class TestSchedule:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    @pytest.mark.parametrize("command", ["schedule", "income", "simulate", "verify"])
     def test_denominator_past_float64_is_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
         code, _, err = run_cli([command, "--gamma", "0.95", "--variant", "power",
@@ -540,10 +540,11 @@ class TestErrorContract:
 
 
 class TestWarnings:
-    def test_nonpositive_equity_premium(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["schedule", "income"])
+    def test_nonpositive_equity_premium(self, tmp_path, capsys, command):
         out = tmp_path / "s.csv"
         code, _, err = run_cli(
-            ["schedule", "--mu", "0.03", "--variant", "power", "--out", str(out)], capsys
+            [command, "--mu", "0.03", "--variant", "power", "--out", str(out)], capsys
         )
         assert code == 0 and out.exists()
         assert err == "warning: mu <= r: the equity premium is nonpositive\n"
@@ -557,7 +558,7 @@ class TestWarnings:
             "feasibility may not follow the sign of gamma\n"
         )
 
-    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    @pytest.mark.parametrize("command", ["schedule", "income", "simulate"])
     def test_schedule_notes_reach_stderr(self, tmp_path, capsys, command):
         # trimmed weights with gamma > 0 make D mesh-dependent; the schedule says so
         out = tmp_path / "out.csv"
@@ -568,6 +569,24 @@ class TestWarnings:
         assert code == 0 and out.exists()
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: integrability:")
+
+
+class TestReadme:
+    """The README's lists of config keys and error codes match the CLI."""
+
+    TEXT = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                encoding="utf-8").read()
+
+    def test_valid_keys(self):
+        keys = re.search(r"Valid keys: `([^`]*)`", self.TEXT).group(1).split()
+        assert tuple(keys) == VALID_KEYS
+
+    def test_codes(self):
+        listed = re.search(r"Codes: ([^.]*)\.", self.TEXT).group(1)
+        with open(cli.__file__, encoding="utf-8") as fh:
+            raised = set(re.findall(r'CliError\(\s*"([A-Z]+)"', fh.read()))
+        printable = raised | {code for _, code in cli._ERROR_CODES}
+        assert sorted(re.findall(r"`([A-Z]+)`", listed)) == sorted(printable)
 
 
 class TestFigures:

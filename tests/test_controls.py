@@ -27,6 +27,7 @@ from tontine.controls import (
     log_denominator_integral,
     log_tail_integrals,
     merton_fraction,
+    model_notes,
     schedule_csv,
     truncation_sensitivity,
 )
@@ -371,6 +372,17 @@ class TestBuildControlSchedule:
         )
         assert len(controls.grid) == 172
         assert any("dropped 28 trailing grid points" in note for note in controls.warnings)
+
+    def test_notes_begin_with_the_model_notes(self, mortality):
+        # the integrability and mu <= r notes come before any grid-based one
+        with pytest.warns(UserWarning, match="mu <= r"):
+            market = MarketParams(0.03, 0.20, 0.03)
+        schedule = make_schedule(0.5, "trimmed")
+        notes = model_notes(schedule, market)
+        assert [note.split(":")[0] for note in notes] == ["integrability", "mu <= r"]
+        controls = build_control_schedule(schedule, mortality, market, grid_step=0.25)
+        assert controls.warnings[:2] == notes
+        assert model_notes(make_schedule(-0.5, "trimmed"), MarketParams(0.10, 0.20, 0.03)) == ()
 
     def test_divergent_cell_matches_per_point_value(self, market, mortality, controls_cache):
         # the trimmed gamma > 0 integral diverges, so D depends on the panels;
