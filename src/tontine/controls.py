@@ -4,11 +4,14 @@ tontine-allocation rates tabulated on a uniform grid.
 
 D(t), the tail integral from t to T_max, has one kernel,
 :func:`log_tail_integrals`, which every other route calls.  It works in log
-space with composite 16-point Gauss-Legendre panels on one fixed panel set
-(one per year, split at weight kinks and, for trimmed weights with
-gamma < 0, geometrically refined toward the horizon where the integrand's
-derivative is singular).  The fixed panels are integrated once and summed
-from the top down; each query point t adds its own head panel [t, next edge].
+space with composite 16-point Gauss-Legendre panels on one fixed panel set:
+one per year, split at the trimmed bequest horizon and, for trimmed weights
+with gamma < 0, geometrically refined toward it, where the integrand's
+derivative is singular; a panel over which the cumulative hazard rises by
+more than 16 is halved until it does not, unless survival has underflowed
+before it starts.  The fixed panels are integrated once and summed from the
+top down; each query point t adds its own head panel [t, next edge].  The
+panel count is checked against physical memory before any edge is built.
 """
 from __future__ import annotations
 
@@ -43,8 +46,8 @@ __all__ = [
 
 DEFAULT_GRID_STEP_YEARS = 1.0 / 52.0
 
-# float64 values per grid point that build_control_schedule and
-# log_tail_integrals hold at once: 16 Gauss-Legendre nodes a head panel times
+# float64 values per grid point or quadrature panel that build_control_schedule
+# and log_tail_integrals hold at once: 16 Gauss-Legendre nodes a panel times
 # about seven integrand temporaries (tracemalloc peaks at 118 for every variant).
 _GRID_ARRAYS = 120
 
@@ -68,6 +71,16 @@ _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
 _GRADE_RATIO = 0.5
 _GRADE_LEVELS = 48
 
+# Largest cumulative-hazard increment a panel may span: over one panel the
+# 16-point rule integrates e^{-16x} to 1.8e-15 relative, but e^{-32x} only to
+# 1.0e-11 and e^{-64x} to 1.6e-6.  Panels are halved until they comply,
+# except those that start past _HAZARD_UNDERFLOW, where S_u = e^{-Lambda_u}
+# is below the smallest float64.  A hazard that still breaks the bound after
+# _SPLIT_LEVELS halvings (pieces 2^-64 of a year) is refused.
+_PANEL_HAZARD = 16.0
+_HAZARD_UNDERFLOW = 745.0
+_SPLIT_LEVELS = 64
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -82,6 +95,14 @@ class MarketParams:
             raise ValueError("market parameters must be finite")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        # beta and merton_fraction square both; neither square may leave float64
+        if not (0.0 < self.sigma * self.sigma < math.inf
+                and self.sharpe * self.sharpe < math.inf):
+            raise ValueError(
+                f"sigma^2 = {self.sigma * self.sigma:g} and the squared Sharpe ratio "
+                f"((mu - r)/sigma)^2 = {self.sharpe * self.sharpe:g} must be positive "
+                "and finite in float64"
+            )
         if self.mu <= self.r:
             warnings.warn(_NONPOSITIVE_PREMIUM, stacklevel=3)
 
@@ -137,6 +158,17 @@ def model_notes(schedule: PreferenceSchedule, market: MarketParams) -> tuple[str
     return tuple(notes)
 
 
+def _check_quadrature_memory(count: int, what: str) -> None:
+    """Raise ``MemoryError`` before ``count`` grid points or quadrature panels,
+    each holding _GRID_ARRAYS float64 values, would exceed physical memory."""
+    need, have = 8.0 * _GRID_ARRAYS * count, physical_memory_bytes()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"{count:.6g} {what} need {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def check_log_d0(log_d0: float, gamma: float) -> None:
     """Raise ``ValueError`` naming gamma when D(0) = exp(log_d0) overflows float64."""
     if log_d0 > _LOG_FLOAT_MAX:
@@ -152,21 +184,31 @@ def _graded_edges(a: float, b: float) -> np.ndarray:
     return np.concatenate([b - (b - a) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1), [b]])
 
 
-def _panel_edges(schedule: PreferenceSchedule, t_max: float) -> np.ndarray:
-    """Fixed integration panel edges on [0, t_max]: yearly splits, weight
-    kinks, and geometric refinement into the trimmed horizon for gamma < 0."""
-    pts = {float(k) for k in range(math.floor(t_max) + 1)} | {t_max}
+def _panel_edges(schedule: PreferenceSchedule, mortality: GompertzMakehamParams) -> np.ndarray:
+    """Fixed integration panel edges on [0, T_max]: yearly splits, the trimmed
+    horizon, geometric refinement into it for gamma < 0, and halving of steep
+    panels (see _PANEL_HAZARD)."""
+    t_max = mortality.limiting_age_years
     h = schedule.horizon_years
-    if schedule.is_trimmed and h < t_max:
-        pts.add(h)
-    if schedule.variant == "table":
-        pts.update(k for k, _ in schedule.table if k < t_max)
-    edges = np.array(sorted(pts))
+    kink = [h] if schedule.is_trimmed and h < t_max else []
+    edges = np.unique(np.concatenate([np.arange(math.ceil(t_max), dtype=float), kink, [t_max]]))
 
     if schedule.is_trimmed and schedule.gamma < 0 and h <= t_max:
         at_h = np.searchsorted(edges, h)  # edges[at_h] == h by construction
         edges = np.unique(np.concatenate([edges, _graded_edges(edges[at_h - 1], h)]))
-    return edges
+
+    for level in range(_SPLIT_LEVELS + 1):
+        cum = cumulative_hazard(edges, mortality)
+        steep = (np.diff(cum) > _PANEL_HAZARD) & (cum[:-1] < _HAZARD_UNDERFLOW)
+        if not steep.any():
+            return edges
+        if level == _SPLIT_LEVELS:
+            raise ValueError(
+                f"hazard too steep to integrate (a1={mortality.a1:g}, a2={mortality.a2:g}, "
+                f"a3={mortality.a3:g}): panels 2^-{_SPLIT_LEVELS} of a year wide still "
+                f"span more than {_PANEL_HAZARD:g} of cumulative hazard"
+            )
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1][steep] + edges[1:][steep])]))
 
 
 def _log_integrand(u: np.ndarray, schedule: PreferenceSchedule,
@@ -214,8 +256,11 @@ def log_tail_integrals(
     t_max = mortality.limiting_age_years
     if not np.all((t >= 0.0) & (t <= t_max)):
         raise ValueError(f"t must lie in [0, {t_max}]")
+    # counted before any edge is built: the yearly panels, the horizon and its
+    # graded panels (halving steep panels adds at most a few thousand)
+    _check_quadrature_memory(math.ceil(t_max) + _GRADE_LEVELS + 2, "quadrature panels")
     beta_value = beta(market, schedule.gamma, schedule.rho)
-    edges = _panel_edges(schedule, t_max)
+    edges = _panel_edges(schedule, mortality)
     flat = t.ravel()
     # first edge strictly above each t; t = T_max gets an empty head panel
     nxt = np.minimum(np.searchsorted(edges, flat, side="right"), len(edges) - 1)
@@ -317,8 +362,12 @@ class ControlSchedule:
 
     @property
     def spd0(self) -> float:
-        """phi_0 = (c*_0)^{gamma-1}, the initial state-price density of Y."""
-        return float(self.c_star[0]) ** (self.gamma - 1.0)
+        """phi_0 = (c*_0)^{gamma-1}, the initial state-price density of Y
+        (inf where it overflows float64)."""
+        try:
+            return float(self.c_star[0]) ** (self.gamma - 1.0)
+        except OverflowError:
+            return math.inf
 
     def log_denominator_at(self, t) -> np.ndarray:
         return np.interp(t, self.grid, self.log_denominator)
@@ -376,12 +425,7 @@ def build_control_schedule(
     n = round(t_max / grid_step)
     if n < 2 or abs(n * grid_step - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("grid_step must divide the limiting age horizon")
-    need, have = 8 * _GRID_ARRAYS * n, physical_memory_bytes()
-    if have is not None and need > have:
-        raise MemoryError(
-            f"{n} grid points need {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
+    _check_quadrature_memory(n, "grid points")
     grid_full = np.arange(n) * t_max / n  # T_max itself, where D vanishes, is left out
 
     notes = list(model_notes(schedule, market))

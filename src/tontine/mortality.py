@@ -55,6 +55,14 @@ class GompertzMakehamParams:
             raise ValueError("hazard constants a1, a2, a3 must be nonnegative")
         if not self.limiting_age_years > 0:
             raise ValueError("limiting_age_years must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = (force_of_mortality(self.limiting_age_years, self),
+                    cumulative_hazard(self.limiting_age_years, self))
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(
+                f"hazard overflows float64 before the limiting age (a1={self.a1:g}, "
+                f"a2={self.a2:g}, a3={self.a3:g}, limiting_age_years={self.limiting_age_years:g})"
+            )
 
     def with_limiting_age_years(self, t_max: float) -> "GompertzMakehamParams":
         return replace(self, limiting_age_years=t_max)
@@ -81,13 +89,18 @@ def cumulative_hazard(t, params: GompertzMakehamParams):
     """
     t = np.asarray(t, dtype=float)
     _check_times(t)
+    out = _cumulative_hazard(t, params.a1, params.a2, params.a3)
+    return out if out.ndim else float(out)
+
+
+def _cumulative_hazard(t: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
+    """The closed form of :func:`cumulative_hazard` for constants not yet validated."""
     # a1/a2 * expm1(a2*t) rewritten as a1*t * expm1(x)/x with x = a2*t, so a
     # tiny a2 cannot overflow the ratio; the x -> 0 limit of expm1(x)/x is 1.
-    x = params.a2 * t
+    x = a2 * t
     ratio = np.ones_like(x)
     np.divide(np.expm1(x), x, out=ratio, where=x > 0)
-    out = params.a1 * t * ratio + params.a3 * t
-    return out if out.ndim else float(out)
+    return a1 * t * ratio + a3 * t
 
 
 def survival(t, params: GompertzMakehamParams):
@@ -272,7 +285,8 @@ def fit_gompertz_makeham(
     )
 
     def model(a: np.ndarray) -> np.ndarray:
-        return survival(t, GompertzMakehamParams(*map(float, a), limiting_age_years=t_max))
+        # a trial may be too steep for GompertzMakehamParams at t_max
+        return np.exp(-_cumulative_hazard(t, *map(float, a)))
 
     def jacobian(a: np.ndarray) -> np.ndarray:
         # dH/da1 = t expm1(x)/x and dH/da2 = a1 t^2 (x e^x - expm1(x))/x^2 with

@@ -8,7 +8,9 @@ power          b_t = lambda_t^gamma
 scaled_power   b_t = kappa * lambda_t^gamma
 trimmed        b_t = (1/(1/lambda_t - 1/lambda_H))^gamma on [0, H), 0 for t >= H
 scaled_trimmed b_t = kappa * trimmed base
-table          piecewise-linear interpolation of user (t, b) pairs, 0 outside
+
+These are the paper's five.  A horizon whose hazard lambda_H overflows
+float64 takes 1/lambda_H = 0, its exact limit.
 
 The quantity that actually enters the control formulas is the transformed
 weight b_t^{1/(1-gamma)}, exposed here in log space so downstream quadrature
@@ -24,7 +26,7 @@ import numpy as np
 
 from .mortality import GompertzMakehamParams, force_of_mortality
 
-VARIANTS = ("none", "power", "scaled_power", "trimmed", "scaled_trimmed", "table")
+VARIANTS = ("none", "power", "scaled_power", "trimmed", "scaled_trimmed")
 SCALED_VARIANTS = ("scaled_power", "scaled_trimmed")
 TRIMMED_VARIANTS = ("trimmed", "scaled_trimmed")
 
@@ -67,7 +69,6 @@ class PreferenceSchedule:
     ``kappa`` applies to scaled variants only; leaving it ``None`` marks the
     schedule as uncalibrated until :func:`calibrate_kappa` supplies a value.
     ``horizon_years`` is the bequest cutoff H used by trimmed variants.
-    ``table`` holds (t, b) pairs for the custom variant.
     """
 
     gamma: float
@@ -75,7 +76,6 @@ class PreferenceSchedule:
     variant: str
     kappa: float | None = None
     horizon_years: float = DEFAULT_BEQUEST_HORIZON_YEARS
-    table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
@@ -92,22 +92,6 @@ class PreferenceSchedule:
                 raise ValueError("kappa must be positive and finite")
         if not (math.isfinite(self.horizon_years) and self.horizon_years > 0):
             raise ValueError("horizon_years must be positive and finite")
-        if self.variant == "table":
-            if self.table is None:
-                raise ValueError("table variant requires (t, b) pairs")
-            pairs = tuple((float(t), float(b)) for t, b in self.table)
-            if len(pairs) < 2:
-                raise ValueError("table variant needs at least 2 rows")
-            ts, bs = np.array(pairs).T
-            if not np.all(np.isfinite(pairs)):
-                raise ValueError("table entries must be finite")
-            if np.any(np.diff(ts) <= 0):
-                raise ValueError("table times must be strictly increasing")
-            if np.any(ts < 0) or np.any(bs < 0):
-                raise ValueError("table times and weights must be nonnegative")
-            object.__setattr__(self, "table", pairs)
-        elif self.table is not None:
-            raise ValueError("table pairs are only meaningful for the table variant")
 
     @property
     def is_scaled(self) -> bool:
@@ -135,7 +119,8 @@ def _trimmed_gap(t: np.ndarray, schedule: PreferenceSchedule,
             "trimmed variants require a strictly increasing hazard (a1 > 0 and a2 > 0)"
         )
     h = schedule.horizon_years
-    lam_h = force_of_mortality(h, mortality)
+    with np.errstate(over="ignore"):  # 1/lambda_H = 0 is the exact limit
+        lam_h = force_of_mortality(h, mortality)
     inside = t < h
     lam = force_of_mortality(np.where(inside, t, 0.0), mortality)
     gap = np.where(inside, 1.0 / lam - 1.0 / lam_h, 1.0)
@@ -158,9 +143,6 @@ def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamPar
     elif variant in TRIMMED_VARIANTS:
         gap, inside = _trimmed_gap(t, schedule, mortality)
         parts = (gap, -schedule.gamma, inside)
-    elif variant == "table":
-        ts, bs = np.array(schedule.table).T
-        parts = (np.interp(t, ts, bs, left=0.0, right=0.0), 1.0, np.ones(t.shape, dtype=bool))
     else:  # power, scaled_power
         parts = (np.asarray(force_of_mortality(t, mortality)), schedule.gamma,
                  np.ones(t.shape, dtype=bool))
@@ -251,7 +233,7 @@ def calibrate_kappa(
 
     infeasible = KappaCalibration(kappa=float("nan"), residual=float("inf"), feasible=False)
     base = schedule.base_schedule()
-    none = replace(base, variant="none", table=None, kappa=None)
+    none = replace(base, variant="none", kappa=None)
     log_a = log_denominator_integral(0.0, none, mortality, market)
     log_d_base = log_denominator_integral(0.0, base, mortality, market)
     try:  # math.exp and float ** raise OverflowError past float64

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -309,8 +310,10 @@ def simulate_wealth(
     tabulated optimum holds only under its own model.  Raises ``ValueError``
     too if the tabulated controls stop short of the horizon or the step does
     not divide it.  Raises ``SimulationError`` if the results and buffers
-    would not fit in physical memory, or a path goes non-finite; the last
-    names the lowest such path and its first non-finite step.
+    would not fit in physical memory, a path goes non-finite, or a recorded
+    X, zeta or Y overflows float64; the last two name the lowest such path
+    and its first non-finite step (for an overflow, the first recorded step
+    that holds one).  A phi_0 past float64 raises it before anything is run.
     """
     candidate = isinstance(controls, ControlSchedule)
     if candidate:
@@ -320,6 +323,9 @@ def simulate_wealth(
         if config.horizon > controls.t_end + 1e-9:
             raise ValueError(f"controls tabulated only to t={controls.t_end:.6g}, "
                              f"horizon {config.horizon:.6g} not covered")
+        if controls.spd0 == math.inf:
+            raise SimulationError(f"zeta_0 = (c*_0)^(gamma-1) overflows float64 at "
+                                  f"gamma={controls.gamma:g}")
     n_steps = round(config.horizon / config.step)
     if n_steps < 1 or abs(n_steps * config.step - config.horizon) > 1e-9:
         raise ValueError("step must divide the horizon")
@@ -396,10 +402,11 @@ def simulate_wealth(
     # floating-point error handling is per thread: workers take the caller's
     fp_state = dict(np.geterr(), call=np.geterrcall())
 
-    def shard(worker: int) -> tuple[int, int] | None:
+    def shard(worker: int) -> tuple[int, int, str] | None:
         """Run sub-blocks worker, worker + n_workers, ... in path order.
 
-        Returns (path, step) of the first non-finite value in the first
+        Returns (path, step, what) of the first non-finite increment, or else
+        of the first recorded X, zeta or Y that overflows, in the first
         sub-block that has one, or None; later sub-blocks hold higher paths.
         """
         normals = _Substreams(seed)
@@ -429,7 +436,7 @@ def simulate_wealth(
                 if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
                     bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
                     row = int(np.argmax(bad.any(axis=1)))
-                    return start + row, int(np.argmax(bad[row])) + 1
+                    return start + row, int(np.argmax(bad[row])) + 1, "non-finite increment at"
                 # in place: a (paths x recorded times) temporary would be a
                 # third full buffer when every node is recorded
                 for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
@@ -439,6 +446,13 @@ def simulate_wealth(
                 np.add(log_x, log_z, out=log_z)
                 _trapezoid_totals(log_z, None, half_outflow, record_idx, scratch,
                                   y_arr[start:stop], with_value=True)
+                # exp and the trapezoid sums may overflow where the logs did not
+                recorded = (wealth[start:stop], spd[start:stop], y_arr[start:stop])
+                if not all(np.isfinite(a.max()) and np.isfinite(a.min()) for a in recorded):
+                    bad = ~np.logical_and.reduce([np.isfinite(a) for a in recorded])
+                    row = int(np.argmax(bad.any(axis=1)))
+                    return (start + row, int(record_idx[np.argmax(bad[row])]),
+                            "X, zeta or Y overflows float64 by")
                 if accumulate_objective:
                     # zeta*X is recorded; its buffer takes gamma log X
                     with np.errstate(invalid="ignore"):
@@ -452,23 +466,14 @@ def simulate_wealth(
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         found = [bad for bad in pool.map(shard, range(n_workers)) if bad is not None]
     if found:
-        path, k = min(found)
-        raise SimulationError(
-            f"non-finite increment at step {k} (t={times[k]:.6g}), path {path}"
-        )
+        path, k, what = min(found)
+        raise SimulationError(f"{what} step {k} (t={times[k]:.6g}), path {path}")
 
     rec_times = times[record_idx]
     income = np.exp(-market.r * rec_times)[None, :] * c_nodes[record_idx][None, :] * wealth
-    zeta_x = spd * wealth
-    summary = {
-        "t": rec_times,
-        "mean_income": income.mean(axis=0),
-        "se_income": _standard_error(income),
-        "mean_Y": y_arr.mean(axis=0),
-        "se_Y": _standard_error(y_arr),
-        "mean_zetaX": zeta_x.mean(axis=0),
-        "se_zetaX": _standard_error(zeta_x),
-    }
+    summary = {"t": rec_times}
+    for name, values in (("income", income), ("Y", y_arr), ("zetaX", spd * wealth)):
+        summary[f"mean_{name}"], summary[f"se_{name}"] = _mean_se(values)
 
     return SimulationResult(
         times=rec_times,
@@ -485,11 +490,24 @@ def simulate_wealth(
     )
 
 
-def _standard_error(arr: np.ndarray) -> np.ndarray:
-    n = arr.shape[0]
-    if n < 2:
-        return np.zeros(arr.shape[1])
-    return arr.std(axis=0, ddof=1) / math.sqrt(n)
+def _mean_se(values: np.ndarray):
+    """Means and standard errors along axis 0: the bits of ``mean(axis=0)``
+    and ``std(axis=0, ddof=1) / sqrt(n)``, without their overflow or underflow.
+
+    Each column is scaled by 2^-e, e the exponent of its largest |value|, so
+    its squares stay within float64, then scaled back; powers of two scale
+    exactly.  The steps are np.std's, with one temporary of ``values``' size.
+    A column with a non-finite value has a nan SE, and a single row SE 0.
+    """
+    n = values.shape[0]
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite column
+        exponent = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))[1]
+        scaled = np.ldexp(values, -exponent)
+        mean = np.add.reduce(scaled, axis=0) / n
+        scaled -= mean
+        np.multiply(scaled, scaled, out=scaled)
+        se = np.sqrt(np.add.reduce(scaled, axis=0) / max(n - 1, 1)) / math.sqrt(n)
+    return np.ldexp(mean, exponent), np.ldexp(se, exponent)
 
 
 def summary_csv(result: SimulationResult) -> str:
@@ -558,7 +576,7 @@ def check_supermartingale(
     marts = []
     if candidate:
         y0 = result.y0
-        se_y = _standard_error(y)
+        se_y = _mean_se(y)[1]
         for j, t in enumerate(times):
             dev = float(y[:, j].mean() - y0)
             marts.append(MartingaleCheck(float(t), dev, float(se_y[j]),
@@ -599,14 +617,6 @@ def value_function(t, x, controls: ControlSchedule):
                  + gamma * np.interp(t, controls.grid, controls.log_c_star))
     out = np.asarray(x, dtype=float) ** gamma / gamma * np.exp(log_scale)
     return out if np.ndim(out) else float(out)
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error (nan if any value is non-finite, 0 for one value)."""
-    mean = float(values.mean())
-    if not np.all(np.isfinite(values)):
-        return mean, float("nan")
-    return mean, float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
 def _margin(mean: float, se: float) -> float:
@@ -692,21 +702,33 @@ def optimality_audit(config: SimulationConfig, controls: ControlSchedule) -> Aud
     so the paired comparison of the completed objectives holds at any horizon
     H, whereas J_H alone favours jitters that defer consumption past H.
     Raises ``ValueError`` for fewer than 2 paths, where every standard error
-    is 0 and each check degenerates.
+    is 0 and each check degenerates, and, naming gamma, when V(0, X0) or a
+    completed objective under the candidate is zero, subnormal or not
+    finite: X^gamma has left float64, and every comparison would read 0.
+    The first is checked before any simulation, the second before the jitters.
     """
     if config.n_paths < 2:
         raise ValueError("the optimality audit needs at least 2 paths")
     config = replace(config, record_times=None)
     model = (controls.market, controls.mortality, controls.schedule)
 
+    def require_normal(values, what: str) -> None:
+        size = np.abs(values)
+        if not np.all((size >= sys.float_info.min) & (size < math.inf)):  # nan fails too
+            raise ValueError(f"{what} is zero, subnormal or not finite at "
+                             f"gamma={controls.gamma:g}: X^gamma leaves float64")
+
     def completed(result: SimulationResult) -> np.ndarray:
         return result.objective_paths + value_function(
             config.horizon, result.wealth_paths[:, -1], controls)
 
+    value0 = value_function(0.0, config.initial_wealth, controls)
+    require_normal(value0, f"V(0, X0) = {value0:.6g}")
     candidate = simulate_wealth(config, controls, *model)
     martingale = check_supermartingale(candidate, candidate=True)
     best, truncated = completed(candidate), candidate.objective_paths
     del candidate  # one simulation's arrays alive at a time
+    require_normal(best, "a completed objective under the candidate")
 
     def against(c_scale: float, a_scale: float) -> JitterCheck:
         run = simulate_wealth(config, scaled_controls(controls, c_scale, a_scale), *model)
@@ -717,7 +739,7 @@ def optimality_audit(config: SimulationConfig, controls: ControlSchedule) -> Aud
     draws = np.random.default_rng(2024).uniform(0.8, 1.2, size=(20, 2))
     return AuditReport(
         martingale, config.horizon,
-        *_mean_se(best - value_function(0.0, config.initial_wealth, controls)),
+        *_mean_se(best - value0),
         tuple(against(float(c), float(a)) for c, a in draws),
     )
 

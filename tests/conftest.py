@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from tontine import (
@@ -53,7 +52,6 @@ def make_schedule(
     r: float = BENCH_R,
     kappa: float | None = None,
     horizon_years: float = 20.0,
-    table: np.ndarray | None = None,
     rho: float | None = None,
 ) -> PreferenceSchedule:
     """Schedule with the benchmark discount-rate convention rho = r * gamma."""
@@ -63,7 +61,6 @@ def make_schedule(
         variant=variant,
         kappa=kappa,
         horizon_years=horizon_years,
-        table=table,
     )
 
 

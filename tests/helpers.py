@@ -27,7 +27,7 @@ def trapezoid_denominator(
 
     Integrates e^{-beta*u} * S(u) * (1 + b(u)^{1/(1-gamma)} * lambda(u)) from
     ``t`` to the pool horizon on a uniform grid, splitting at the bequest
-    cutoff and at table knots (if any) so no kink or jump sits inside a panel.
+    cutoff so no kink sits inside a panel.
     """
     t_max = mortality.limiting_age_years
     b = beta(market, schedule.gamma, schedule.rho)
@@ -42,22 +42,12 @@ def trapezoid_denominator(
     edges = [t, t_max]
     if schedule.is_trimmed and t < schedule.horizon_years < t_max:
         edges.insert(1, schedule.horizon_years)
-    if schedule.variant == "table" and schedule.table is not None:
-        for knot, _ in schedule.table:
-            if t < knot < t_max:
-                edges.append(knot)
-    edges = sorted(set(edges))
 
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         n = max(2, int(np.ceil((hi - lo) * steps_per_year)) + 1)
         grid = np.linspace(lo, hi, n)
-        nodes = grid.copy()
-        if schedule.variant == "table":
-            # the table weight jumps to 0 outside its knots: take each panel
-            # end as the one-sided limit from inside the panel
-            nodes[[0, -1]] = np.nextafter(grid[[0, -1]], grid[[1, -2]])
-        total += float(np.trapezoid(integrand(nodes), grid))
+        total += float(np.trapezoid(integrand(grid), grid))
     return total
 
 

@@ -22,6 +22,7 @@ import tontine.cli as cli
 import tontine.simulate as simulate
 from tontine.cli import DEFAULTS, VALID_KEYS, main
 from tontine.mortality import GompertzMakehamParams
+from tontine.preferences import VARIANTS
 
 from helpers import synthetic_life_table_csv
 
@@ -166,13 +167,19 @@ class TestCalibrate:
                               f"gamma={gamma}") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_unscaled_variant_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["calibrate", "--variant", "power", "--out", str(tmp_path / "c.csv")],
-            capsys,
-        )
+
+    def test_panel_count_checked_against_memory(self, tmp_path, capsys, monkeypatch):
+        # 99,935 years of yearly panels need 0.09 GiB, past a patched 16 MiB;
+        # a2 = 0.005 keeps the hazard within float64 up to that limiting age
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}.__getitem__)
+        (tmp_path / "run.cfg").write_text("a2 = 0.005\n")
+        out = tmp_path / "calibration.csv"
+        code, _, err = run_cli(["calibrate", "--config", str(tmp_path / "run.cfg"),
+                                "--limiting-age", "1e5", "--out", str(out)], capsys)
         assert code == 2
-        assert err.startswith("error: CONFIG:")
+        assert err.startswith("error: RUNTIME: 99985 quadrature panels need ")
+        assert "physical memory" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSchedule:
@@ -320,6 +327,29 @@ class TestSimulate:
         assert err == f"error: CONFIG: {message}\n"
         assert not out.exists()
 
+    def test_finite_paths_give_finite_summaries(self, tmp_path, capsys):
+        # max |Y| is about 1e169 here, so np.std's squares once overflowed to inf
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(["simulate", "--variant", "power", "--gamma", "-100",
+                                "--paths", "200", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(v) for v in numeric_cells(out))
+
+    @pytest.mark.parametrize("flags, message", [
+        # phi_0 = 2.45e302, so Y leaves float64 though log X and log zeta do not
+        (["--kappa", "1e300"], "X, zeta or Y overflows float64 by step "),
+        (["--kappa", "1e300", "--gamma", "-100"],
+         "zeta_0 = (c*_0)^(gamma-1) overflows float64 at gamma=-100"),
+    ])
+    def test_overflowing_simulation_is_one_runtime_line(self, tmp_path, capsys, flags,
+                                                         message):
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(["simulate", *flags, "--paths", "200", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: RUNTIME: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(self.ARGS + ["--out", str(a)], capsys)
@@ -352,6 +382,26 @@ class TestVerify:
         assert not out.exists()
         code, _, err = run_cli(args + ["--paths", "2"], capsys)
         assert code == 0 or err.startswith("error: AUDIT:")
+
+    def test_underflowing_utility_is_one_config_line(self, tmp_path, capsys):
+        # X0^gamma underflows: V(0, X0) and every J_H read 0, so no jitter could lose
+        out = tmp_path / "verify.csv"
+        code, _, err = run_cli(["verify", "--gamma", "-100", "--paths", "200",
+                                "--sim-horizon", "5", "--out", str(out)], capsys)
+        assert (code, err) == (2, "error: CONFIG: V(0, X0) = -0 is zero, subnormal or not "
+                                  "finite at gamma=-100: X^gamma leaves float64\n")
+        assert not out.exists()
+
+    def test_tiny_utility_keeps_its_standard_errors(self, tmp_path, capsys):
+        # V(0, X0) = -2.49e-219: the paired differences' squares once underflowed to SE 0
+        out = tmp_path / "verify.csv"
+        code, _, err = run_cli(["verify", "--gamma", "-60", "--paths", "200",
+                                "--sim-horizon", "5", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        _, rows = read_csv(out)
+        paired = [row for row in rows if row[0] in ("value", "jitter")]
+        assert len(paired) == 21 and all(row[-1] == "true" for row in paired)
+        assert all(float(row[5]) > 0.0 for row in paired)
 
     @pytest.mark.parametrize("extra", [["--sim-step", "1/104"], ["--grid-step", "1/4"]])
     def test_passes_with_nodes_inside_the_horizon_cell(self, tmp_path, capsys, extra):
@@ -419,6 +469,20 @@ class TestConfigFile:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("a2 = 1e300", "hazard overflows float64 before the limiting age (a1=0.00584, "
+                       "a2=1e+300, a3=0.0024117, limiting_age_years=50)"),
+        ("a1 = 1e300", "hazard too steep to integrate (a1=1e+300, a2=0.1215, a3=0.0024117): "
+                       "panels 2^-64 of a year wide still span more than 16 of cumulative hazard"),
+    ])
+    def test_huge_hazard_constant_is_one_config_line(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "c.csv"
+        code, _, err = run_cli(["calibrate", "--config", str(config), "--out", str(out)], capsys)
+        assert (code, err) == (2, f"error: CONFIG: {message}\n")
+        assert not out.exists()
+
     def test_seed_is_parsed_only_where_read(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, err = run_cli(["schedule", "--seed", "abc", "--grid-step", "1/4",
@@ -470,12 +534,16 @@ class TestErrorContract:
         (["schedule", "--kappa", "-1"], "CONFIG: kappa must be positive and finite"),
         (["schedule", "--variant", "bogus"],
          "CONFIG: unknown variant 'bogus'; valid variants: "
-         "none, power, scaled_power, trimmed, scaled_trimmed, table"),
+         "none, power, scaled_power, trimmed, scaled_trimmed"),
         (["calibrate", "--variant", "power"],
          "CONFIG: calibrate requires a scaled variant (scaled_power, scaled_trimmed), "
          "got 'power'"),
         (["fit", "--table", "table.csv"],
          "DATA: survival must be nonincreasing in age; first violation after age 66"),
+        (["income", "--sigma", "0"], "CONFIG: sigma must be positive"),
+        (["schedule", "--variant", "table"],
+         "CONFIG: unknown variant 'table'; valid variants: "
+         "none, power, scaled_power, trimmed, scaled_trimmed"),
     ])
     def test_library_error_is_one_exact_line(self, tmp_path, capsys, monkeypatch, argv, line):
         monkeypatch.chdir(tmp_path)
@@ -485,12 +553,25 @@ class TestErrorContract:
         assert (code, err) == (2, f"error: {line}\n")
         assert not (tmp_path / "out.csv").exists()
 
-    def test_bad_sigma_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["income", "--sigma", "0", "--out", str(tmp_path / "i.csv")], capsys
-        )
+    @pytest.mark.parametrize("command", ["calibrate", "schedule", "income", "simulate", "verify"])
+    @pytest.mark.parametrize("flag", ["--mu", "--r", "--sigma"])
+    def test_huge_market_constant_is_one_config_line(self, tmp_path, capsys, command, flag):
+        # sigma^2 or the squared Sharpe ratio would overflow in beta or pi*
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([command, flag, "1e300", "--paths", "16", "--out", str(out)],
+                               capsys)
         assert code == 2
-        assert err.startswith("error: CONFIG:")
+        assert err.startswith("error: CONFIG: sigma^2 = ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "schedule", "income", "simulate"])
+    def test_huge_bequest_horizon_runs_silently(self, tmp_path, capsys, command):
+        # lambda_H overflows, and 1/lambda_H = 0 is the exact limit
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([command, "--horizon", "1e300", "--paths", "16",
+                                "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert out.exists()
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run_cli(["frobnicate"], capsys)
@@ -715,18 +796,21 @@ class TestDefaultBytes:
 
 
 # Config-file fuzzing: every key but `out` takes its default or one of
-# FUZZ_TOKENS (0.95 puts gamma next to 1).  The path count starts at 16, and
+# FUZZ_TOKENS (0.95 puts gamma next to 1; 1e300 and -100 are huge but finite),
+# and `variant` also any variant name.  The path count starts at 16, and
 # base ages that would lengthen the horizon are not drawn, so no draw costs
 # more than the defaults.
-FUZZ_TOKENS = ("nan", "inf", "-1", "0", "abc", "1/0", "auto", "1e400", "0.95")
+FUZZ_TOKENS = ("nan", "inf", "-1", "0", "abc", "1/0", "auto", "1e400", "0.95", "1e300", "-100")
 FUZZ_DEFAULTS = {**{k: str(v) for k, v in DEFAULTS.items() if k != "out"}, "paths": "16"}
-LONGER_HORIZON = {("base_age", "0"), ("base_age", "-1"), ("base_age", "0.95")}
+LONGER_HORIZON = {("base_age", "0"), ("base_age", "-1"), ("base_age", "0.95"),
+                  ("base_age", "-100")}
 ERROR_LINE = re.compile(r"error: (USAGE|CONFIG|DATA|CALIBRATION|IO|RUNTIME): \S[^\n]*\n")
 
 
 def fuzz_value(key):
     tokens = [t for t in FUZZ_TOKENS if (key, t) not in LONGER_HORIZON]
-    return st.sampled_from([FUZZ_DEFAULTS[key], *tokens])
+    names = VARIANTS if key == "variant" else ()
+    return st.sampled_from([FUZZ_DEFAULTS[key], *tokens, *names])
 
 
 fuzz_overrides = st.lists(st.sampled_from(sorted(FUZZ_DEFAULTS)), unique=True, max_size=3).flatmap(
@@ -762,7 +846,9 @@ class TestConfigFuzz:
             cells = numeric_cells(out) if code == 0 else []
         err = err.getvalue()
         if code == 0:
-            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            # library notes only: no numpy "... encountered in ..." warning
+            assert all(line.startswith("warning: ") and " encountered " not in line
+                       for line in err.splitlines()), (overrides, err)
             assert files == ["out.csv", "run.cfg"]
             # calibrate's infeasible row `nan,inf,false` is documented output
             if command != "calibrate":

@@ -34,11 +34,7 @@ from tontine.controls import (
 from tontine.mortality import GompertzMakehamParams, survival
 from tontine.preferences import auto_rho, log_transformed_weight
 
-from conftest import EXACT_TOL, ODE_REL_TOL, QUAD_REL_TOL, make_schedule
-
-TABLE = ((0.0, 2.0), (5.0, 1.0), (12.0, 1.5), (20.0, 0.0))
-# knots off the weekly grid; the weight jumps from 0.8 to 0 past 31.9
-OFF_GRID_TABLE = ((0.0, 2.0), (3.3, 1.0), (12.7, 1.5), (31.9, 0.8))
+from conftest import BENCH_A1, BENCH_A2, BENCH_A3, ODE_REL_TOL, QUAD_REL_TOL, make_schedule
 
 
 class TestMarketParams:
@@ -55,10 +51,15 @@ class TestMarketParams:
 
     @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
     @example(values=(0.1, math.inf, 0.03))
+    @example(values=(0.1, 1e300, 0.03))  # sigma^2 overflows
+    @example(values=(0.03, 1e-200, 0.03))  # sigma^2 underflows to 0
+    @example(values=(1e300, 0.2, 0.03))  # the squared Sharpe ratio overflows
     @settings(max_examples=300, deadline=None)
     def test_finite_or_reject(self, values):
         mu, sigma, r = values
-        valid = all(map(math.isfinite, values)) and sigma > 0
+        valid = (all(map(math.isfinite, values)) and sigma > 0
+                 and 0 < sigma * sigma < math.inf
+                 and ((mu - r) / sigma) * ((mu - r) / sigma) < math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # mu <= r
             if valid:
@@ -152,15 +153,13 @@ class TestDenominatorIntegral:
             got = math.exp(log_denominator_integral(t, schedule, mortality, market))
             assert got == pytest.approx(expected, rel=1e-11)
 
-    @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "table", "table_off_grid"])
+    @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "trimmed_off_grid"])
     def test_matches_trapezoid_oracle(self, variant, market, mortality, calibrated_cache):
         if variant == "scaled_trimmed":
             schedule = calibrated_cache(-3.0, variant)
-        elif variant == "table":
-            # the weight jumps from 1.5 to 0 past the last knot
-            schedule = make_schedule(-3.0, variant, table=TABLE[:-1])
-        elif variant == "table_off_grid":
-            schedule = make_schedule(-3.0, "table", table=OFF_GRID_TABLE)
+        elif variant == "trimmed_off_grid":
+            # the weight's kink at the horizon lies off the yearly panel edges
+            schedule = make_schedule(-3.0, "trimmed", horizon_years=12.7)
         else:
             schedule = make_schedule(-3.0, variant)
         oracle = trapezoid_denominator(0.0, schedule, mortality, market)
@@ -173,6 +172,25 @@ class TestDenominatorIntegral:
             assert controls.grid[i] == t
             oracle = trapezoid_denominator(t, schedule, mortality, market)
             assert controls.denominator[i] == pytest.approx(oracle, rel=QUAD_REL_TOL)
+
+    @pytest.mark.parametrize("t", [45.0, 48.0, 49.5])
+    def test_steep_hazard_matches_dense_oracle(self, t, market):
+        # at a2 = 0.2 a yearly panel near t spans up to 117 of cumulative hazard,
+        # past what 16 Gauss-Legendre nodes resolve; the oracle is the dense
+        # trapezoid sum, Richardson-extrapolated from 20,000 and 40,000 steps a year
+        mortality = GompertzMakehamParams(BENCH_A1, 0.2, BENCH_A3)
+        schedule = make_schedule(-3.0, "power")
+        coarse, fine = (trapezoid_denominator(t, schedule, mortality, market, n)
+                        for n in (20_000, 40_000))
+        oracle = math.log((4.0 * fine - coarse) / 3.0)
+        got = log_denominator_integral(t, schedule, mortality, market)
+        assert got == pytest.approx(oracle, rel=0, abs=1e-9)
+
+    def test_unresolvable_hazard_rejected(self, market):
+        # a hazard of 1e300 a year gains more than 16 over any 2^-64-year panel
+        mortality = GompertzMakehamParams(1e300, BENCH_A2, BENCH_A3)
+        with pytest.raises(ValueError, match=r"hazard too steep.*a2=0\.1215"):
+            log_denominator_integral(0.0, make_schedule(-3.0, "power"), mortality, market)
 
     def test_derivative_consistency(self, market, mortality, calibrated_cache):
         # d/dt log D = -f(t)/D(t) with f the integrand, checked by central
@@ -271,19 +289,18 @@ class TestBuildControlSchedule:
         assert np.all(controls.alpha_star == 1.0)
 
     def test_scale_invariance_of_weights(self, market, mortality):
-        # tripling the weight table shifts 1-alpha by exactly 3^{1/(1-gamma)}
-        # after accounting for the denominators
-        gamma = -3.0
-        table3 = tuple((t, 3.0 * b) for t, b in TABLE)
+        # tripling kappa shifts 1-alpha by exactly 3^{1/(1-gamma)} after
+        # accounting for the denominators
+        gamma, kappa = -3.0, 0.5
         c1 = build_control_schedule(
-            make_schedule(gamma, "table", table=TABLE), mortality, market, grid_step=0.25
+            make_schedule(gamma, "scaled_power", kappa=kappa), mortality, market, grid_step=0.25
         )
         c3 = build_control_schedule(
-            make_schedule(gamma, "table", table=table3), mortality, market, grid_step=0.25
+            make_schedule(gamma, "scaled_power", kappa=3.0 * kappa), mortality, market,
+            grid_step=0.25,
         )
-        inside = c1.grid < 20.0
-        lhs = (1.0 - c3.alpha_star[inside]) / (1.0 - c1.alpha_star[inside])
-        rhs = 3.0 ** (1.0 / (1.0 - gamma)) * c1.denominator[inside] / c3.denominator[inside]
+        lhs = (1.0 - c3.alpha_star) / (1.0 - c1.alpha_star)
+        rhs = 3.0 ** (1.0 / (1.0 - gamma)) * c1.denominator / c3.denominator
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_initial_allocation_ordering_across_gamma(self, market, mortality):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import least_squares
@@ -132,6 +132,17 @@ class TestSurvival:
         assert force_of_mortality(t, params) >= 0.0
 
 
+def _hazard_fits_float64(a1, a2, a3, t_max):
+    """Whether a1 e^{a2 t} + a3 and its integral over [0, t_max] are finite at t_max."""
+    x = a2 * t_max
+    try:
+        hazard = a1 * math.exp(x) + a3
+        integral = a1 * t_max * (math.expm1(x) / x if x > 0 else 1.0) + a3 * t_max
+    except OverflowError:
+        return False
+    return math.isfinite(hazard) and math.isfinite(integral)
+
+
 class TestParams:
     def test_defaults(self, mortality):
         assert mortality.limiting_age_years == 50.0
@@ -150,9 +161,12 @@ class TestParams:
 
     @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
     @settings(max_examples=300, deadline=None)
+    @example(values=(1e-3, 15.0, 1e-3, 50.0))  # a2 * t_max past log(float64 max)
+    @example(values=(1e300, 0.0, 0.0, 1e10))  # the hazard fits, its integral does not
     def test_finite_or_reject(self, values):
         a1, a2, a3, t_max = values
-        valid = all(map(math.isfinite, values)) and min(a1, a2, a3) >= 0 and t_max > 0
+        valid = (all(map(math.isfinite, values)) and min(a1, a2, a3) >= 0 and t_max > 0
+                 and _hazard_fits_float64(a1, a2, a3, t_max))
         if valid:
             params = GompertzMakehamParams(a1, a2, a3, limiting_age_years=t_max)
             assert (params.a1, params.a2, params.a3, params.limiting_age_years) == values

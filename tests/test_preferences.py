@@ -31,8 +31,6 @@ from conftest import BENCH_A1, BENCH_A3, BENCH_GAMMAS, FEASIBLE_GAMMAS, make_sch
 # cross-checked by the bisection oracle below.
 KAPPA_GAMMA_M3_SCALED_TRIMMED = 0.15410381739109563
 
-TABLE = ((0.0, 2.0), (5.0, 1.0), (12.0, 1.5), (20.0, 0.0))
-
 
 class TestAutoRho:
     def test_value(self):
@@ -83,18 +81,6 @@ class TestScheduleValidation:
         else:
             with pytest.raises(ValueError):
                 PreferenceSchedule(**kwargs)
-
-    def test_table_rules(self):
-        with pytest.raises(ValueError):
-            make_schedule(-3.0, "table")  # missing pairs
-        with pytest.raises(ValueError):
-            make_schedule(-3.0, "table", table=((0.0, 1.0),))  # too short
-        with pytest.raises(ValueError):
-            make_schedule(-3.0, "table", table=((5.0, 1.0), (2.0, 1.0)))  # unsorted
-        with pytest.raises(ValueError):
-            make_schedule(-3.0, "table", table=((0.0, 1.0), (5.0, -1.0)))  # negative
-        with pytest.raises(ValueError):
-            make_schedule(-3.0, "power", table=TABLE)  # pairs on wrong variant
 
     def test_default_horizon(self):
         assert make_schedule(-3.0, "trimmed").horizon_years == 20.0
@@ -167,16 +153,6 @@ class TestBequestWeight:
         with pytest.raises(ValueError):
             bequest_weight(1.0, schedule, GompertzMakehamParams(0.01, 0.0, 0.01))
 
-    def test_table_interpolation(self, mortality):
-        schedule = make_schedule(-3.0, "table", table=TABLE)
-        # exact at knots
-        for t, b in TABLE:
-            assert bequest_weight(t, schedule, mortality) == pytest.approx(b, abs=1e-15)
-        # linear between knots
-        assert bequest_weight(2.5, schedule, mortality) == pytest.approx(1.5, rel=1e-14)
-        # zero outside the knot range
-        assert bequest_weight(25.0, schedule, mortality) == 0.0
-
     def test_uncalibrated_scaled_raises(self, mortality):
         for variant in SCALED_VARIANTS:
             schedule = make_schedule(-3.0, variant)
@@ -191,21 +167,19 @@ class TestBequestWeight:
     @given(
         t=st.floats(min_value=0.0, max_value=50.0),
         gamma=st.sampled_from(BENCH_GAMMAS),
-        variant=st.sampled_from(("none", "power", "trimmed", "table")),
+        variant=st.sampled_from(("none", "power", "trimmed")),
     )
     @settings(max_examples=200, deadline=None)
     def test_weight_is_nonnegative(self, t, gamma, variant, mortality):
-        table = TABLE if variant == "table" else None
-        schedule = make_schedule(gamma, variant, table=table)
+        schedule = make_schedule(gamma, variant)
         assert bequest_weight(t, schedule, mortality) >= 0.0
 
 
 class TestLogTransformedWeight:
-    @pytest.mark.parametrize("variant", ["power", "trimmed", "table"])
+    @pytest.mark.parametrize("variant", ["power", "trimmed"])
     @pytest.mark.parametrize("gamma", [0.5, -1.0, -3.0, -11.0])
     def test_consistent_with_direct_power(self, variant, gamma, mortality):
-        table = TABLE if variant == "table" else None
-        schedule = make_schedule(gamma, variant, table=table)
+        schedule = make_schedule(gamma, variant)
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, 19.0, size=40)
         b = bequest_weight(t, schedule, mortality)

@@ -518,6 +518,23 @@ class TestErrors:
                 simulate_wealth(config, moderate, market, NO_MORTALITY)
             assert str(excinfo.value) == "non-finite increment at step 3 (t=0.75), path 40"
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_recorded_overflow_diagnostics(self):
+        # log X = log(1e300) + 10 t stays finite, but X leaves float64 past
+        # t = 1.9, so the first recorded node holding it is t = 2 (step 8)
+        with pytest.warns(UserWarning):  # mu <= r: zeta is deterministic
+            market = MarketParams(0.03, 0.2, 0.03)
+        growing = DeterministicControls(pi=0.0, consumption=-10.0, tontine_fraction=0.0)
+        config = SimulationConfig(n_paths=3, horizon=4.0, step=0.25, initial_wealth=1e300,
+                                  record_times="all")
+        with pytest.raises(SimulationError) as excinfo:
+            simulate_wealth(config, growing, market, NO_MORTALITY)
+        assert str(excinfo.value) == "X, zeta or Y overflows float64 by step 8 (t=2), path 0"
+        # recorded only at 0 and 4, the overflow shows at step 16
+        config = replace(config, record_times=(0.0, 4.0))
+        with pytest.raises(SimulationError, match=r"by step 16 \(t=4\), path 0$"):
+            simulate_wealth(config, growing, market, NO_MORTALITY)
+
     @pytest.mark.parametrize("workers", (1, 2))
     def test_worker_exception_reaches_caller(self, monkeypatch, market, workers):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
@@ -691,3 +708,21 @@ class TestSummaryCsv:
         assert len(lines) == 1 + len(result.times)
         row0 = [float(v) for v in lines[1].split(",")]
         assert row0[0] == 0.0
+
+    def test_mean_se_keeps_numpy_bits_without_overflow(self):
+        # where np.mean and np.std stay within float64 the helper gives their
+        # bits; scaled by 2^+-700 it scales exactly where np.std over- or underflows
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n, m = int(rng.integers(2, 400)), int(rng.integers(1, 6))
+            scale = 10.0 ** rng.uniform(-60, 60, size=m)
+            values = (rng.standard_normal((n, m)) + rng.uniform(-3, 3, size=m)) * scale
+            mean, se = simulate._mean_se(values)
+            assert np.array_equal(mean, values.mean(axis=0))
+            assert np.array_equal(se, values.std(axis=0, ddof=1) / math.sqrt(n))
+            for power in (700, -700):
+                big_mean, big_se = simulate._mean_se(np.ldexp(values, power))
+                assert np.array_equal(big_mean, np.ldexp(mean, power))
+                assert np.array_equal(big_se, np.ldexp(se, power))
+        mean, se = simulate._mean_se(np.array([[1.0, np.inf, 3.0]]))
+        assert np.array_equal(se, [0.0, np.nan, 0.0], equal_nan=True)
