@@ -15,7 +15,6 @@ from .analytics import (
     income_csv,
     income_curve,
     income_log_slope,
-    objective_value_closed_form,
 )
 from .controls import (
     ControlSchedule,
@@ -25,7 +24,6 @@ from .controls import (
     log_denominator_integral,
     merton_fraction,
     schedule_csv,
-    truncation_sensitivity,
 )
 from .mortality import (
     GompertzMakehamFit,

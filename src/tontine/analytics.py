@@ -1,5 +1,5 @@
-"""Closed-form expected income and bequest trajectories, the objective value,
-and the figure-level aggregate tables (CSV-ready, one column per gamma).
+"""Closed-form expected income, bequest and wealth trajectories, and the
+figure-level aggregate tables (CSV-ready, one column per gamma).
 
 Expected discounted income at rate r is X0 * e^{((mu-r)pi* - beta) t} / D(0);
 it is constant exactly when (mu-r)pi* = beta, monotone increasing when the
@@ -14,6 +14,7 @@ import numpy as np
 
 from .controls import (
     MarketParams,
+    _csv_table,
     beta,
     check_log_d0,
     log_control_rates,
@@ -35,7 +36,6 @@ __all__ = [
     "expected_wealth",
     "income_curve",
     "income_csv",
-    "objective_value_closed_form",
     "alpha_curve",
     "figure_table_csv",
 ]
@@ -110,19 +110,6 @@ def expected_wealth(
     return out if out.ndim else float(out)
 
 
-def objective_value_closed_form(
-    schedule: PreferenceSchedule,
-    market: MarketParams,
-    mortality: GompertzMakehamParams,
-    x0: float = 100_000.0,
-) -> float:
-    """Optimal value (X0^gamma / gamma) * D(0)^{1-gamma} of the utility objective."""
-    _check_x0(x0)
-    log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
-    gamma = schedule.gamma
-    return x0**gamma / gamma * math.exp((1.0 - gamma) * log_d0)
-
-
 def alpha_curve(
     schedule: PreferenceSchedule,
     market: MarketParams,
@@ -187,9 +174,6 @@ def figure_table_csv(
     base_age: float = 65.0,
 ) -> str:
     """Assemble a `t,age,<label>...` CSV from per-gamma columns on a shared grid."""
-    labels = list(columns)
-    lines = ["t,age," + ",".join(labels)]
-    for i, t in enumerate(grid):
-        vals = [t, base_age + t] + [columns[lab][i] for lab in labels]
-        lines.append(",".join(format(v, ".12g") for v in vals))
-    return "\n".join(lines) + "\n"
+    return _csv_table(("t", "age", *columns),
+                      ((t, base_age + t, *values)
+                       for t, *values in zip(grid, *columns.values(), strict=True)))

@@ -41,7 +41,6 @@ __all__ = [
     "check_log_d0",
     "model_notes",
     "schedule_csv",
-    "truncation_sensitivity",
 ]
 
 DEFAULT_GRID_STEP_YEARS = 1.0 / 52.0
@@ -158,15 +157,19 @@ def model_notes(schedule: PreferenceSchedule, market: MarketParams) -> tuple[str
     return tuple(notes)
 
 
+def _require_memory(need: float, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` when ``need`` bytes for ``what`` exceed physical memory
+    (never where its size is unknown)."""
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise error(f"{what} need {need / 2**30:.3g} GiB, more than the "
+                    f"{have / 2**30:.3g} GiB of physical memory")
+
+
 def _check_quadrature_memory(count: int, what: str) -> None:
     """Raise ``MemoryError`` before ``count`` grid points or quadrature panels,
     each holding _GRID_ARRAYS float64 values, would exceed physical memory."""
-    need, have = 8.0 * _GRID_ARRAYS * count, physical_memory_bytes()
-    if have is not None and need > have:
-        raise MemoryError(
-            f"{count:.6g} {what} need {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_memory(8.0 * _GRID_ARRAYS * count, f"{count:.6g} {what}", MemoryError)
 
 
 def check_log_d0(log_d0: float, gamma: float) -> None:
@@ -282,24 +285,6 @@ def log_denominator_integral(
 ) -> float:
     """log D(t) where D(t) = int_t^{T_max} e^{-beta*u} S_u (1 + b^{1/(1-gamma)} lambda) du."""
     return float(log_tail_integrals(t, schedule, mortality, market))
-
-
-def truncation_sensitivity(
-    schedule: PreferenceSchedule,
-    mortality: GompertzMakehamParams,
-    market: MarketParams,
-) -> float:
-    """Relative change |D(0; T_max + 10) - D(0; T_max)| / D(0; T_max).
-
-    Diagnostic for the truncation of the upper integration limit at the
-    limiting age, extended here by 10 years; the integrand decays faster
-    than any exponential, so this is typically far below double precision
-    for the default horizon.
-    """
-    log_d = log_denominator_integral(0.0, schedule, mortality, market)
-    extended = mortality.with_limiting_age_years(mortality.limiting_age_years + 10.0)
-    log_d_ext = log_denominator_integral(0.0, schedule, extended, market)
-    return abs(math.expm1(log_d_ext - log_d))
 
 
 # ============================================================================
@@ -451,11 +436,17 @@ def build_control_schedule(
     )
 
 
+def _csv_table(columns, rows) -> str:
+    """An all-numeric CSV: the ``columns`` header, then each row's values as
+    ``format(v, ".12g")``."""
+    lines = [",".join(columns)]
+    lines += [",".join(format(v, ".12g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def schedule_csv(controls: ControlSchedule, base_age: float = 65.0) -> str:
     """Render a tabulated schedule as `t,age,pi_star,c_star,alpha_star,D` CSV."""
-    lines = ["t,age,pi_star,c_star,alpha_star,D"]
-    for t, c, a, d in zip(controls.grid, controls.c_star, controls.alpha_star,
-                          controls.denominator):
-        lines.append(",".join(format(v, ".12g")
-                              for v in (t, base_age + t, controls.pi_star, c, a, d)))
-    return "\n".join(lines) + "\n"
+    return _csv_table(("t", "age", "pi_star", "c_star", "alpha_star", "D"),
+                      ((t, base_age + t, controls.pi_star, c, a, d)
+                       for t, c, a, d in zip(controls.grid, controls.c_star,
+                                             controls.alpha_star, controls.denominator)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class GompertzMakehamParams:
                 f"hazard overflows float64 before the limiting age (a1={self.a1:g}, "
                 f"a2={self.a2:g}, a3={self.a3:g}, limiting_age_years={self.limiting_age_years:g})"
             )
-
-    def with_limiting_age_years(self, t_max: float) -> "GompertzMakehamParams":
-        return replace(self, limiting_age_years=t_max)
 
 
 def _check_times(t: np.ndarray) -> None:
@@ -146,10 +143,6 @@ class LifeTable:
         surv.setflags(write=False)
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "survival", surv)
-
-    @property
-    def rows(self) -> list[tuple[int, float]]:
-        return list(zip(self.ages.tolist(), self.survival.tolist()))
 
     @property
     def years_past_base(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .controls import ControlSchedule, MarketParams, physical_memory_bytes
+from .controls import ControlSchedule, MarketParams, _csv_table, _require_memory
 from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
 from .preferences import PreferenceSchedule, bequest_weight
 
@@ -221,12 +221,8 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> Non
     need = 8 * (n_paths * (6 * n_rec + 1)
                 + (_STEP_ARRAYS + 2 * n_workers * width) * (n_steps + 1)
                 + 2 * n_workers * width * (min(_CHUNK_NODES, n_steps) + 1))
-    have = physical_memory_bytes()
-    if have is not None and need > have:
-        raise SimulationError(
-            f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times) need "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_memory(need, f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times)",
+                    SimulationError)
 
 
 def _trapezoid_totals(logs, coef, half_weight, rows, scratch, out, *, with_value) -> None:
@@ -513,10 +509,7 @@ def _mean_se(values: np.ndarray):
 def summary_csv(result: SimulationResult) -> str:
     """Render the per-time summary as CSV (means and standard errors)."""
     cols = ("t", "mean_income", "se_income", "mean_Y", "se_Y", "mean_zetaX", "se_zetaX")
-    lines = [",".join(cols)]
-    for i in range(len(result.times)):
-        lines.append(",".join(format(result.summary[c][i], ".12g") for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv_table(cols, zip(*(result.summary[c] for c in cols)))
 
 
 # ============================================================================
@@ -561,9 +554,9 @@ def check_supermartingale(
 ) -> SupermartingaleReport:
     """Verify mean(Y_t) <= mean(Y_s) + z*SE (paired) for every s < t.
 
-    With ``candidate=True`` additionally verify |mean(Y_t) - Y_0| <= z*SE
-    at every recorded time, i.e. the exact-martingale property that holds
-    only for the optimal controls.
+    With ``candidate=True`` additionally verify |mean(Y_t - Y_0)| <= z*SE,
+    each path against its own Y_0, at every recorded time, i.e. the
+    exact-martingale property that holds only for the optimal controls.
     """
     times = result.times
     y = result.y_paths
@@ -575,12 +568,11 @@ def check_supermartingale(
                                    mean_diff <= z * se))
     marts = []
     if candidate:
-        y0 = result.y0
-        se_y = _mean_se(y)[1]
-        for j, t in enumerate(times):
-            dev = float(y[:, j].mean() - y0)
-            marts.append(MartingaleCheck(float(t), dev, float(se_y[j]),
-                                         abs(dev) <= z * se_y[j] + 1e-12 * abs(y0)))
+        # each path against its own Y_0: at t = 0 the deviation is exactly 0
+        slack = 1e-12 * abs(result.y0)
+        for t, dev, se in zip(times, *_mean_se(y - y[:, :1])):
+            marts.append(MartingaleCheck(float(t), float(dev), float(se),
+                                         abs(dev) <= z * se + slack))
     return SupermartingaleReport(pairs=tuple(pairs), martingale=tuple(marts))
 
 

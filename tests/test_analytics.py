@@ -1,4 +1,4 @@
-"""Closed-form income/bequest/wealth curves, objective value, figure tables."""
+"""Closed-form income/bequest/wealth curves, the optimal value, figure tables."""
 
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ from tontine.analytics import (
     income_csv,
     income_curve,
     income_log_slope,
-    objective_value_closed_form,
 )
 from tontine.controls import beta, log_denominator_integral
 from tontine.mortality import survival
 from tontine.preferences import CalibrationRequired, auto_rho
-from tontine.simulate import SimulationConfig, simulate_wealth
+from tontine.simulate import SimulationConfig, simulate_wealth, value_function
 
 from conftest import make_schedule
 
@@ -160,19 +159,17 @@ class TestBequestValue:
 
 
 class TestObjectiveValue:
-    def test_homogeneity_in_initial_wealth(self, market, mortality, calibrated_cache):
-        schedule = calibrated_cache(-3.0, "scaled_trimmed")
-        v1 = objective_value_closed_form(schedule, market, mortality, x0=1.0)
-        vk = objective_value_closed_form(schedule, market, mortality, x0=7.0)
-        assert vk == pytest.approx(7.0**schedule.gamma * v1, rel=1e-12)
+    """V(0, X0) = value_function(0, X0, controls), the optimal value."""
 
-    def test_sign_follows_gamma(self, market, mortality, calibrated_cache):
-        assert objective_value_closed_form(
-            calibrated_cache(-3.0, "scaled_trimmed"), market, mortality
-        ) < 0.0
-        assert objective_value_closed_form(
-            make_schedule(0.5, "power"), market, mortality
-        ) > 0.0
+    def test_homogeneity_in_initial_wealth(self, controls_cache):
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        v1 = value_function(0.0, 1.0, controls)
+        vk = value_function(0.0, 7.0, controls)
+        assert vk == pytest.approx(7.0**controls.gamma * v1, rel=1e-12)
+
+    def test_sign_follows_gamma(self, controls_cache):
+        assert value_function(0.0, 100_000.0, controls_cache(-3.0, "scaled_trimmed")) < 0.0
+        assert value_function(0.0, 100_000.0, controls_cache(0.5, "power")) > 0.0
 
 
 class TestInitialWealthValidation:
@@ -181,9 +178,8 @@ class TestInitialWealthValidation:
         lambda s, m, h, x0: expected_discounted_income(0.0, s, m, h, x0),
         lambda s, m, h, x0: expected_discounted_bequest_value(0.0, s, m, h, x0),
         lambda s, m, h, x0: expected_wealth(1.0, s, m, h, x0),
-        lambda s, m, h, x0: objective_value_closed_form(s, m, h, x0),
         lambda s, m, h, x0: income_curve(s, m, h, x0, grid=[0.0, 1.0]),
-    ], ids=["income", "bequest_value", "wealth", "objective", "income_curve"])
+    ], ids=["income", "bequest_value", "wealth", "income_curve"])
     def test_rejects_non_finite_or_non_positive_x0(
         self, market, mortality, calibrated_cache, curve, x0
     ):
@@ -242,6 +238,12 @@ class TestFigureTableCsv:
         assert lines[0] == "t,age,a,b"
         assert [float(v) for v in lines[1].split(",")] == [0.0, 65.0, 1.0, 4.0]
         assert len(lines) == 4
+
+    def test_column_off_the_grid_length_rejected(self):
+        # a column longer or shorter than the grid is refused, not cut to fit
+        for short in ({"a": np.array([1.0, 2.0])}, {"a": np.arange(3.0), "b": np.ones(4)}):
+            with pytest.raises(ValueError):
+                figure_table_csv(short, np.array([0.0, 0.5, 1.0]))
 
 
 class TestConstants:

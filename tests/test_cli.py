@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tontine
 import tontine.cli as cli
 import tontine.simulate as simulate
 from tontine.cli import DEFAULTS, VALID_KEYS, main
@@ -403,6 +404,16 @@ class TestVerify:
         assert len(paired) == 21 and all(row[-1] == "true" for row in paired)
         assert all(float(row[5]) > 0.0 for row in paired)
 
+    def test_martingale_row_at_zero_is_exactly_zero(self, tmp_path, capsys):
+        # every path holds the same Y_0 = 1.50e88; a pairwise mean minus
+        # phi_0 X0 once wrote a deviation of 3.48e74 with an SE of 4.63e72
+        out = tmp_path / "verify.csv"
+        code, _, err = run_cli(["verify", "--gamma", "-60", "--paths", "200",
+                                "--sim-horizon", "5", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        _, rows = read_csv(out)
+        assert rows[0] == ["martingale", "0", "1", "1", "0", "0", "true"]
+
     @pytest.mark.parametrize("extra", [["--sim-step", "1/104"], ["--grid-step", "1/4"]])
     def test_passes_with_nodes_inside_the_horizon_cell(self, tmp_path, capsys, extra):
         # simulation nodes strictly inside the last grid cell before the
@@ -653,7 +664,8 @@ class TestWarnings:
 
 
 class TestReadme:
-    """The README's lists of config keys and error codes match the CLI."""
+    """The README's lists of config keys and error codes match the CLI, and
+    its library tour imports only names the package has."""
 
     TEXT = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
                 encoding="utf-8").read()
@@ -668,6 +680,11 @@ class TestReadme:
             raised = set(re.findall(r'CliError\(\s*"([A-Z]+)"', fh.read()))
         printable = raised | {code for _, code in cli._ERROR_CODES}
         assert sorted(re.findall(r"`([A-Z]+)`", listed)) == sorted(printable)
+
+    def test_tour_imports_exist(self):
+        block = re.search(r"from tontine import \(([^)]*)\)", self.TEXT).group(1)
+        names = [n.strip() for n in block.split(",") if n.strip()]
+        assert names and [n for n in names if not hasattr(tontine, n)] == []
 
 
 class TestFigures:
@@ -770,7 +787,7 @@ DEFAULT_CSV_SHA256 = {
         "simulate.csv": "c05a109de29da3b6d8d5f74a6c6fb6b45d42cd095a2ebde319b233b12d8f519e",
     },
     "verify": {
-        "verify.csv": "1ab9a93dd54f01f038e4d4d6df18f83b9855b6907d4076d4ad8cf7a78b3be1fb",
+        "verify.csv": "2ac5e41774f4bd3fbfaa7f43dff6d5b86eceb508cc8b318ab4c53c9a888c252f",
     },
     "figures": {
         "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",

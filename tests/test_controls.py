@@ -29,7 +29,6 @@ from tontine.controls import (
     merton_fraction,
     model_notes,
     schedule_csv,
-    truncation_sensitivity,
 )
 from tontine.mortality import GompertzMakehamParams, survival
 from tontine.preferences import auto_rho, log_transformed_weight
@@ -228,13 +227,6 @@ class TestDenominatorIntegral:
         for bad in (-1.0, 50.5, [1.0, -0.1], [[2.0], [50.5]]):
             with pytest.raises(ValueError):
                 log_tail_integrals(bad, schedule, mortality, market)
-
-    def test_truncation_sensitivity_negligible(self, market, mortality, calibrated_cache):
-        for schedule in (
-            calibrated_cache(-3.0, "scaled_trimmed"),
-            make_schedule(-5.0, "power"),
-        ):
-            assert truncation_sensitivity(schedule, mortality, market) < 1e-9
 
     def test_integrability_flag(self):
         assert has_integrability_warning(make_schedule(0.5, "trimmed"))

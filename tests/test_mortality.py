@@ -148,17 +148,6 @@ class TestParams:
         assert mortality.limiting_age_years == 50.0
         assert DEFAULT_LIMITING_AGE - DEFAULT_BASE_AGE == 50
 
-    def test_with_limiting_age_years(self, mortality):
-        longer = mortality.with_limiting_age_years(80.0)
-        assert longer.limiting_age_years == 80.0
-        assert (longer.a1, longer.a2, longer.a3) == (
-            mortality.a1,
-            mortality.a2,
-            mortality.a3,
-        )
-        with pytest.raises(ValueError):
-            mortality.with_limiting_age_years(0.0)
-
     @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
     @settings(max_examples=300, deadline=None)
     @example(values=(1e-3, 15.0, 1e-3, 50.0))  # a2 * t_max past log(float64 max)
@@ -185,7 +174,7 @@ class TestLifeTable:
         assert table.survival[0] == 1.0
         assert table.years_past_base[0] == 0.0
         assert table.years_past_base[-1] == 45.0
-        assert len(table.rows) == 46
+        assert table.ages.shape == table.survival.shape == (46,)
 
     def test_from_death_probabilities_roundtrip(self, mortality):
         table = self._table(mortality)

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tontine import simulate
-from tontine.analytics import objective_value_closed_form
 from tontine.controls import MarketParams, build_control_schedule
 from tontine.mortality import GompertzMakehamParams, survival
 from tontine.simulate import (
@@ -431,9 +430,7 @@ class TestObjective:
         config = SimulationConfig(n_paths=20_000, horizon=49.0, step=1.0 / 26.0, seed=41)
         result = simulate_wealth(config, controls, market, mortality, schedule=schedule)
         mc, se = objective_estimate(result)
-        closed = objective_value_closed_form(
-            schedule, market, mortality, x0=config.initial_wealth
-        )
+        closed = value_function(0.0, config.initial_wealth, controls)
         assert np.isfinite(mc) and se > 0.0
         assert abs(mc - closed) <= 3.0 * se
 
@@ -643,18 +640,11 @@ class TestValueFunction:
     @pytest.mark.parametrize("gamma, variant", [
         (-3.0, "scaled_trimmed"), (-5.0, "power"), (0.5, "power"), (-3.0, "none"),
     ])
-    def test_at_zero_is_closed_form(self, market, mortality, controls_cache,
-                                    calibrated_cache, gamma, variant):
-        schedule = (calibrated_cache(gamma, variant) if variant.startswith("scaled")
-                    else make_schedule(gamma, variant))
-        closed = objective_value_closed_form(schedule, market, mortality, x0=100_000.0)
-        got = value_function(0.0, 100_000.0, controls_cache(gamma, variant))
-        assert abs(got - closed) <= 1e-12 * abs(closed)
-
-    def test_matches_survival_form_on_grid(self, mortality, controls_cache):
-        # e^{-rho t} S_t x^gamma / gamma (c*_t)^{gamma-1}, S_t from the hazard law
-        controls = controls_cache(-3.0, "scaled_trimmed")
-        t, x, gamma = controls.grid[::52], np.linspace(5e4, 2e5, 50), controls.gamma
+    def test_matches_survival_form_on_grid(self, mortality, controls_cache, gamma, variant):
+        # e^{-rho t} S_t x^gamma / gamma (c*_t)^{gamma-1}, S_t from the hazard law;
+        # at t = 0 it is the optimal value (X0^gamma / gamma) D(0)^{1-gamma}
+        controls = controls_cache(gamma, variant)
+        t, x = controls.grid[::52], np.linspace(5e4, 2e5, 50)
         want = (np.exp(-controls.rho * t) * survival(t, mortality) * x**gamma / gamma
                 * controls.c_star[::52] ** (gamma - 1.0))
         np.testing.assert_allclose(value_function(t, x, controls), want, rtol=1e-11)
