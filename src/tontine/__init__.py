@@ -4,7 +4,6 @@ Monte Carlo verification, and figure-level CSV reproduction.
 """
 
 from .analytics import (
-    ANNUITY_INCOME_BAND,
     FEASIBLE_GAMMAS,
     BENCHMARK_GAMMAS,
     IncomeCurve,
@@ -21,7 +20,6 @@ from .controls import (
     MarketParams,
     beta,
     build_control_schedule,
-    log_denominator_integral,
     merton_fraction,
     schedule_csv,
 )
@@ -52,11 +50,9 @@ from .simulate import (
     SimulationError,
     SimulationResult,
     check_supermartingale,
-    first_moment_spd_wealth,
     objective_estimate,
     optimality_audit,
     scaled_controls,
-    second_moment_spd_wealth_bound,
     simulate_wealth,
     summary_csv,
     value_function,

@@ -18,7 +18,6 @@ from .controls import (
     beta,
     check_log_d0,
     log_control_rates,
-    log_denominator_integral,
     log_tail_integrals,
     merton_fraction,
 )
@@ -26,7 +25,6 @@ from .mortality import GompertzMakehamParams, cumulative_hazard
 from .preferences import PreferenceSchedule, log_transformed_weight
 
 __all__ = [
-    "ANNUITY_INCOME_BAND",
     "BENCHMARK_GAMMAS",
     "FEASIBLE_GAMMAS",
     "IncomeCurve",
@@ -39,10 +37,6 @@ __all__ = [
     "alpha_curve",
     "figure_table_csv",
 ]
-
-# Reference band of quoted annuity incomes per 100k at the base age; used in
-# reporting and acceptance comparisons only, never inside any computation.
-ANNUITY_INCOME_BAND = (4540.0, 4756.0)
 
 # Risk-aversion sweep used by the figure tables.
 BENCHMARK_GAMMAS = (0.5, -1.0, -3.0, -5.0, -8.0, -11.0)
@@ -72,7 +66,7 @@ def expected_discounted_income(
     would silently round to 0.
     """
     _check_x0(x0)
-    log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
+    log_d0 = log_tail_integrals(0.0, schedule, mortality, market)
     check_log_d0(log_d0, schedule.gamma)
     slope = income_log_slope(market, schedule.gamma, schedule.rho)
     out = x0 * np.exp(slope * np.asarray(t, dtype=float) - log_d0)
@@ -103,11 +97,19 @@ def expected_wealth(
     """E[X*_t] = X0 e^{(r + (mu-r)pi*) t} D(t) / (D(0) S_t) under the optimal controls."""
     _check_x0(x0)
     t = np.asarray(t, dtype=float)
-    log_d0 = log_denominator_integral(0.0, schedule, mortality, market)
+    log_d0 = log_tail_integrals(0.0, schedule, mortality, market)
     log_d = log_tail_integrals(t, schedule, mortality, market)
     growth = market.r + (market.mu - market.r) * merton_fraction(market, schedule.gamma)
     out = x0 * np.exp(growth * t + log_d - log_d0 + cumulative_hazard(t, mortality))
     return out if out.ndim else float(out)
+
+
+def _log_bequest_fraction(schedule: PreferenceSchedule, market: MarketParams,
+                          mortality: GompertzMakehamParams, grid: np.ndarray) -> np.ndarray:
+    """log(1 - alpha*_t) on a grid, the one route to both alpha*_t and 1 - alpha*_t."""
+    beta_value = beta(market, schedule.gamma, schedule.rho)
+    log_d = log_tail_integrals(grid, schedule, mortality, market)
+    return log_control_rates(grid, log_d, schedule, mortality, beta_value)[1]
 
 
 def alpha_curve(
@@ -118,10 +120,7 @@ def alpha_curve(
 ) -> np.ndarray:
     """Optimal tontine allocation alpha*_t evaluated directly on an arbitrary grid."""
     grid = np.asarray(grid, dtype=float)
-    beta_value = beta(market, schedule.gamma, schedule.rho)
-    log_d = log_tail_integrals(grid, schedule, mortality, market)
-    _, log_bequest = log_control_rates(grid, log_d, schedule, mortality, beta_value)
-    return 1.0 - np.exp(log_bequest)
+    return 1.0 - np.exp(_log_bequest_fraction(schedule, market, mortality, grid))
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def income_curve(
         grid = np.arange(0.0, mortality.limiting_age_years, 0.25)
     grid = np.asarray(grid, dtype=float)
     income = np.asarray(expected_discounted_income(grid, schedule, market, mortality, x0))
-    bequest_fraction = 1.0 - alpha_curve(schedule, market, mortality, grid)
+    bequest_fraction = np.exp(_log_bequest_fraction(schedule, market, mortality, grid))
     bad = ~(np.isfinite(income) & np.isfinite(bequest_fraction))
     if np.any(bad):
         raise ValueError(f"income curve is not finite at t={grid[bad][0]:g}")

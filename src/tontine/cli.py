@@ -311,7 +311,8 @@ def _cmd_figures(merged: dict, outputs: _OutputSet) -> None:
     base_age, x0 = _as_float(DEFAULTS, "base_age"), _as_float(DEFAULTS, "x0")
     outdir = merged["out"]
     if not os.path.isdir(outdir):
-        raise CliError("IO", f"output directory {outdir!r} does not exist")
+        fault = "is not a directory" if os.path.exists(outdir) else "does not exist"
+        raise CliError("IO", f"output directory {outdir!r} {fault}")
 
     def write(name: str, text: str) -> None:
         outputs.write(os.path.join(outdir, name), text)

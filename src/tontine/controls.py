@@ -3,7 +3,7 @@ equity fraction, the denominator integral D(t), and the consumption and
 tontine-allocation rates tabulated on a uniform grid.
 
 D(t), the tail integral from t to T_max, has one kernel,
-:func:`log_tail_integrals`, which every other route calls.  It works in log
+:func:`log_tail_integrals`, for a single t and for any grid.  It works in log
 space with composite 16-point Gauss-Legendre panels on one fixed panel set:
 one per year, split at the trimmed bequest horizon and, for trimmed weights
 with gamma < 0, geometrically refined toward it, where the integrand's
@@ -35,7 +35,6 @@ __all__ = [
     "ControlSchedule",
     "beta",
     "merton_fraction",
-    "log_denominator_integral",
     "log_tail_integrals",
     "build_control_schedule",
     "check_log_d0",
@@ -247,8 +246,10 @@ def log_tail_integrals(
     schedule: PreferenceSchedule,
     mortality: GompertzMakehamParams,
     market: MarketParams,
-) -> np.ndarray:
-    """log D(t) at every t (any shape, each in [0, T_max]) in one quadrature sweep.
+):
+    """log D(t) at every t (any shape, each in [0, T_max]) in one quadrature sweep,
+    where D(t) = int_t^{T_max} e^{-beta*u} S_u (1 + b_u^{1/(1-gamma)} lambda_u) du;
+    a float for a scalar t.
 
     The fixed panels of :func:`_panel_edges` are integrated once and summed
     from the top down; each t then adds its own head panel [t, next edge].
@@ -274,17 +275,7 @@ def log_tail_integrals(
     fixed, head = log_panels[:len(edges) - 1], log_panels[len(edges) - 1:]
     # log_suffix[k]: log of the integral over [edges[k], T_max]
     log_suffix = np.append(np.logaddexp.accumulate(fixed[::-1])[::-1], -np.inf)
-    return np.logaddexp(head, log_suffix[nxt]).reshape(t.shape)
-
-
-def log_denominator_integral(
-    t: float,
-    schedule: PreferenceSchedule,
-    mortality: GompertzMakehamParams,
-    market: MarketParams,
-) -> float:
-    """log D(t) where D(t) = int_t^{T_max} e^{-beta*u} S_u (1 + b^{1/(1-gamma)} lambda) du."""
-    return float(log_tail_integrals(t, schedule, mortality, market))
+    return np.logaddexp(head, log_suffix[nxt]).reshape(t.shape)[()]
 
 
 # ============================================================================
@@ -311,7 +302,6 @@ class ControlSchedule:
     mortality: GompertzMakehamParams
     market: MarketParams
     grid: np.ndarray
-    grid_step: float
     log_denominator: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
     log_c_star: np.ndarray = field(init=False, repr=False)
@@ -402,7 +392,7 @@ def build_control_schedule(
     before any of them is allocated, and a D(0) beyond float64 raises
     ``ValueError`` before any D is exponentiated.
     D comes from one :func:`log_tail_integrals` sweep over the grid, so each
-    grid value equals :func:`log_denominator_integral` at that point.
+    grid value equals that kernel's value at that point alone.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
@@ -430,7 +420,6 @@ def build_control_schedule(
         mortality=mortality,
         market=market,
         grid=grid_full[:last],
-        grid_step=float(grid_step),
         log_denominator=log_d[:last],
         warnings=tuple(notes),
     )

@@ -219,7 +219,7 @@ def calibrate_kappa(
     A warning is issued when rho deviates from r*gamma, for which the
     feasibility characterisation was derived.
     """
-    from .controls import log_denominator_integral  # deferred: avoids an import cycle
+    from .controls import log_tail_integrals  # deferred: avoids an import cycle
 
     if schedule.variant not in SCALED_VARIANTS:
         raise ValueError(f"calibrate requires a scaled variant ({', '.join(SCALED_VARIANTS)}), "
@@ -234,8 +234,8 @@ def calibrate_kappa(
     infeasible = KappaCalibration(kappa=float("nan"), residual=float("inf"), feasible=False)
     base = schedule.base_schedule()
     none = replace(base, variant="none", kappa=None)
-    log_a = log_denominator_integral(0.0, none, mortality, market)
-    log_d_base = log_denominator_integral(0.0, base, mortality, market)
+    log_a = log_tail_integrals(0.0, none, mortality, market)
+    log_d_base = log_tail_integrals(0.0, base, mortality, market)
     try:  # math.exp and float ** raise OverflowError past float64
         a_val = math.exp(log_a)
         d_base = math.exp(log_d_base)
@@ -247,7 +247,7 @@ def calibrate_kappa(
         if not 0 < kappa < math.inf:
             return infeasible
         calibrated = schedule.with_kappa(kappa)
-        log_d0 = log_denominator_integral(0.0, calibrated, mortality, market)
+        log_d0 = log_tail_integrals(0.0, calibrated, mortality, market)
         alpha0 = 1.0 - math.exp(log_transformed_weight(0.0, calibrated, mortality) - log_d0)
     except OverflowError:
         return infeasible

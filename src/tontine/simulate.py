@@ -1,6 +1,6 @@
 """Monte Carlo simulation of the wealth dynamics under deterministic-in-time
 controls, alongside the state-price density; statistical checks of the
-martingale structure and moment formulas; and the optimality audit by duality.
+martingale structure; and the optimality audit by duality.
 
 The per-step update is the exact lognormal solution given piecewise-constant
 controls; hazard mass over each step enters through the exact increment of
@@ -43,8 +43,6 @@ __all__ = [
     "scaled_controls",
     "check_supermartingale",
     "SupermartingaleReport",
-    "first_moment_spd_wealth",
-    "second_moment_spd_wealth_bound",
     "objective_estimate",
     "summary_csv",
     "value_function",
@@ -79,7 +77,8 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Path count, step, horizon (years), seed, and initial wealth.
+    """Path count, step, horizon (years), seed, and initial wealth; the path
+    count and seed are integers (Python or numpy, not bool).
 
     ``record_times`` selects the snapshot times stored per path (snapped to
     the nearest grid node); ``None`` keeps 0, the report times within the
@@ -101,6 +100,10 @@ class SimulationConfig:
     record_times: Union[tuple, str, None] = None
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not (math.isfinite(self.step) and self.step > 0):
@@ -576,38 +579,26 @@ def check_supermartingale(
     return SupermartingaleReport(pairs=tuple(pairs), martingale=tuple(marts))
 
 
-def first_moment_spd_wealth(t, controls: ControlSchedule, x0: float = 1.0):
-    """Closed-form E[zeta_t X*_t] = phi_0 X_0 D(t)/D(0) for the optimal controls.
-
-    The tabulated denominator D already encodes the market and mortality.
-    """
-    ratio = np.exp(controls.log_denominator_at(t) - controls.log_denominator[0])
-    out = controls.spd0 * x0 * ratio
-    return out if np.ndim(out) else float(out)
-
-
-def second_moment_spd_wealth_bound(t, controls: ControlSchedule, x0: float = 1.0):
-    """Upper bound (phi_0 X_0)^2 exp((sigma pi* - sharpe)^2 t) for E[(zeta X*)^2]."""
-    load = controls.market.sigma * controls.pi_star - controls.market.sharpe
-    out = (controls.spd0 * x0) ** 2 * np.exp(load**2 * np.asarray(t, dtype=float))
-    return out if np.ndim(out) else float(out)
-
-
 def value_function(t, x, controls: ControlSchedule):
     """V(t, x) = e^{-rho t} S_t (x^gamma / gamma) (c*_t)^{gamma-1}: the optimal
     objective from t on with wealth x, discounted to 0 and weighted by survival.
 
     With c*_t = e^{-beta t} S_t / D(t) it is (x^gamma / gamma) e^{(beta-rho) t}
     D(t) (c*_t)^gamma, read from the tabulated controls; V(0, X0) is the
-    closed-form optimal value (X0^gamma / gamma) D(0)^{1-gamma}.
+    closed-form optimal value (X0^gamma / gamma) D(0)^{1-gamma}.  Raises
+    ``ValueError`` for a t off the tabulation and for a negative or non-finite
+    x; x = 0 gives the limit (0, or -inf for gamma < 0).
     """
     t = np.asarray(t, dtype=float)
     if np.any((t < 0.0) | (t > controls.t_end + 1e-9)):
         raise ValueError(f"t must lie in [0, {controls.t_end:.6g}]")
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < math.inf)):  # nan fails too
+        raise ValueError("wealth x must be nonnegative and finite")
     gamma = controls.gamma
     log_scale = ((controls.beta - controls.rho) * t + controls.log_denominator_at(t)
                  + gamma * np.interp(t, controls.grid, controls.log_c_star))
-    out = np.asarray(x, dtype=float) ** gamma / gamma * np.exp(log_scale)
+    out = x**gamma / gamma * np.exp(log_scale)
     return out if np.ndim(out) else float(out)
 
 

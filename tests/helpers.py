@@ -76,14 +76,14 @@ def bisect_kappa(
     power = 1.0 / (1.0 - gamma)
 
     if quadrature == "library":
-        from tontine.controls import log_denominator_integral
+        from tontine.controls import log_tail_integrals
         from tontine.preferences import log_transformed_weight
 
         def alpha0(kappa: float) -> float:
             trial = schedule.with_kappa(kappa)
             return 1.0 - np.exp(
                 log_transformed_weight(0.0, trial, mortality)
-                - log_denominator_integral(0.0, trial, mortality, market)
+                - log_tail_integrals(0.0, trial, mortality, market)
             )
 
     else:

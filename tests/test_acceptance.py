@@ -25,7 +25,7 @@ from tontine.controls import (
     beta,
     build_control_schedule,
     has_integrability_warning,
-    log_denominator_integral,
+    log_tail_integrals,
     merton_fraction,
 )
 from tontine.mortality import LifeTable, fit_gompertz_makeham, survival
@@ -259,7 +259,7 @@ class TestAcceptance:
             for schedule, income in zip(schedules, incomes):
                 inside = lo <= income <= hi
                 ok &= inside
-                d_gl = float(np.exp(log_denominator_integral(0.0, schedule, mortality, market)))
+                d_gl = float(np.exp(log_tail_integrals(0.0, schedule, mortality, market)))
                 d_tz = trapezoid_denominator(0.0, schedule, mortality, market)
                 gap = abs(d_gl - d_tz) / d_tz
                 worst_gap = max(worst_gap, gap)
@@ -452,7 +452,7 @@ class TestAcceptance:
                     kappa=1.0 if variant.startswith("scaled") else None,
                 )
                 flagged = has_integrability_warning(schedule)
-                d_gl = float(np.exp(log_denominator_integral(0.0, schedule, mortality, market)))
+                d_gl = float(np.exp(log_tail_integrals(0.0, schedule, mortality, market)))
                 d_tz = trapezoid_denominator(0.0, schedule, mortality, market,
                                              steps_per_year=4000)
                 rel = abs(d_gl - d_tz) / d_tz

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tontine.analytics import (
-    ANNUITY_INCOME_BAND,
     BENCHMARK_GAMMAS,
     FEASIBLE_GAMMAS,
     alpha_curve,
@@ -18,7 +17,7 @@ from tontine.analytics import (
     income_curve,
     income_log_slope,
 )
-from tontine.controls import beta, log_denominator_integral
+from tontine.controls import beta, log_tail_integrals
 from tontine.mortality import survival
 from tontine.preferences import CalibrationRequired, auto_rho
 from tontine.simulate import SimulationConfig, simulate_wealth, value_function
@@ -45,7 +44,7 @@ class TestExpectedIncome:
         self, market, mortality, calibrated_cache
     ):
         schedule = calibrated_cache(-3.0, "scaled_trimmed")
-        d0 = np.exp(log_denominator_integral(0.0, schedule, mortality, market))
+        d0 = np.exp(log_tail_integrals(0.0, schedule, mortality, market))
         assert expected_discounted_income(
             0.0, schedule, market, mortality, x0=100_000.0
         ) == pytest.approx(100_000.0 / d0, rel=1e-13)
@@ -58,7 +57,7 @@ class TestExpectedIncome:
         b = beta(market, schedule.gamma, schedule.rho)
         rng = np.random.default_rng(17)
         for t in rng.uniform(0.0, 45.0, size=20):
-            log_d = log_denominator_integral(float(t), schedule, mortality, market)
+            log_d = log_tail_integrals(float(t), schedule, mortality, market)
             c_star = np.exp(-b * t - log_d) * survival(t, mortality)
             lhs = expected_discounted_income(float(t), schedule, market, mortality)
             rhs = (
@@ -213,6 +212,18 @@ class TestIncomeCurve:
         assert curve.expected_bequest_fraction[0] == pytest.approx(1.0, abs=1e-10)
         assert np.all(curve.expected_bequest_fraction[curve.times >= 20.0] == 0.0)
 
+    def test_bequest_fraction_is_exp_of_its_log(self, market, mortality, controls_cache):
+        # 1 - alpha* is exp(log(1 - alpha*)), as in the schedule, not the
+        # complement of alpha* = 1 - exp(...), which loses up to 1.06e-12
+        # relative here, where 1 - alpha* falls far below 1
+        curve = income_curve(make_schedule(0.5, "power"), market, mortality)
+        controls = controls_cache(0.5, "power")
+        weekly = np.arange(0, len(controls.grid), 13)  # the quarter-year points
+        quarterly = np.arange(len(weekly))
+        np.testing.assert_array_equal(controls.grid[weekly], curve.times[quarterly])
+        np.testing.assert_array_max_ulp(curve.expected_bequest_fraction[quarterly],
+                                        np.exp(controls.log_bequest_fraction[weekly]), maxulp=2)
+
     def test_denominator_past_float64_rejected(self, market, mortality):
         # X0 / D(0) would round to 0 in every cell, as build_control_schedule refuses
         with pytest.raises(ValueError, match=r"D\(0\) = exp\(1158\.\d+\) overflows float64 "
@@ -247,9 +258,6 @@ class TestFigureTableCsv:
 
 
 class TestConstants:
-    def test_annuity_reference_band(self):
-        assert ANNUITY_INCOME_BAND == (4540.0, 4756.0)
-
     def test_gamma_sweeps(self):
         assert BENCHMARK_GAMMAS == (0.5, -1.0, -3.0, -5.0, -8.0, -11.0)
         assert FEASIBLE_GAMMAS == tuple(g for g in BENCHMARK_GAMMAS if g < 0)

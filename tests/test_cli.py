@@ -533,8 +533,9 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    # One case per library check the CLI reports: each keeps its exact line.
-    # `a1` has no flag, so it comes from a config file.
+    # One case per library check the CLI reports, and the figures directory
+    # check: each keeps its exact line.  `a1` has no flag, so it comes from a
+    # config file.  A case's own --out follows the default one and wins.
     @pytest.mark.parametrize("argv, line", [
         (["schedule", "--sigma", "0"], "CONFIG: sigma must be positive"),
         (["schedule", "--config", "a1.cfg"],
@@ -555,12 +556,14 @@ class TestErrorContract:
         (["schedule", "--variant", "table"],
          "CONFIG: unknown variant 'table'; valid variants: "
          "none, power, scaled_power, trimmed, scaled_trimmed"),
+        (["figures", "--out", "nope"], "IO: output directory 'nope' does not exist"),
+        (["figures", "--out", "a1.cfg"], "IO: output directory 'a1.cfg' is not a directory"),
     ])
     def test_library_error_is_one_exact_line(self, tmp_path, capsys, monkeypatch, argv, line):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a1.cfg").write_text("a1 = -1\n")
         (tmp_path / "table.csv").write_text("age,survival\n65,1\n66,0.99\n67,0.995\n68,0.97\n")
-        code, _, err = run_cli([*argv, "--out", "out.csv"], capsys)
+        code, _, err = run_cli([argv[0], "--out", "out.csv", *argv[1:]], capsys)
         assert (code, err) == (2, f"error: {line}\n")
         assert not (tmp_path / "out.csv").exists()
 

@@ -24,7 +24,6 @@ from tontine.controls import (
     build_control_schedule,
     has_integrability_warning,
     log_control_rates,
-    log_denominator_integral,
     log_tail_integrals,
     merton_fraction,
     model_notes,
@@ -94,7 +93,7 @@ class TestBeta:
         horizon = 3000.0
         mortality = GompertzMakehamParams(0.0, 0.0, 0.0, limiting_age_years=horizon)
         schedule = make_schedule(gamma, "none")
-        d0 = math.exp(log_denominator_integral(0.0, schedule, mortality, market))
+        d0 = math.exp(log_tail_integrals(0.0, schedule, mortality, market))
         assert d0 == pytest.approx(-np.expm1(-b * horizon) / b, rel=1e-11)
         assert 1.0 / d0 == pytest.approx(b, rel=1e-9)
 
@@ -149,7 +148,7 @@ class TestDenominatorIntegral:
         rate = b + m
         for t in (0.0, 5.0, 17.3):
             expected = (np.exp(-rate * t) - np.exp(-rate * 50.0)) / rate
-            got = math.exp(log_denominator_integral(t, schedule, mortality, market))
+            got = math.exp(log_tail_integrals(t, schedule, mortality, market))
             assert got == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("variant", ["power", "scaled_trimmed", "trimmed_off_grid"])
@@ -162,12 +161,13 @@ class TestDenominatorIntegral:
         else:
             schedule = make_schedule(-3.0, variant)
         oracle = trapezoid_denominator(0.0, schedule, mortality, market)
-        got = math.exp(log_denominator_integral(0.0, schedule, mortality, market))
+        got = math.exp(log_tail_integrals(0.0, schedule, mortality, market))
         assert got == pytest.approx(oracle, rel=QUAD_REL_TOL)
         # the weekly schedule's D agrees with the oracle too
         controls = build_control_schedule(schedule, mortality, market)
+        step = controls.grid[1] - controls.grid[0]
         for t in (0.0, 10.0, 30.0):
-            i = round(t / controls.grid_step)
+            i = round(t / step)
             assert controls.grid[i] == t
             oracle = trapezoid_denominator(t, schedule, mortality, market)
             assert controls.denominator[i] == pytest.approx(oracle, rel=QUAD_REL_TOL)
@@ -182,14 +182,14 @@ class TestDenominatorIntegral:
         coarse, fine = (trapezoid_denominator(t, schedule, mortality, market, n)
                         for n in (20_000, 40_000))
         oracle = math.log((4.0 * fine - coarse) / 3.0)
-        got = log_denominator_integral(t, schedule, mortality, market)
+        got = log_tail_integrals(t, schedule, mortality, market)
         assert got == pytest.approx(oracle, rel=0, abs=1e-9)
 
     def test_unresolvable_hazard_rejected(self, market):
         # a hazard of 1e300 a year gains more than 16 over any 2^-64-year panel
         mortality = GompertzMakehamParams(1e300, BENCH_A2, BENCH_A3)
         with pytest.raises(ValueError, match=r"hazard too steep.*a2=0\.1215"):
-            log_denominator_integral(0.0, make_schedule(-3.0, "power"), mortality, market)
+            log_tail_integrals(0.0, make_schedule(-3.0, "power"), mortality, market)
 
     def test_derivative_consistency(self, market, mortality, calibrated_cache):
         # d/dt log D = -f(t)/D(t) with f the integrand, checked by central
@@ -201,10 +201,10 @@ class TestDenominatorIntegral:
         ts = ts[np.abs(ts - schedule.horizon_years) > 0.5][:60]
         h = 1e-4
         for t in ts:
-            log_d = log_denominator_integral(float(t), schedule, mortality, market)
+            log_d = log_tail_integrals(float(t), schedule, mortality, market)
             fd = (
-                log_denominator_integral(float(t + h), schedule, mortality, market)
-                - log_denominator_integral(float(t - h), schedule, mortality, market)
+                log_tail_integrals(float(t + h), schedule, mortality, market)
+                - log_tail_integrals(float(t - h), schedule, mortality, market)
             ) / (2.0 * h)
             analytic = -np.exp(
                 _log_integrand(np.array([t]), schedule, mortality, b)[0] - log_d
@@ -214,12 +214,14 @@ class TestDenominatorIntegral:
     def test_domain_checks(self, market, mortality):
         schedule = make_schedule(-3.0, "power")
         with pytest.raises(ValueError):
-            log_denominator_integral(-1.0, schedule, mortality, market)
+            log_tail_integrals(-1.0, schedule, mortality, market)
         with pytest.raises(ValueError):
-            log_denominator_integral(50.5, schedule, mortality, market)
-        assert log_denominator_integral(50.0, schedule, mortality, market) == -np.inf
-        # the grid kernel keeps the input's shape and checks every point
-        assert log_tail_integrals(5.0, schedule, mortality, market).shape == ()
+            log_tail_integrals(50.5, schedule, mortality, market)
+        assert log_tail_integrals(50.0, schedule, mortality, market) == -np.inf
+        # the kernel keeps the input's shape, gives a float for a scalar t,
+        # and checks every point
+        scalar = log_tail_integrals(5.0, schedule, mortality, market)
+        assert isinstance(scalar, float) and scalar.shape == ()
         grid = np.array([[0.0, 5.0, 12.5], [30.0, 49.9, 50.0]])
         log_d = log_tail_integrals(grid, schedule, mortality, market)
         assert log_d.shape == grid.shape
@@ -239,7 +241,7 @@ class TestBuildControlSchedule:
         controls = controls_cache(-3.0, "scaled_trimmed")
         assert isinstance(controls, ControlSchedule)
         assert controls.grid[0] == 0.0
-        assert controls.grid_step == DEFAULT_GRID_STEP_YEARS
+        assert controls.grid[1] - controls.grid[0] == DEFAULT_GRID_STEP_YEARS
         # the terminal point, where D vanishes identically, is dropped
         assert len(controls.grid) == 2600
         assert controls.t_end == pytest.approx(50.0 - 1.0 / 52.0, rel=1e-12)
@@ -347,7 +349,8 @@ class TestBuildControlSchedule:
         # read 0 across the last cell before it; the true value is positive
         controls = controls_cache(-3.0, "scaled_trimmed")
         schedule = controls.schedule
-        t = 20.0 - controls.grid_step * np.array([0.999, 0.75, 0.5, 0.25, 0.001])
+        step = controls.grid[1] - controls.grid[0]
+        t = 20.0 - step * np.array([0.999, 0.75, 0.5, 0.25, 0.001])
         log_d = log_tail_integrals(t, schedule, mortality, market)
         _, log_exact = log_control_rates(t, log_d, schedule, mortality, controls.beta)
         got = controls.bequest_fraction_at(t)
@@ -400,7 +403,7 @@ class TestBuildControlSchedule:
         schedule = make_schedule(0.5, "trimmed")
         for i in (0, 260, 520, 1000, 1040, 2000):  # t = 0, 5, 10, 19.23, 20, 38.46
             t = float(controls.grid[i])
-            assert controls.log_denominator[i] == log_denominator_integral(
+            assert controls.log_denominator[i] == log_tail_integrals(
                 t, schedule, mortality, market
             )
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisect_kappa
-from tontine.controls import log_denominator_integral
+from tontine.controls import log_tail_integrals
 from tontine.mortality import GompertzMakehamParams, force_of_mortality
 from tontine.preferences import (
     DEFAULT_BEQUEST_HORIZON_YEARS,
@@ -263,7 +263,7 @@ class TestCalibrateKappa:
             trial = schedule.with_kappa(kappa_star * factor)
             alpha0 = 1.0 - np.exp(
                 log_transformed_weight(0.0, trial, mortality)
-                - log_denominator_integral(0.0, trial, mortality, market)
+                - log_tail_integrals(0.0, trial, mortality, market)
             )
             alphas.append(alpha0)
         assert np.all(np.diff(alphas) < 0.0)
@@ -293,8 +293,8 @@ class TestFeasibilityBoundary:
     def _gap(gamma: float, market, mortality) -> float:
         base = make_schedule(gamma, "power")
         none = make_schedule(gamma, "none")
-        b_val = math.exp(log_denominator_integral(0.0, base, mortality, market)) - math.exp(
-            log_denominator_integral(0.0, none, mortality, market)
+        b_val = math.exp(log_tail_integrals(0.0, base, mortality, market)) - math.exp(
+            log_tail_integrals(0.0, none, mortality, market)
         )
         g0 = np.exp(log_transformed_weight(0.0, base, mortality))
         return float(g0 - b_val)

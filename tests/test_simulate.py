@@ -23,11 +23,9 @@ from tontine.simulate import (
     SimulationResult,
     audit_csv,
     check_supermartingale,
-    first_moment_spd_wealth,
     objective_estimate,
     optimality_audit,
     scaled_controls,
-    second_moment_spd_wealth_bound,
     simulate_wealth,
     summary_csv,
     value_function,
@@ -55,6 +53,14 @@ class TestConfigValidation:
             SimulationConfig(n_paths=10, horizon=1.0, seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=10, horizon=1.0, seed=2**64)
+        # a path count or seed that is not an integer is refused, not truncated
+        for field, value in (("seed", -0.5), ("seed", 1.5), ("seed", 2.0), ("seed", True),
+                             ("n_paths", 2.5), ("n_paths", 10.0), ("n_paths", True),
+                             ("n_paths", np.float64(4.0))):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                SimulationConfig(**{"n_paths": 10, "horizon": 1.0, field: value})
+        config = SimulationConfig(n_paths=np.int64(3), horizon=1.0, seed=np.uint64(2**64 - 1))
+        assert (config.n_paths, config.seed) == (3, 2**64 - 1)
 
     @given(values=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
     @example(values=(1.0, 0.25, math.inf))
@@ -390,30 +396,28 @@ class TestDiffusionLoading:
 
 
 class TestMoments:
-    def test_first_moment_at_zero(self, controls_cache):
-        controls = controls_cache(-3.0, "scaled_trimmed")
-        fm = first_moment_spd_wealth(0.0, controls, x0=100_000.0)
-        phi0 = float(controls.c_star[0]) ** (controls.gamma - 1.0)
-        assert fm == pytest.approx(phi0 * 100_000.0, rel=1e-13)
-
     def test_first_moment_matches_monte_carlo(self, market, mortality, controls_cache):
+        # E[zeta_t X*_t] = phi_0 X_0 D(t)/D(0) under the optimal controls
         controls = controls_cache(-3.0, "scaled_trimmed")
         config = SimulationConfig(n_paths=20_000, horizon=20.0, step=1.0 / 26.0, seed=31)
         result = simulate_wealth(config, controls, market, mortality)
         for j, t in enumerate(result.times):
             if t < 1.0:
                 continue
-            closed = first_moment_spd_wealth(float(t), controls, x0=config.initial_wealth)
+            closed = controls.spd0 * config.initial_wealth * math.exp(
+                controls.log_denominator_at(t) - controls.log_denominator[0])
             dev = abs(result.summary["mean_zetaX"][j] - closed)
             assert dev <= 3.0 * result.summary["se_zetaX"][j]
 
     def test_second_moment_bound(self, market, mortality, controls_cache):
+        # E[(zeta_t X*_t)^2] <= (phi_0 X_0)^2 exp((sigma pi* - theta)^2 t)
         controls = controls_cache(-3.0, "scaled_trimmed")
         config = SimulationConfig(n_paths=20_000, horizon=20.0, step=1.0 / 26.0, seed=32)
         result = simulate_wealth(config, controls, market, mortality)
         sq = (result.spd_paths * result.wealth_paths) ** 2
+        load = market.sigma * controls.pi_star - market.sharpe
         for j, t in enumerate(result.times):
-            bound = second_moment_spd_wealth_bound(float(t), controls, x0=config.initial_wealth)
+            bound = (controls.spd0 * config.initial_wealth) ** 2 * math.exp(load**2 * t)
             m2 = float(sq[:, j].mean())
             se2 = float(sq[:, j].std(ddof=1) / np.sqrt(sq.shape[0]))
             assert m2 <= bound * (1.0 + 1e-12) + 5.0 * se2
@@ -654,6 +658,16 @@ class TestValueFunction:
         for t in (-1.0, controls.t_end + 1.0):
             with pytest.raises(ValueError):
                 value_function(t, 1.0, controls)
+
+    def test_rejects_negative_or_non_finite_wealth(self, controls_cache):
+        # x^gamma of a negative x would flip the value's sign; nan and inf
+        # would pass through as nan and -0.0
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        for x in (-1e5, -1e-300, np.nan, np.inf, -np.inf, [1e5, np.nan]):
+            with pytest.raises(ValueError, match="wealth x must be nonnegative and finite"):
+                value_function(0.0, x, controls)
+        with np.errstate(divide="ignore"):
+            assert value_function(0.0, 0.0, controls) == -np.inf  # the limit for gamma < 0
 
 
 @pytest.fixture(scope="module")
