@@ -14,14 +14,13 @@ import numpy as np
 
 from .controls import (
     MarketParams,
-    _csv_table,
     beta,
     check_log_d0,
     log_control_rates,
     log_tail_integrals,
     merton_fraction,
 )
-from .mortality import GompertzMakehamParams, cumulative_hazard
+from .mortality import GompertzMakehamParams, _check_times, _csv_table, cumulative_hazard
 from .preferences import PreferenceSchedule, log_transformed_weight
 
 __all__ = [
@@ -62,14 +61,15 @@ def expected_discounted_income(
 ):
     """E[e^{-rt} c*_t X*_t] = X0 e^{((mu-r)pi* - beta) t} / D(0).
 
-    Raises ``ValueError`` when D(0) overflows float64, where the income
-    would silently round to 0.
+    Raises ``ValueError`` for a t outside [0, T_max] and when D(0) overflows
+    float64, where the income would silently round to 0.
     """
     _check_x0(x0)
+    t = _check_times(t, mortality.limiting_age_years)
     log_d0 = log_tail_integrals(0.0, schedule, mortality, market)
     check_log_d0(log_d0, schedule.gamma)
     slope = income_log_slope(market, schedule.gamma, schedule.rho)
-    out = x0 * np.exp(slope * np.asarray(t, dtype=float) - log_d0)
+    out = x0 * np.exp(slope * t - log_d0)
     return out if np.ndim(out) else float(out)
 
 
@@ -81,7 +81,6 @@ def expected_discounted_bequest_value(
     x0: float = 100_000.0,
 ):
     """E[e^{-rt} (1-alpha*_t) X*_t]: the income curve reweighted by b_t^{1/(1-gamma)}."""
-    t = np.asarray(t, dtype=float)
     log_g = log_transformed_weight(t, schedule, mortality)
     out = expected_discounted_income(t, schedule, market, mortality, x0) * np.exp(log_g)
     return out if np.ndim(out) else float(out)

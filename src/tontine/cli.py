@@ -36,6 +36,7 @@ from .mortality import (
     GompertzMakehamParams,
     LifeTable,
     LifeTableError,
+    _csv_table,
     fit_gompertz_makeham,
     fit_to_csv,
 )
@@ -84,6 +85,16 @@ DEFAULTS: dict[str, object] = {
 VALID_KEYS = tuple(sorted(DEFAULTS))
 
 _FIGURE_GRID_STEP = 0.25
+
+# fig1-fig4: each (prefix, variant, gammas) adds a column `<prefix><gamma>`
+# per gamma, of expected discounted income for "income_" and alpha* otherwise.
+_FIGURES = {
+    "fig1.csv": (("alpha_", "power", BENCHMARK_GAMMAS),),
+    "fig2.csv": (("scaled_alpha_", "scaled_power", FEASIBLE_GAMMAS),
+                 ("trimmed_alpha_", "trimmed", BENCHMARK_GAMMAS)),
+    "fig3.csv": (("alpha_", "scaled_trimmed", FEASIBLE_GAMMAS),),
+    "fig4.csv": (("income_", "scaled_trimmed", FEASIBLE_GAMMAS),),
+}
 
 
 class CliError(Exception):
@@ -242,8 +253,8 @@ def _cmd_calibrate(merged: dict, outputs: _OutputSet) -> None:
     market = _resolved_market(merged)
     mortality = _resolved_mortality(merged)
     cal = calibrate_kappa(_uncalibrated_schedule(merged, market), market, mortality)
-    outputs.write(merged["out"], f"kappa,residual,feasible\n{cal.kappa:.12g},"
-                                 f"{cal.residual:.12g},{'true' if cal.feasible else 'false'}\n")
+    outputs.write(merged["out"], _csv_table(("kappa", "residual", "feasible"),
+                                            [(cal.kappa, cal.residual, cal.feasible)]))
 
 
 def _resolved(merged: dict):
@@ -322,47 +333,36 @@ def _cmd_figures(merged: dict, outputs: _OutputSet) -> None:
 
     # Each scaled variant is calibrated once per gamma; the feasible ones
     # serve fig2, fig3, fig4 and income0.csv, which ask for no other.
-    kappas = ["variant,gamma,kappa,residual,feasible"]
+    kappas = []
     calibrated: dict[tuple[float, str], PreferenceSchedule] = {}
     for variant in SCALED_VARIANTS:
         for g in BENCHMARK_GAMMAS:
             sched = schedule_for(g, variant)
             cal = calibrate_kappa(sched, market, mortality)
-            kappas.append(f"{variant},{g:g},{cal.kappa:.12g},{cal.residual:.3e},"
-                          f"{'true' if cal.feasible else 'false'}")
+            kappas.append((variant, g, cal.kappa, format(cal.residual, ".3e"), cal.feasible))
             if cal.feasible:
                 calibrated[g, variant] = sched.with_kappa(cal.kappa)
 
     def resolved(gamma: float, variant: str) -> PreferenceSchedule:
-        if variant in SCALED_VARIANTS:
-            return calibrated[gamma, variant]
-        return schedule_for(gamma, variant)
+        return calibrated.get((gamma, variant)) or schedule_for(gamma, variant)
 
-    def alphas(prefix: str, variant: str, gammas) -> dict[str, np.ndarray]:
-        return {f"{prefix}{g:g}": alpha_curve(resolved(g, variant), market, mortality, grid)
-                for g in gammas}
+    def curve(prefix: str, schedule: PreferenceSchedule) -> np.ndarray:
+        if prefix == "income_":
+            return expected_discounted_income(grid, schedule, market, mortality, x0)
+        return alpha_curve(schedule, market, mortality, grid)
 
-    write("fig1.csv", figure_table_csv(alphas("alpha_", "power", BENCHMARK_GAMMAS),
-                                       grid, base_age))
-    fig2 = alphas("scaled_alpha_", "scaled_power", FEASIBLE_GAMMAS)
-    fig2.update(alphas("trimmed_alpha_", "trimmed", BENCHMARK_GAMMAS))
-    write("fig2.csv", figure_table_csv(fig2, grid, base_age))
-    write("fig3.csv", figure_table_csv(alphas("alpha_", "scaled_trimmed", FEASIBLE_GAMMAS),
-                                       grid, base_age))
-    fig4 = {
-        f"income_{g:g}": expected_discounted_income(
-            grid, resolved(g, "scaled_trimmed"), market, mortality, x0)
-        for g in FEASIBLE_GAMMAS
-    }
-    write("fig4.csv", figure_table_csv(fig4, grid, base_age))
-
-    write("merton.csv", "gamma,pi_star\n" + "".join(
-        f"{g:g},{merton_fraction(market, g):.12g}\n" for g in BENCHMARK_GAMMAS))
-    write("kappas.csv", "\n".join(kappas) + "\n")
-    write("income0.csv", "variant,gamma,initial_income_per_100k\n" + "".join(
-        f"{variant},{g:g},"
-        f"{expected_discounted_income(0.0, resolved(g, variant), market, mortality, x0):.2f}\n"
-        for variant in ("none", "power", "scaled_trimmed") for g in FEASIBLE_GAMMAS))
+    for name, columns in _FIGURES.items():
+        write(name, figure_table_csv({f"{prefix}{g:g}": curve(prefix, resolved(g, variant))
+                                      for prefix, variant, gammas in columns for g in gammas},
+                                     grid, base_age))
+    write("merton.csv", _csv_table(("gamma", "pi_star"),
+                                   ((g, merton_fraction(market, g)) for g in BENCHMARK_GAMMAS)))
+    write("kappas.csv", _csv_table(("variant", "gamma", "kappa", "residual", "feasible"), kappas))
+    write("income0.csv", _csv_table(
+        ("variant", "gamma", "initial_income_per_100k"),
+        ((variant, g, format(expected_discounted_income(0.0, resolved(g, variant), market,
+                                                        mortality, x0), ".2f"))
+         for variant in ("none", "power", "scaled_trimmed") for g in FEASIBLE_GAMMAS)))
 
 
 # Each command's handler and default output, in help order.

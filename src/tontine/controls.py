@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
+from .mortality import (GompertzMakehamParams, _check_times, _csv_table, cumulative_hazard,
+                        force_of_mortality)
 from .preferences import (
     TRIMMED_VARIANTS,
     PreferenceSchedule,
@@ -256,10 +257,8 @@ def log_tail_integrals(
     Every t is thus integrated on the same panels whichever grid asked for
     it, which keeps the mesh-dependent trimmed gamma > 0 value consistent.
     """
-    t = np.asarray(t, dtype=float)
     t_max = mortality.limiting_age_years
-    if not np.all((t >= 0.0) & (t <= t_max)):
-        raise ValueError(f"t must lie in [0, {t_max}]")
+    t = _check_times(t, t_max)
     # counted before any edge is built: the yearly panels, the horizon and its
     # graded panels (halving steep panels adds at most a few thousand)
     _check_quadrature_memory(math.ceil(t_max) + _GRADE_LEVELS + 2, "quadrature panels")
@@ -423,14 +422,6 @@ def build_control_schedule(
         log_denominator=log_d[:last],
         warnings=tuple(notes),
     )
-
-
-def _csv_table(columns, rows) -> str:
-    """An all-numeric CSV: the ``columns`` header, then each row's values as
-    ``format(v, ".12g")``."""
-    lines = [",".join(columns)]
-    lines += [",".join(format(v, ".12g") for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def schedule_csv(controls: ControlSchedule, base_age: float = 65.0) -> str:

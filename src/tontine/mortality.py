@@ -1,4 +1,5 @@
-"""Gompertz-Makeham hazard model, survival function, and life-table fitting.
+"""Gompertz-Makeham hazard model, survival function, and life-table fitting,
+with the package's one check of a time argument and its one CSV writer.
 
 The hazard is lambda_t = a1*exp(a2*t) + a3 with t measured in years past a
 base age (retirement age 65 by default).  Integrals elsewhere in the package
@@ -65,15 +66,17 @@ class GompertzMakehamParams:
             )
 
 
-def _check_times(t: np.ndarray) -> None:
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+def _check_times(t, upper: float = math.inf, name: str = "t") -> np.ndarray:
+    """``t`` as a float array in [0, ``upper``], NaN refused: the one time check."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t <= upper)):
+        raise ValueError(f"{name} must lie in [0, {upper:.6g}]")
+    return t
 
 
 def force_of_mortality(t, params: GompertzMakehamParams):
     """Hazard rate a1*exp(a2*t) + a3 at time t (years past base age)."""
-    t = np.asarray(t, dtype=float)
-    _check_times(t)
+    t = _check_times(t)
     out = params.a1 * np.exp(params.a2 * t) + params.a3
     return out if out.ndim else float(out)
 
@@ -84,8 +87,7 @@ def cumulative_hazard(t, params: GompertzMakehamParams):
     Computed with expm1 so small a2*t loses no precision; the a2 = 0 limit
     (a1+a3)*t is the continuous extension of the same expression.
     """
-    t = np.asarray(t, dtype=float)
-    _check_times(t)
+    t = _check_times(t)
     out = _cumulative_hazard(t, params.a1, params.a2, params.a3)
     return out if out.ndim else float(out)
 
@@ -102,7 +104,6 @@ def _cumulative_hazard(t: np.ndarray, a1: float, a2: float, a3: float) -> np.nda
 
 def survival(t, params: GompertzMakehamParams):
     """Probability of surviving t years past the base age, in (0, 1]."""
-    t = np.asarray(t, dtype=float)
     out = np.exp(-cumulative_hazard(t, params))
     return out if out.ndim else float(out)
 
@@ -307,6 +308,17 @@ def fit_gompertz_makeham(
 def fit_to_csv(fit: GompertzMakehamFit) -> str:
     """Render a fit as a CSV with header `a1,a2,a3,objective`."""
     p = fit.params
-    return "a1,a2,a3,objective\n" + ",".join(
-        format(v, ".12g") for v in (p.a1, p.a2, p.a3, fit.objective)
-    ) + "\n"
+    return _csv_table(("a1", "a2", "a3", "objective"), [(p.a1, p.a2, p.a3, fit.objective)])
+
+
+def _csv_table(columns, rows) -> str:
+    """The package's one CSV writer: the ``columns`` header, then one line per
+    row, each cell a str as it is, a bool as `true`/`false` and any other
+    value as ``format(v, ".12g")``."""
+
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):  # before format: np.True_ formats as '1'
+            return "true" if v else "false"
+        return v if isinstance(v, str) else format(v, ".12g")
+
+    return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in rows)]) + "\n"

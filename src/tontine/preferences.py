@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mortality import GompertzMakehamParams, force_of_mortality
+from .mortality import GompertzMakehamParams, _check_times, force_of_mortality
 
 VARIANTS = ("none", "power", "scaled_power", "trimmed", "scaled_trimmed")
 SCALED_VARIANTS = ("scaled_power", "scaled_trimmed")
@@ -134,9 +134,7 @@ def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamPar
     q = 1 outside the mask.  This is the only place that branches on the
     variant.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    t = _check_times(t)
     variant = schedule.variant
     if variant == "none":
         parts = (np.ones_like(t), 1.0, np.zeros(t.shape, dtype=bool))

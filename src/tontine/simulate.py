@@ -29,8 +29,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .controls import ControlSchedule, MarketParams, _csv_table, _require_memory
-from .mortality import GompertzMakehamParams, cumulative_hazard, force_of_mortality
+from .controls import ControlSchedule, MarketParams, _require_memory
+from .mortality import (GompertzMakehamParams, _check_times, _csv_table, cumulative_hazard,
+                        force_of_mortality)
 from .preferences import PreferenceSchedule, bequest_weight
 
 __all__ = [
@@ -80,13 +81,13 @@ class SimulationConfig:
     """Path count, step, horizon (years), seed, and initial wealth; the path
     count and seed are integers (Python or numpy, not bool).
 
-    ``record_times`` selects the snapshot times stored per path (snapped to
-    the nearest grid node); ``None`` keeps 0, the report times within the
-    horizon, and the horizon itself, while the string ``"all"`` keeps every
-    grid node.  The result arrays and the summary's temporaries take
-    8 bytes x n_paths x (6 x recorded times + 1), and each worker thread's
-    buffers and scratch 2 x 8 bytes x max(min(512, n_paths), 2) x (steps +
-    min(64, steps) + 2);
+    ``record_times`` selects the snapshot times stored per path: a nonempty
+    sequence of times in [0, horizon], each snapped to the nearest grid node;
+    ``None`` keeps 0, the report times within the horizon, and the horizon
+    itself, while the string ``"all"`` keeps every grid node.  The result
+    arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
+    recorded times + 1), and each worker thread's buffers and scratch 2 x 8
+    bytes x max(min(512, n_paths), 2) x (steps + min(64, steps) + 2);
     ``simulate_wealth`` raises ``SimulationError`` before allocating anything
     the length of the time grid if these would exceed the machine's physical
     memory.
@@ -106,14 +107,21 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be positive and finite")
-        if not (math.isfinite(self.initial_wealth) and self.initial_wealth > 0):
-            raise ValueError("initial_wealth must be positive and finite")
+        for name in ("step", "horizon", "initial_wealth"):
+            if not 0 < getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        times = self.record_times
+        if times is None or isinstance(times, str) and times == "all":
+            return
+        try:  # any other str is a scalar or no number at all
+            times = np.asarray(times, dtype=float)
+        except (TypeError, ValueError):
+            times = np.empty(0)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("record_times must be None, 'all', or a nonempty sequence of times")
+        _check_times(times, self.horizon + 1e-9, "record_times")
 
 
 _Control = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -275,18 +283,14 @@ def _trapezoid_totals(logs, coef, half_weight, rows, scratch, out, *, with_value
 
 def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarray | None:
     """The grid indices to record, or None for every node (not yet allocated)."""
-    if isinstance(config.record_times, str):
-        if config.record_times != "all":
-            raise ValueError("record_times must be a tuple of times, None, or 'all'")
+    if isinstance(config.record_times, str):  # "all", checked on construction
         return None
-    if config.record_times is None:
+    wanted = config.record_times
+    if wanted is None:
         wanted = [0.0, *(t for t in REPORT_TIMES if t <= config.horizon + 1e-9), config.horizon]
-    else:
-        wanted = [float(t) for t in config.record_times]
-        if any(t < 0 or t > config.horizon + 1e-9 for t in wanted):
-            raise ValueError("record_times must lie within [0, horizon]")
     step = config.horizon / n_steps
-    return np.unique(np.clip(np.round(np.asarray(wanted) / step).astype(int), 0, n_steps))
+    return np.unique(np.clip(np.round(np.asarray(wanted, dtype=float) / step).astype(int),
+                             0, n_steps))
 
 
 def simulate_wealth(
@@ -589,9 +593,7 @@ def value_function(t, x, controls: ControlSchedule):
     ``ValueError`` for a t off the tabulation and for a negative or non-finite
     x; x = 0 gives the limit (0, or -inf for gamma < 0).
     """
-    t = np.asarray(t, dtype=float)
-    if np.any((t < 0.0) | (t > controls.t_end + 1e-9)):
-        raise ValueError(f"t must lie in [0, {controls.t_end:.6g}]")
+    t = _check_times(t, controls.t_end + 1e-9)
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x < math.inf)):  # nan fails too
         raise ValueError("wealth x must be nonnegative and finite")
@@ -739,7 +741,4 @@ def audit_csv(report: AuditReport) -> str:
                  abs(report.dual_gap_z) <= 3.0))
     rows += [("jitter", h, j.c_scale, j.alpha_scale, j.mean_diff, j.se_diff,
               j.mean_diff > 0.0 and j.supermartingale_ok) for j in report.jitters]
-    lines = ["check,t,c_scale,alpha_scale,mean,se,ok"]
-    lines += [",".join([check, *(format(v, ".12g") for v in values), str(ok).lower()])
-              for check, *values, ok in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_table(("check", "t", "c_scale", "alpha_scale", "mean", "se", "ok"), rows)

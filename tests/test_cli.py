@@ -712,11 +712,6 @@ class TestFigures:
         cols4, _ = read_csv(tmp_path / "fig4.csv")
         assert "income_-3" in cols4
 
-    def test_missing_directory_is_io_error(self, tmp_path, capsys):
-        code, _, err = run_cli(["figures", "--out", str(tmp_path / "nope")], capsys)
-        assert code == 2
-        assert err.startswith("error: IO:")
-
 
 def src_env():
     env = dict(os.environ)
@@ -775,8 +770,12 @@ class TestDefaults:
             assert callable(handler) and out
 
 
-# sha256 of every CSV each command writes at its defaults.
+# sha256 of every CSV each command writes at its defaults; `fit` reads the
+# noise-free table of the default hazard constants from base age 65.
 DEFAULT_CSV_SHA256 = {
+    "fit": {
+        "fit.csv": "1748e9a6dd7a8e7a304d93031fa314e0bdaa1fabbfff4e71fd0be33c3ec8dfa6",
+    },
     "calibrate": {
         "calibrate.csv": "8b7ef2eeb5044c8130b27e133bc346658a7e7e387d629e1dc8f6f492405e4105",
     },
@@ -807,11 +806,17 @@ DEFAULT_CSV_SHA256 = {
 class TestDefaultBytes:
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
     def test_sha256_at_defaults(self, tmp_path, capsys, command):
-        out = tmp_path if command == "figures" else tmp_path / f"{command}.csv"
-        code, _, err = run_cli([command, "--out", str(out)], capsys)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir if command == "figures" else outdir / f"{command}.csv"
+        argv = [command, "--out", str(out)]
+        if command == "fit":
+            synthetic_life_table_csv(tmp_path / "table.csv", BENCH, base_age=65)
+            argv += ["--table", str(tmp_path / "table.csv")]
+        code, _, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in tmp_path.iterdir()}
+                   for p in outdir.iterdir()}
         assert digests == DEFAULT_CSV_SHA256[command]
 
 

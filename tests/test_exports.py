@@ -75,3 +75,62 @@ def test_every_exported_name_has_a_reader():
               for n in getattr(importlib.import_module(f"tontine.{name}"), "__all__", ())
               if n not in read and n not in UNREAD_BY_DESIGN]
     assert unread == []
+
+
+def _hand_built_csv(source: str) -> list[int]:
+    """Lines outside `_csv_table` that build CSV text by hand: a join on ","
+    or "\\n", or a string or f-string literal (not a docstring) holding both a
+    comma and a newline."""
+    tree = ast.parse(source)
+    docstrings = {node.body[0].value for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = set()
+
+    def visit(node) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name == "_csv_table":
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+                and node.func.value.value in (",", "\n")):
+            found.add(node.lineno)
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node not in docstrings):
+            text = node.value
+        else:
+            text = ""
+        if "," in text and "\n" in text:
+            found.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "tontine").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_csv_goes_through_one_writer(path):
+    assert _hand_built_csv(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    'x = ",".join(cells)',
+    'x = "\\n".join(lines)',
+    'x = "a,b\\n"',
+    'x = f"{a},{b}\\n"',
+    'def f():\n    return (f"{a:.12g},"\n            f"{b}\\n")',  # implicit concatenation
+])
+def test_the_csv_guard_sees_a_hand_built_writer(source):
+    assert _hand_built_csv(source) != []
+
+
+def test_the_csv_guard_skips_the_writer_and_docstrings():
+    source = ('"""a,\nb"""\n'
+              'def _csv_table(columns, rows):\n    return "\\n".join([",".join(columns)])\n'
+              'def g():\n    """c,\n    d"""\n    return ", ".join(names)\n')
+    assert _hand_built_csv(source) == []

@@ -12,8 +12,15 @@ from scipy.integrate import quad
 from scipy.optimize import least_squares
 
 from helpers import synthetic_life_table_csv
+from tontine.analytics import (
+    expected_discounted_bequest_value,
+    expected_discounted_income,
+    expected_wealth,
+)
+from tontine.controls import log_tail_integrals
 from tontine.mortality import (
     _START,
+    _csv_table,
     DEFAULT_BASE_AGE,
     DEFAULT_LIMITING_AGE,
     GompertzMakehamParams,
@@ -26,7 +33,10 @@ from tontine.mortality import (
     survival,
 )
 
-from conftest import BENCH_A1, BENCH_A2, BENCH_A3, FIT_COMPONENT_TOL
+from tontine.preferences import bequest_weight, log_transformed_weight
+from tontine.simulate import value_function
+
+from conftest import BENCH_A1, BENCH_A2, BENCH_A3, FIT_COMPONENT_TOL, make_schedule
 
 # Fixed-point references evaluated with 40-digit arithmetic (mpmath), then
 # rounded to double precision.  They pin the exp/expm1 implementation.
@@ -362,3 +372,69 @@ class TestFit:
         assert a2 == pytest.approx(result.params.a2, rel=1e-11)
         assert a3 == pytest.approx(result.params.a3, rel=1e-11)
         assert obj == pytest.approx(result.objective, rel=1e-11, abs=1e-300)
+
+
+class TestCsvTable:
+    def test_cell_rule(self):
+        # a str as it is, a Python or numpy bool as true/false (np.True_ would
+        # format as '1'), anything else as format(v, ".12g")
+        rows = [("x", True, np.True_, np.float64(0.1), 1.0 / 3.0, 7),
+                ("y z", False, np.False_, math.nan, math.inf, -math.inf)]
+        assert _csv_table(("s", "b", "nb", "f", "g", "i"), rows) == (
+            "s,b,nb,f,g,i\n"
+            "x,true,true,0.1,0.333333333333,7\n"
+            "y z,false,false,nan,inf,-inf\n")
+
+    def test_header_only(self):
+        assert _csv_table(("a", "b"), []) == "a,b\n"
+
+
+# Every function of t, and whether it has an upper bound (T_max, or the end
+# of the tabulation for value_function).
+TIME_FUNCTIONS = {
+    "force_of_mortality": (lambda t, m: force_of_mortality(t, m.mortality), False),
+    "cumulative_hazard": (lambda t, m: cumulative_hazard(t, m.mortality), False),
+    "survival": (lambda t, m: survival(t, m.mortality), False),
+    "bequest_weight": (lambda t, m: bequest_weight(t, m.schedule, m.mortality), False),
+    "log_transformed_weight": (
+        lambda t, m: log_transformed_weight(t, m.schedule, m.mortality), False),
+    "log_tail_integrals": (
+        lambda t, m: log_tail_integrals(t, m.schedule, m.mortality, m.market), True),
+    "value_function": (lambda t, m: value_function(t, 1e5, m), True),
+    "expected_discounted_income": (
+        lambda t, m: expected_discounted_income(t, m.schedule, m.market, m.mortality), True),
+    "expected_discounted_bequest_value": (
+        lambda t, m: expected_discounted_bequest_value(t, m.schedule, m.market, m.mortality),
+        True),
+    "expected_wealth": (
+        lambda t, m: expected_wealth(t, m.schedule, m.market, m.mortality), True),
+}
+
+
+class TestTimeCheck:
+    """One check owns every time argument: t in [0, upper], NaN refused."""
+
+    @pytest.fixture
+    def model(self, controls_cache):
+        # its schedule, mortality and market serve the other functions
+        return controls_cache(-3.0, "power")
+
+    @pytest.mark.parametrize("name", sorted(TIME_FUNCTIONS))
+    def test_refuses_nan_and_negative_times(self, model, name):
+        evaluate, _ = TIME_FUNCTIONS[name]
+        for t in (math.nan, -1.0, [1.0, math.nan]):
+            with pytest.raises(ValueError, match=r"^t must lie in \[0, "):
+                evaluate(t, model)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, upper) in TIME_FUNCTIONS.items()
+                                            if upper))
+    def test_refuses_times_past_the_upper_bound(self, model, name):
+        evaluate, _ = TIME_FUNCTIONS[name]
+        for t in (math.inf, model.mortality.limiting_age_years + 1.0):
+            with pytest.raises(ValueError, match=r"^t must lie in \[0, "):
+                evaluate(t, model)
+
+    @pytest.mark.parametrize("name", sorted(TIME_FUNCTIONS))
+    def test_accepts_the_ends(self, model, name):
+        evaluate, _ = TIME_FUNCTIONS[name]
+        assert np.all(np.isfinite(evaluate([0.0, model.t_end], model)))

@@ -75,14 +75,19 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 SimulationConfig(n_paths=1, horizon=horizon, step=step, initial_wealth=x0)
 
-    def test_rejects_bad_record_times(self, market):
+    def test_rejects_bad_record_times(self):
+        # refused where the config is built, not later in the kernel
+        for times in ("some", (2.0,), (np.nan, 0.5), (), 5, (-0.5,), (0.5, np.inf),
+                      ((0.5, 1.0),)):
+            with pytest.raises(ValueError, match="^record_times must"):
+                SimulationConfig(n_paths=4, horizon=1.0, step=0.25, record_times=times)
+
+    def test_accepts_any_sequence_of_record_times(self, market):
         controls = DeterministicControls(pi=0.0, consumption=0.0, tontine_fraction=0.0)
-        config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25, record_times="some")
-        with pytest.raises(ValueError):
-            simulate_wealth(config, controls, market, NO_MORTALITY)
-        config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25, record_times=(2.0,))
-        with pytest.raises(ValueError):
-            simulate_wealth(config, controls, market, NO_MORTALITY)
+        for times in ([0.5, 1.0], np.array([0.5, 1.0])):
+            config = SimulationConfig(n_paths=2, horizon=1.0, step=0.25, record_times=times)
+            result = simulate_wealth(config, controls, market, NO_MORTALITY)
+            assert result.times.tolist() == [0.5, 1.0]
 
     def test_default_record_times(self, market):
         controls = DeterministicControls(pi=0.0, consumption=0.0, tontine_fraction=0.0)
