@@ -344,15 +344,15 @@ class ControlSchedule:
             return math.inf
 
     def log_denominator_at(self, t) -> np.ndarray:
-        return np.interp(t, self.grid, self.log_denominator)
+        return np.interp(_check_times(t, self.t_end + 1e-9), self.grid, self.log_denominator)
 
     def consumption_at(self, t) -> np.ndarray:
-        return np.exp(np.interp(t, self.grid, self.log_c_star))
+        return np.exp(np.interp(_check_times(t, self.t_end + 1e-9), self.grid, self.log_c_star))
 
     def bequest_fraction_at(self, t) -> np.ndarray:
         """1 - alpha*_t, interpolated in log space except in a cell with a
         zero end, where it is c*_t b_t^{1/(1-gamma)} at t."""
-        t = np.asarray(t, dtype=float)
+        t = _check_times(t, self.t_end + 1e-9)
         log_frac = np.asarray(np.interp(t, self.grid, self.log_bequest_fraction))
         cell = np.isneginf(log_frac)
         if np.any(cell):

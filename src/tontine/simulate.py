@@ -18,6 +18,10 @@ utility objective, up to the recorded times only: the same bits as a
 cumulative sum, with two full buffers per worker.
 Sub-blocks are sharded over the CPUs this process may use, and the output
 bytes depend only on the seed, not on the sub-block size or the sharding.
+The calling thread allocates one block of buffers and one of scratch for
+all workers, which each work in their own slice, and frees both before the
+summary, so the summary and the next call reuse those pages (glibc keeps
+the pages a worker thread frees in that thread's arena).
 """
 from __future__ import annotations
 
@@ -56,13 +60,15 @@ REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
 # Paths per sub-block: each worker holds two path-major (paths x (steps + 1))
 # float64 buffers, log X and log zeta (then log zeta*X, then gamma log X),
-# 8.5 MB at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
+# 8.5 MB at 1,040 steps, as its slice of one block that the calling thread
+# allocates for all workers.  Of 256, 512, 1024 and 2048 paths, 512 ran the
 # 20,000 x 1,040 audit fastest on two threads, before and after the move to
 # time-major sums.
 _SUB_BLOCK_PATHS = 512
 
 # Time nodes per chunk of the trapezoid pass over Y and the objective: each
-# worker's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB at 512 paths.
+# worker's slice of the time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
+# at 512 paths.
 # 64 and 128 ran the audit equally fast; 32 was slower.
 _CHUNK_NODES = 64
 
@@ -86,11 +92,12 @@ class SimulationConfig:
     ``None`` keeps 0, the report times within the horizon, and the horizon
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
-    recorded times + 1), and each worker thread's buffers and scratch 2 x 8
-    bytes x max(min(512, n_paths), 2) x (steps + min(64, steps) + 2);
-    ``simulate_wealth`` raises ``SimulationError`` before allocating anything
-    the length of the time grid if these would exceed the machine's physical
-    memory.
+    recorded times + 1), and the buffers and scratch 2 x 8 bytes x
+    max(min(512, n_paths), 2) x (steps + min(64, steps) + 2) per worker
+    thread, one block for all workers that the calling thread allocates and
+    frees before the summary; ``simulate_wealth`` raises ``SimulationError``
+    before allocating anything the length of the time grid if these would
+    exceed the machine's physical memory.
     """
 
     n_paths: int
@@ -339,6 +346,11 @@ def simulate_wealth(
     n_blocks = -(-n_paths // sub)
     n_workers = min(_n_workers(), n_blocks)
     _check_memory(n_paths, n_rec, n_steps, n_workers)
+    # every worker's sub-block buffers and time-major scratch, allocated here
+    # so that their pages return to this thread's heap, not a worker's
+    lanes = max(min(sub, n_paths), 2)
+    buffer_block = np.empty((n_workers, 2, lanes, n_steps + 1))
+    scratch_block = np.empty((n_workers, 2, min(_CHUNK_NODES, n_steps) + 1, lanes))
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
 
@@ -413,9 +425,7 @@ def simulate_wealth(
         sub-block that has one, or None; later sub-blocks hold higher paths.
         """
         normals = _Substreams(seed)
-        lanes = max(min(sub, n_paths), 2)
-        buffers = np.empty((2, lanes, n_steps + 1))
-        scratch = np.empty((2, min(_CHUNK_NODES, n_steps) + 1, lanes))
+        buffers, scratch = buffer_block[worker], scratch_block[worker]
         with np.errstate(**fp_state):
             for block in range(worker, n_blocks, n_workers):
                 start = block * sub
@@ -468,6 +478,7 @@ def simulate_wealth(
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         found = [bad for bad in pool.map(shard, range(n_workers)) if bad is not None]
+    del buffer_block, scratch_block  # the summary takes their pages
     if found:
         path, k, what = min(found)
         raise SimulationError(f"{what} step {k} (t={times[k]:.6g}), path {path}")

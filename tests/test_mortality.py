@@ -390,7 +390,7 @@ class TestCsvTable:
 
 
 # Every function of t, and whether it has an upper bound (T_max, or the end
-# of the tabulation for value_function).
+# of the tabulation for value_function and the ControlSchedule queries).
 TIME_FUNCTIONS = {
     "force_of_mortality": (lambda t, m: force_of_mortality(t, m.mortality), False),
     "cumulative_hazard": (lambda t, m: cumulative_hazard(t, m.mortality), False),
@@ -401,6 +401,9 @@ TIME_FUNCTIONS = {
     "log_tail_integrals": (
         lambda t, m: log_tail_integrals(t, m.schedule, m.mortality, m.market), True),
     "value_function": (lambda t, m: value_function(t, 1e5, m), True),
+    "ControlSchedule.consumption_at": (lambda t, m: m.consumption_at(t), True),
+    "ControlSchedule.bequest_fraction_at": (lambda t, m: m.bequest_fraction_at(t), True),
+    "ControlSchedule.log_denominator_at": (lambda t, m: m.log_denominator_at(t), True),
     "expected_discounted_income": (
         lambda t, m: expected_discounted_income(t, m.schedule, m.market, m.mortality), True),
     "expected_discounted_bequest_value": (

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -298,14 +300,21 @@ class TestGoldenBytes:
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         assert _digests(runs) == GOLDEN_DIGESTS
 
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("workers", (1, 2, 5))
     def test_sub_block_size_and_workers_leave_arrays_unchanged(
         self, monkeypatch, workers, market, mortality, controls_cache, calibrated_cache
     ):
         default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
-        sharded = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        # more workers than cores, switching often: each must keep to its own
+        # slice of the caller's buffer block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sharded = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+        finally:
+            sys.setswitchinterval(interval)
         for name, result in default.items():
             for field in RESULT_ARRAYS:
                 assert np.array_equal(getattr(sharded[name], field), getattr(result, field))
@@ -617,6 +626,29 @@ class TestErrors:
         pages["SC_PHYS_PAGES"] = need // 8
         result = simulate_wealth(config, controls, market, NO_MORTALITY)
         assert result.wealth_paths.shape == (n_paths, n_rec)
+
+    def test_calling_thread_allocates_the_worker_buffers(
+        self, monkeypatch, market, mortality, controls_cache
+    ):
+        # pages a worker thread allocates stay in its own malloc arena, where
+        # the summary and the next call cannot reuse them
+        n_steps, workers = 1040, 2
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        allocations = []
+        empty = np.empty
+
+        def recording_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            allocations.append((threading.get_ident(), out.nbytes))
+            return out
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        config = SimulationConfig(n_paths=2048, horizon=40.0, step=1.0 / 26.0, seed=3)
+        simulate_wealth(config, controls_cache(-3.0, "scaled_trimmed"), market, mortality)
+        buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
+        caller = threading.get_ident()
+        assert [n for ident, n in allocations if ident != caller and n >= buffer] == []
+        assert (workers * 2 * buffer, caller) in {(n, ident) for ident, n in allocations}
 
     @pytest.mark.parametrize("with_objective", (True, False))
     def test_worker_buffers_stay_two_per_worker(
