@@ -15,13 +15,18 @@ cumulative sums along path-major rows.  One chunked pass
 (``_trapezoid_totals``) exponentiates a few dozen nodes at a time into a
 small time-major scratch and sums the trapezoid terms of Y, then of the
 utility objective, up to the recorded times only: the same bits as a
-cumulative sum, with two full buffers per worker.
-Sub-blocks are sharded over the CPUs this process may use, and the output
-bytes depend only on the seed, not on the sub-block size or the sharding.
-The calling thread allocates one block of buffers and one of scratch for
-all workers, which each work in their own slice, and frees both before the
-summary, so the summary and the next call reuse those pages (glibc keeps
-the pages a worker thread frees in that thread's arena).
+cumulative sum, with two full buffers per sub-block in flight.
+The sub-blocks run as a pipeline over the CPUs this process may use: the
+calling thread alone draws the normals, in path order, each sub-block's into
+the next of a ring of one buffer per CPU, and the other threads each take a
+filled buffer, advance log X in place in it beside their own zeta buffer and
+scratch, and hand it back (with one CPU, the calling thread advances each
+sub-block itself).  So two CPUs hold three full buffers, and no two threads
+run the per-path Philox loop at once.  The output bytes depend only on the
+seed, not on the sub-block size or the number of threads.
+The calling thread allocates the ring, the zeta buffers and the scratch and
+frees them before the summary, so the summary and the next call reuse those
+pages (glibc keeps the pages a worker thread frees in that thread's arena).
 """
 from __future__ import annotations
 
@@ -58,16 +63,16 @@ __all__ = [
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
-# Paths per sub-block: each worker holds two path-major (paths x (steps + 1))
-# float64 buffers, log X and log zeta (then log zeta*X, then gamma log X),
-# 8.5 MB at 1,040 steps, as its slice of one block that the calling thread
-# allocates for all workers.  Of 256, 512, 1024 and 2048 paths, 512 ran the
+# Paths per sub-block: a sub-block's normals and then log X fill one
+# path-major (paths x (steps + 1)) float64 ring buffer, and the thread that
+# advances it holds one more for log zeta (then log zeta*X, then gamma log X),
+# 4.3 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
 # 20,000 x 1,040 audit fastest on two threads, before and after the move to
 # time-major sums.
 _SUB_BLOCK_PATHS = 512
 
 # Time nodes per chunk of the trapezoid pass over Y and the objective: each
-# worker's slice of the time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
+# advancing thread's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
 # at 512 paths.
 # 64 and 128 ran the audit equally fast; 32 was slower.
 _CHUNK_NODES = 64
@@ -92,10 +97,11 @@ class SimulationConfig:
     ``None`` keeps 0, the report times within the horizon, and the horizon
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
-    recorded times + 1), and the buffers and scratch 2 x 8 bytes x
-    max(min(512, n_paths), 2) x (steps + min(64, steps) + 2) per worker
-    thread, one block for all workers that the calling thread allocates and
-    frees before the summary; ``simulate_wealth`` raises ``SimulationError``
+    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes, W worker
+    threads and A = max(W - 1, 1) of them advancing paths, the buffers take
+    8 bytes x w x (steps + 1) x (W + A) and the scratch 2 x 8 bytes x w x
+    (min(64, steps) + 1) x A, which the calling thread allocates and frees
+    before the summary; ``simulate_wealth`` raises ``SimulationError``
     before allocating anything the length of the time grid if these would
     exceed the machine's physical memory.
     """
@@ -195,21 +201,23 @@ class SimulationResult:
 
 
 class _Substreams:
-    """Per-path normals: path p's are those of ``Philox(key=[seed, p])``.
+    """Per-path normals: path p's are those of ``Philox`` keyed by the uint64
+    pair (seed, p).
 
     One Philox is reset to each path's key, zero counter and empty buffer,
     instead of building a generator per path (which draws OS entropy for a
-    seed sequence the key then overrides).
+    seed sequence the key then overrides).  The state is kept in plain
+    lists, which the setter reads faster than arrays, and only the key's
+    path word changes from one path to the next.
     """
 
     def __init__(self, seed: int) -> None:
-        self._key = np.array([seed, 0], dtype=np.uint64)
-        zeros = np.zeros(4, dtype=np.uint64)
+        self._key = [int(seed), 0]
         self._state = {
-            "bit_generator": "Philox", "state": {"counter": zeros, "key": self._key},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        self._bitgen = np.random.Philox(key=self._key)
+        self._bitgen = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
 
     def fill(self, first_path: int, out: np.ndarray) -> None:
@@ -221,7 +229,7 @@ class _Substreams:
 
 
 def _n_workers() -> int:
-    """Threads to shard sub-blocks over: the CPUs this process may run on."""
+    """Threads for the sub-block pipeline: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -232,13 +240,15 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> Non
 
     Per path and recorded time: X, zeta and Y, then the summary's income and
     zeta*X and one standard-deviation temporary; per path: the objective; per
-    step: the time-grid arrays; per worker: its two sub-block buffers and the
-    two halves of its time-major scratch.
+    step: the time-grid arrays; per worker: a ring buffer of normals; per
+    advancing thread (all but the calling one, or the calling one alone): a
+    zeta buffer and the two halves of a time-major scratch.
     """
     width = max(min(_SUB_BLOCK_PATHS, n_paths), 2)
+    n_advancing = max(n_workers - 1, 1)
     need = 8 * (n_paths * (6 * n_rec + 1)
-                + (_STEP_ARRAYS + 2 * n_workers * width) * (n_steps + 1)
-                + 2 * n_workers * width * (min(_CHUNK_NODES, n_steps) + 1))
+                + (_STEP_ARRAYS + (n_workers + n_advancing) * width) * (n_steps + 1)
+                + 2 * n_advancing * width * (min(_CHUNK_NODES, n_steps) + 1))
     _require_memory(need, f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times)",
                     SimulationError)
 
@@ -345,12 +355,18 @@ def simulate_wealth(
     sub = _SUB_BLOCK_PATHS
     n_blocks = -(-n_paths // sub)
     n_workers = min(_n_workers(), n_blocks)
+    n_advancing = max(n_workers - 1, 1)
     _check_memory(n_paths, n_rec, n_steps, n_workers)
-    # every worker's sub-block buffers and time-major scratch, allocated here
-    # so that their pages return to this thread's heap, not a worker's
+    # the ring of normals buffers, and each advancing thread's zeta buffer and
+    # time-major scratch, allocated here so that their pages return to this
+    # thread's heap, not a worker's; at most one sub-block per advancing
+    # thread is in flight, so the free list of workspaces is never empty
+    # (list.pop and list.append are atomic)
     lanes = max(min(sub, n_paths), 2)
-    buffer_block = np.empty((n_workers, 2, lanes, n_steps + 1))
-    scratch_block = np.empty((n_workers, 2, min(_CHUNK_NODES, n_steps) + 1, lanes))
+    ring = np.empty((n_workers, lanes, n_steps + 1))
+    workspaces = [(np.empty((lanes, n_steps + 1)),
+                   np.empty((2, min(_CHUNK_NODES, n_steps) + 1, lanes)))
+                  for _ in range(n_advancing)]
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
 
@@ -417,25 +433,21 @@ def simulate_wealth(
     # floating-point error handling is per thread: workers take the caller's
     fp_state = dict(np.geterr(), call=np.geterrcall())
 
-    def shard(worker: int) -> tuple[int, int, str] | None:
-        """Run sub-blocks worker, worker + n_workers, ... in path order.
+    def advance(start: int, log_x: np.ndarray) -> tuple[int, int, str] | None:
+        """Advance the sub-block from path ``start``, whose normals fill
+        ``log_x`` from column 1, turning them into log X in place.
 
-        Returns (path, step, what) of the first non-finite increment, or else
-        of the first recorded X, zeta or Y that overflows, in the first
-        sub-block that has one, or None; later sub-blocks hold higher paths.
+        Returns (path, step, what) of its first non-finite increment, or else
+        of its first recorded X, zeta or Y that overflows, or None.
         """
-        normals = _Substreams(seed)
-        buffers, scratch = buffer_block[worker], scratch_block[worker]
-        with np.errstate(**fp_state):
-            for block in range(worker, n_blocks, n_workers):
-                start = block * sub
-                stop = min(start + sub, n_paths)
-                m = stop - start
+        stop = min(start + sub, n_paths)
+        m = stop - start
+        workspace = workspaces.pop()
+        log_z, scratch = workspace[0][: len(log_x)], workspace[1]
+        try:
+            with np.errstate(**fp_state):
                 # a one-lane reduction over axis 0 would be pairwise, so a
                 # lone path runs beside a copy of itself
-                width = max(m, 2)
-                log_x, log_z = buffers[:, :width]
-                normals.fill(start, log_x[:m, 1:])
                 log_x[m:] = log_x[0]
                 log_x[:, 0] = 0.0
                 np.multiply(log_x, vol_z, out=log_z)
@@ -451,7 +463,7 @@ def simulate_wealth(
                     row = int(np.argmax(bad.any(axis=1)))
                     return start + row, int(np.argmax(bad[row])) + 1, "non-finite increment at"
                 # in place: a (paths x recorded times) temporary would be a
-                # third full buffer when every node is recorded
+                # full buffer more when every node is recorded
                 for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
                     np.take(logs[:m], record_idx, axis=1, out=rec)
                     np.exp(rec, out=rec)
@@ -472,13 +484,43 @@ def simulate_wealth(
                         np.multiply(log_x, gamma, out=log_z)
                         _trapezoid_totals(log_z, utility_coef, half_dt, (n_steps,), scratch,
                                           objective[start:stop, None], with_value=False)
-        return None
+                return None
+        finally:
+            workspaces.append(workspace)
 
-    from concurrent.futures import ThreadPoolExecutor
+    def produce(submit) -> list[tuple[int, int, str]]:
+        """Fill each sub-block's normals in path order into the next ring
+        buffer, once the sub-block before in it is done, and hand it to
+        ``submit``, which returns a call that waits for ``advance``'s outcome.
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        found = [bad for bad in pool.map(shard, range(n_workers)) if bad is not None]
-    del buffer_block, scratch_block  # the summary takes their pages
+        Returns every outcome that names a bad path.  It stops at the first
+        outcome it waits for that names one; every sub-block below that one
+        has started, so the lowest of them is the lowest bad path.
+        """
+        normals = _Substreams(seed)
+        outcomes = []
+        for block in range(n_blocks):
+            if block >= n_workers and outcomes[block - n_workers]() is not None:
+                break
+            start = block * sub
+            m = min(sub, n_paths - start)
+            log_x = ring[block % n_workers, : max(m, 2)]
+            normals.fill(start, log_x[:m, 1:])
+            outcomes.append(submit(advance, start, log_x))
+        return [bad for outcome in outcomes if (bad := outcome()) is not None]
+
+    def run_here(job, *args):
+        outcome = job(*args)
+        return lambda: outcome
+
+    if n_workers == 1:
+        found = produce(run_here)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_advancing) as pool:
+            found = produce(lambda job, *args: pool.submit(job, *args).result)
+    del ring, workspaces  # the summary takes their pages
     if found:
         path, k, what = min(found)
         raise SimulationError(f"{what} step {k} (t={times[k]:.6g}), path {path}")

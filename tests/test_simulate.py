@@ -191,6 +191,17 @@ class TestDeterminism:
         assert np.array_equal(big.wealth_paths[:10], small.wealth_paths)
         assert np.array_equal(big.spd_paths[:10], small.spd_paths)
 
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    @pytest.mark.parametrize("first, rows", [(0, (0, 1, 511)), (2**32 + 7, (0, 1, 2))])
+    def test_substream_is_philox_keyed_by_seed_and_path(self, seed, first, rows):
+        # a uint64 key: a list holding 2**64 - 1 would pass through float64
+        out = np.empty((max(rows) + 1, 16))
+        simulate._Substreams(seed).fill(first, out)
+        for i in rows:
+            key = np.array([seed, first + i], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
+            assert np.array_equal(out[i], expected)
+
 
 # sha256 of the result arrays of _golden_runs, taken from the per-step loop
 # that the sub-block kernel replaced.
@@ -242,6 +253,26 @@ ONE_PATH_BLOCK_DIGESTS = {
     },
 }
 RESULT_ARRAYS = ("wealth_paths", "spd_paths", "y_paths", "objective_paths")
+
+
+def _within_timeout(call, timeout=60.0):
+    """``call()`` on a thread joined with ``timeout``: a deadlock fails the
+    test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no outcome within {timeout:g} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths=700):
@@ -307,17 +338,19 @@ class TestGoldenBytes:
         default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
-        # more workers than cores, switching often: each must keep to its own
-        # slice of the caller's buffer block
+        # more threads than cores, switching often: the producer must not
+        # refill a ring buffer before its sub-block is done, and each
+        # advancing thread must keep to its own zeta buffer and scratch
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sharded = _golden_runs(market, mortality, controls_cache, calibrated_cache)
+            pipelined = _within_timeout(lambda: _golden_runs(
+                market, mortality, controls_cache, calibrated_cache))
         finally:
             sys.setswitchinterval(interval)
         for name, result in default.items():
             for field in RESULT_ARRAYS:
-                assert np.array_equal(getattr(sharded[name], field), getattr(result, field))
+                assert np.array_equal(getattr(pipelined[name], field), getattr(result, field))
 
 
 class TestMartingaleStructure:
@@ -506,7 +539,8 @@ class TestErrors:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_path_diagnostics(self, monkeypatch, market):
         # paths 40 (from step 3) and 45 (from step 1) share a 37-path sub-block;
-        # path 100 (from step 1) is in a later one, which a second worker owns
+        # path 100 (from step 1) is in the next one, which at 3 workers a second
+        # thread advances beside it, and may finish first
         poison = {40: 3, 45: 1, 100: 1}
         fill = simulate._Substreams.fill
 
@@ -520,7 +554,7 @@ class TestErrors:
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         overflowing = DeterministicControls(pi=1e300, consumption=0.0, tontine_fraction=1.0)
         moderate = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
             # every path overflows on the first step
             config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25)
@@ -550,8 +584,8 @@ class TestErrors:
         with pytest.raises(SimulationError, match=r"by step 16 \(t=4\), path 0$"):
             simulate_wealth(config, growing, market, NO_MORTALITY)
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_worker_exception_reaches_caller(self, monkeypatch, market, workers):
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_producer_exception_reaches_caller(self, monkeypatch, market, workers):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         fill = simulate._Substreams.fill
@@ -565,7 +599,25 @@ class TestErrors:
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
         with pytest.raises(RuntimeError, match="substream failed"):
-            simulate_wealth(config, controls, market, NO_MORTALITY)
+            _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_advancing_exception_reaches_caller(self, monkeypatch, market, workers):
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        totals = simulate._trapezoid_totals
+
+        def failing_totals(logs, coef, half_weight, rows, scratch, out, **kwargs):
+            # out is the sub-block's slice of Y: its offset in rows is the first path
+            if (out.ctypes.data - out.base.ctypes.data) // out.strides[0] == 37:
+                raise RuntimeError("advance failed")
+            totals(logs, coef, half_weight, rows, scratch, out, **kwargs)
+
+        monkeypatch.setattr(simulate, "_trapezoid_totals", failing_totals)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
+        with pytest.raises(RuntimeError, match="advance failed"):
+            _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_workers_follow_caller_floating_point_errors(
@@ -600,14 +652,15 @@ class TestErrors:
     def test_memory_bound_counts_the_summary(self, monkeypatch, market):
         # results: X, zeta and Y per recorded time plus the objective; the
         # summary adds income, zeta*X and a standard-deviation temporary; each
-        # step adds the time-grid arrays, and each worker two sub-block
-        # buffers and a two-part scratch of min(chunk, steps) + 1 nodes
-        n_paths, n_rec, n_steps, workers = 20_000, 5, 4, 2
+        # step adds the time-grid arrays, each worker a ring buffer of
+        # normals, and each of the workers - 1 advancing threads a zeta
+        # buffer and a two-part scratch of min(chunk, steps) + 1 nodes
+        n_paths, n_rec, n_steps, workers = 20_000, 5, 4, 3
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
-        sub = simulate._SUB_BLOCK_PATHS
+        sub, advancing = simulate._SUB_BLOCK_PATHS, workers - 1
         need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
-            simulate._STEP_ARRAYS + workers * 2 * sub) * (n_steps + 1) + 8 * (
-            workers * 2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
+            simulate._STEP_ARRAYS + (workers + advancing) * sub) * (n_steps + 1) + 8 * (
+            advancing * 2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
@@ -648,10 +701,12 @@ class TestErrors:
         buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
         caller = threading.get_ident()
         assert [n for ident, n in allocations if ident != caller and n >= buffer] == []
-        assert (workers * 2 * buffer, caller) in {(n, ident) for ident, n in allocations}
+        # the ring of one buffer per worker, and the one advancing thread's
+        # zeta buffer
+        assert [n for ident, n in allocations if n >= buffer] == [workers * buffer, buffer]
 
     @pytest.mark.parametrize("with_objective", (True, False))
-    def test_worker_buffers_stay_two_per_worker(
+    def test_two_workers_hold_three_buffers(
         self, monkeypatch, with_objective, market, mortality, controls_cache, calibrated_cache
     ):
         n_paths, n_steps, workers = 2048, 1040, 2
@@ -672,9 +727,10 @@ class TestErrors:
         buffer = 8 * sub * (n_steps + 1)  # one full (paths x (steps + 1)) buffer
         fixed = 8 * n_paths * (6 * n_rec + 1) + 8 * simulate._STEP_ARRAYS * (n_steps + 1)
         scratch = 8 * 2 * sub * (simulate._CHUNK_NODES + 1)
-        assert peak <= fixed + workers * (2 * buffer + scratch)  # the memory check's bound
-        four_buffers = fixed + workers * 4 * buffer  # the bound before the chunked pass
-        assert peak <= four_buffers - workers * buffer
+        # the memory check's bound: two ring buffers, and one zeta buffer and
+        # one scratch for the one advancing thread; two buffers a worker
+        # would be a fourth
+        assert peak <= fixed + 3 * buffer + scratch
 
 
 class TestValueFunction:
