@@ -18,12 +18,12 @@ utility objective, up to the recorded times only: the same bits as a
 cumulative sum, with two full buffers per sub-block in flight.
 The sub-blocks run as a pipeline over the CPUs this process may use: the
 calling thread alone draws the normals, in path order, each sub-block's into
-the next of a ring of one buffer per CPU, and the other threads each take a
-filled buffer, advance log X in place in it beside their own zeta buffer and
-scratch, and hand it back (with one CPU, the calling thread advances each
-sub-block itself).  So two CPUs hold three full buffers, and no two threads
-run the per-path Philox loop at once.  The output bytes depend only on the
-seed, not on the sub-block size or the number of threads.
+the next of a ring of one buffer per CPU, and the threads of a pool of
+max(CPUs - 1, 1) each take a filled buffer, advance log X in place in it
+beside their own zeta buffer and scratch, and hand it back.  So two CPUs
+hold three full buffers, and no two threads run the per-path Philox loop
+at once.  The output bytes depend only on the seed, not on the sub-block
+size or the number of threads.
 The calling thread allocates the ring, the zeta buffers and the scratch and
 frees them before the summary, so the summary and the next call reuse those
 pages (glibc keeps the pages a worker thread frees in that thread's arena).
@@ -97,8 +97,9 @@ class SimulationConfig:
     ``None`` keeps 0, the report times within the horizon, and the horizon
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
-    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes, W worker
-    threads and A = max(W - 1, 1) of them advancing paths, the buffers take
+    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes, W workers
+    (the usable CPUs, at most one per 512 paths) and a pool of
+    A = max(W - 1, 1) threads advancing paths, the buffers take
     8 bytes x w x (steps + 1) x (W + A) and the scratch 2 x 8 bytes x w x
     (min(64, steps) + 1) x A, which the calling thread allocates and frees
     before the summary; ``simulate_wealth`` raises ``SimulationError``
@@ -235,20 +236,15 @@ def _n_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _check_memory(n_paths: int, n_rec: int, n_steps: int, n_workers: int) -> None:
+def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) -> None:
     """Raise before allocating more than physical memory.
 
     Per path and recorded time: X, zeta and Y, then the summary's income and
     zeta*X and one standard-deviation temporary; per path: the objective; per
-    step: the time-grid arrays; per worker: a ring buffer of normals; per
-    advancing thread (all but the calling one, or the calling one alone): a
-    zeta buffer and the two halves of a time-major scratch.
+    step: the time-grid arrays; and ``buffer_floats``, the floats of the ring
+    of normals and of the advancing threads' zeta buffers and scratch.
     """
-    width = max(min(_SUB_BLOCK_PATHS, n_paths), 2)
-    n_advancing = max(n_workers - 1, 1)
-    need = 8 * (n_paths * (6 * n_rec + 1)
-                + (_STEP_ARRAYS + (n_workers + n_advancing) * width) * (n_steps + 1)
-                + 2 * n_advancing * width * (min(_CHUNK_NODES, n_steps) + 1))
+    need = 8 * (n_paths * (6 * n_rec + 1) + _STEP_ARRAYS * (n_steps + 1) + buffer_floats)
     _require_memory(need, f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times)",
                     SimulationError)
 
@@ -356,16 +352,19 @@ def simulate_wealth(
     n_blocks = -(-n_paths // sub)
     n_workers = min(_n_workers(), n_blocks)
     n_advancing = max(n_workers - 1, 1)
-    _check_memory(n_paths, n_rec, n_steps, n_workers)
     # the ring of normals buffers, and each advancing thread's zeta buffer and
-    # time-major scratch, allocated here so that their pages return to this
-    # thread's heap, not a worker's; at most one sub-block per advancing
-    # thread is in flight, so the free list of workspaces is never empty
-    # (list.pop and list.append are atomic)
+    # time-major scratch: the memory check counts these very shapes, and this
+    # thread allocates them so that their pages return to its heap, not a
+    # worker's; at most one sub-block per advancing thread is in flight, so
+    # the free list of workspaces is never empty (list.pop and list.append
+    # are atomic)
     lanes = max(min(sub, n_paths), 2)
-    ring = np.empty((n_workers, lanes, n_steps + 1))
-    workspaces = [(np.empty((lanes, n_steps + 1)),
-                   np.empty((2, min(_CHUNK_NODES, n_steps) + 1, lanes)))
+    ring_shape = (n_workers, lanes, n_steps + 1)
+    workspace_shapes = ((lanes, n_steps + 1), (2, min(_CHUNK_NODES, n_steps) + 1, lanes))
+    buffer_floats = math.prod(ring_shape) + n_advancing * sum(map(math.prod, workspace_shapes))
+    _check_memory(n_paths, n_rec, n_steps, buffer_floats)
+    ring = np.empty(ring_shape)
+    workspaces = [tuple(np.empty(shape) for shape in workspace_shapes)
                   for _ in range(n_advancing)]
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
@@ -488,38 +487,25 @@ def simulate_wealth(
         finally:
             workspaces.append(workspace)
 
-    def produce(submit) -> list[tuple[int, int, str]]:
-        """Fill each sub-block's normals in path order into the next ring
-        buffer, once the sub-block before in it is done, and hand it to
-        ``submit``, which returns a call that waits for ``advance``'s outcome.
+    # This thread draws each sub-block's normals, in path order, into the
+    # next ring buffer once the sub-block before in it is done, and the pool
+    # advances it.  The loop stops at the first outcome it waits for that
+    # names a bad path; every sub-block below that one has started, so the
+    # lowest bad path found is the lowest of all.
+    from concurrent.futures import ThreadPoolExecutor
 
-        Returns every outcome that names a bad path.  It stops at the first
-        outcome it waits for that names one; every sub-block below that one
-        has started, so the lowest of them is the lowest bad path.
-        """
-        normals = _Substreams(seed)
-        outcomes = []
+    normals = _Substreams(seed)
+    outcomes = []
+    with ThreadPoolExecutor(max_workers=n_advancing) as pool:
         for block in range(n_blocks):
-            if block >= n_workers and outcomes[block - n_workers]() is not None:
+            if block >= n_workers and outcomes[block - n_workers].result() is not None:
                 break
             start = block * sub
             m = min(sub, n_paths - start)
             log_x = ring[block % n_workers, : max(m, 2)]
             normals.fill(start, log_x[:m, 1:])
-            outcomes.append(submit(advance, start, log_x))
-        return [bad for outcome in outcomes if (bad := outcome()) is not None]
-
-    def run_here(job, *args):
-        outcome = job(*args)
-        return lambda: outcome
-
-    if n_workers == 1:
-        found = produce(run_here)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_advancing) as pool:
-            found = produce(lambda job, *args: pool.submit(job, *args).result)
+            outcomes.append(pool.submit(advance, start, log_x))
+        found = [bad for outcome in outcomes if (bad := outcome.result()) is not None]
     del ring, workspaces  # the summary takes their pages
     if found:
         path, k, what = min(found)

@@ -732,11 +732,14 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    def test_import_loads_no_scipy(self):
+    # scipy is a test dependency only; the thread pool is imported by the
+    # simulation kernel when it runs, not by `python -m tontine` at start-up
+    @pytest.mark.parametrize("prefix", ("scipy", "concurrent"))
+    def test_import_loads_no(self, prefix):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, tontine; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+             "import sys, tontine.cli; "
+             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"],
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

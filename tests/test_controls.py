@@ -29,7 +29,7 @@ from tontine.controls import (
     model_notes,
     schedule_csv,
 )
-from tontine.mortality import GompertzMakehamParams, survival
+from tontine.mortality import GompertzMakehamParams, cumulative_hazard, survival
 from tontine.preferences import auto_rho, log_transformed_weight
 
 from conftest import BENCH_A1, BENCH_A2, BENCH_A3, ODE_REL_TOL, QUAD_REL_TOL, make_schedule
@@ -210,6 +210,34 @@ class TestDenominatorIntegral:
                 _log_integrand(np.array([t]), schedule, mortality, b)[0] - log_d
             )
             assert fd == pytest.approx(analytic, rel=ODE_REL_TOL)
+
+    @pytest.mark.parametrize("gamma,variant", [
+        *((g, v) for g in (-3.0, -11.0)
+          for v in ("none", "power", "scaled_power", "trimmed", "scaled_trimmed")),
+        # trimmed at gamma = 0.5 is left out: its integral diverges at H, so D
+        # there depends on the mesh and the two layouts disagree
+        (0.5, "none"), (0.5, "power"), (0.5, "scaled_power"),
+    ])
+    def test_base_age_shift_identity(self, gamma, variant, market, mortality):
+        # starting the clock s years later (a1' = a1 e^{a2 s}, T_max' = T_max - s,
+        # H' = H - s) shifts the hazard and every weight, so
+        # log D'(t) = beta s + Lambda(s) + log D(t + s) exactly; the two sides
+        # lie on different yearly panels
+        kappa = 0.7 if variant.startswith("scaled") else None
+        schedule = make_schedule(gamma, variant, kappa=kappa)
+        b = beta(market, gamma, schedule.rho)
+        t_max = mortality.limiting_age_years
+        for s in (0.37, 3.5, 7.91):
+            shifted_mortality = GompertzMakehamParams(
+                mortality.a1 * math.exp(mortality.a2 * s), mortality.a2, mortality.a3,
+                limiting_age_years=t_max - s)
+            shifted = make_schedule(gamma, variant, kappa=kappa,
+                                    horizon_years=schedule.horizon_years - s)
+            t = np.linspace(0.0, t_max - s, 200, endpoint=False)
+            got = log_tail_integrals(t, shifted, shifted_mortality, market)
+            expected = (b * s + cumulative_hazard(s, mortality)
+                        + log_tail_integrals(t + s, schedule, mortality, market))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_domain_checks(self, market, mortality):
         schedule = make_schedule(-3.0, "power")

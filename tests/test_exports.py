@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # README tour, each for a reason of its own.
 UNREAD_BY_DESIGN = {
     # the continuous-time closed form E[X*_t] that the kernel's discrete
-    # expectations are checked against (ROADMAP item 1)
+    # expectations are checked against (tests/test_analytics.py::TestExpectedWealth)
     "expected_wealth",
     # the paper's "100% payback upon death at the start", checked by TestBequestValue
     "expected_discounted_bequest_value",

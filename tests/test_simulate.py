@@ -619,6 +619,32 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="advance failed"):
             _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
 
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_calling_thread_only_draws(self, monkeypatch, market, workers):
+        # the calling thread draws every sub-block's normals and the pool
+        # advances every one, whatever the number of workers
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        fill, totals = simulate._Substreams.fill, simulate._trapezoid_totals
+        fills, advances = [], []
+
+        def recording_fill(self, first_path, out):
+            fills.append(threading.get_ident())
+            fill(self, first_path, out)
+
+        def recording_totals(*args, **kwargs):
+            advances.append(threading.get_ident())
+            totals(*args, **kwargs)
+
+        monkeypatch.setattr(simulate._Substreams, "fill", recording_fill)
+        monkeypatch.setattr(simulate, "_trapezoid_totals", recording_totals)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
+        simulate_wealth(config, controls, market, NO_MORTALITY)
+        caller = threading.get_ident()
+        assert fills == [caller] * 4  # 120 paths in sub-blocks of 37
+        assert advances and caller not in advances
+
     @pytest.mark.parametrize("workers", (1, 2))
     def test_workers_follow_caller_floating_point_errors(
         self, monkeypatch, market, mortality, workers
