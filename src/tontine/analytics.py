@@ -66,11 +66,16 @@ def expected_discounted_income(
     """
     _check_x0(x0)
     t = _check_times(t, mortality.limiting_age_years)
-    log_d0 = log_tail_integrals(0.0, schedule, mortality, market)
+    out = _income(t, log_tail_integrals(0.0, schedule, mortality, market), schedule, market, x0)
+    return out if np.ndim(out) else float(out)
+
+
+def _income(t: np.ndarray, log_d0: float, schedule: PreferenceSchedule, market: MarketParams,
+            x0: float) -> np.ndarray:
+    """X0 e^{((mu-r)pi* - beta) t} / D(0) from log D(0), checked to be within float64."""
     check_log_d0(log_d0, schedule.gamma)
     slope = income_log_slope(market, schedule.gamma, schedule.rho)
-    out = x0 * np.exp(slope * t - log_d0)
-    return out if np.ndim(out) else float(out)
+    return x0 * np.exp(slope * t - log_d0)
 
 
 def expected_discounted_bequest_value(
@@ -103,14 +108,6 @@ def expected_wealth(
     return out if out.ndim else float(out)
 
 
-def _log_bequest_fraction(schedule: PreferenceSchedule, market: MarketParams,
-                          mortality: GompertzMakehamParams, grid: np.ndarray) -> np.ndarray:
-    """log(1 - alpha*_t) on a grid, the one route to both alpha*_t and 1 - alpha*_t."""
-    beta_value = beta(market, schedule.gamma, schedule.rho)
-    log_d = log_tail_integrals(grid, schedule, mortality, market)
-    return log_control_rates(grid, log_d, schedule, mortality, beta_value)[1]
-
-
 def alpha_curve(
     schedule: PreferenceSchedule,
     market: MarketParams,
@@ -119,7 +116,9 @@ def alpha_curve(
 ) -> np.ndarray:
     """Optimal tontine allocation alpha*_t evaluated directly on an arbitrary grid."""
     grid = np.asarray(grid, dtype=float)
-    return 1.0 - np.exp(_log_bequest_fraction(schedule, market, mortality, grid))
+    log_d = log_tail_integrals(grid, schedule, mortality, market)
+    beta_value = beta(market, schedule.gamma, schedule.rho)
+    return 1.0 - np.exp(log_control_rates(grid, log_d, schedule, mortality, beta_value)[1])
 
 
 @dataclass(frozen=True)
@@ -145,13 +144,18 @@ def income_curve(
 
     Raises ``ValueError`` when D(0) is beyond float64, as
     :func:`~tontine.controls.build_control_schedule` does, and names the
-    first t where either value is not finite.
+    first t where either value is not finite.  One quadrature sweep gives
+    D at 0 and on the grid.
     """
+    _check_x0(x0)
     if grid is None:
         grid = np.arange(0.0, mortality.limiting_age_years, 0.25)
-    grid = np.asarray(grid, dtype=float)
-    income = np.asarray(expected_discounted_income(grid, schedule, market, mortality, x0))
-    bequest_fraction = np.exp(_log_bequest_fraction(schedule, market, mortality, grid))
+    grid = _check_times(grid, mortality.limiting_age_years)
+    log_d = log_tail_integrals(np.append(0.0, grid), schedule, mortality, market)
+    income = _income(grid, log_d[0], schedule, market, x0)
+    beta_value = beta(market, schedule.gamma, schedule.rho)
+    bequest_fraction = np.exp(log_control_rates(grid, log_d[1:].reshape(grid.shape), schedule,
+                                                mortality, beta_value)[1])
     bad = ~(np.isfinite(income) & np.isfinite(bequest_fraction))
     if np.any(bad):
         raise ValueError(f"income curve is not finite at t={grid[bad][0]:g}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -107,6 +108,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # any token after a flag is its value, -1e1 and -inf as well as the
+        # -\d+ and -\d*\.\d+ argparse takes; -h, added by then, stays a flag
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise CliError("USAGE", message)
 

@@ -16,15 +16,15 @@ cumulative sums along path-major rows.  One chunked pass
 small time-major scratch and sums the trapezoid terms of Y, then of the
 utility objective, up to the recorded times only: the same bits as a
 cumulative sum, with two full buffers per sub-block in flight.
-The sub-blocks run as a pipeline over the CPUs this process may use: the
-calling thread alone draws the normals, in path order, each sub-block's into
-the next of a ring of one buffer per CPU, and the threads of a pool of
-max(CPUs - 1, 1) each take a filled buffer, advance log X in place in it
-beside their own zeta buffer and scratch, and hand it back.  So two CPUs
-hold three full buffers, and no two threads run the per-path Philox loop
-at once.  The output bytes depend only on the seed, not on the sub-block
-size or the number of threads.
-The calling thread allocates the ring, the zeta buffers and the scratch and
+The sub-blocks run as a two-stage pipeline on any host: the calling thread
+draws the normals, in path order, each sub-block's into the next of a ring
+of two buffers (one with a single CPU or sub-block), and one pool thread
+advances each filled buffer's log X in place beside its one zeta buffer and
+scratch.  So the kernel holds at most three full buffers, whatever the
+CPU count, and the drawing and advancing stages, which take about equal
+CPU, overlap on two CPUs.  The output bytes depend only on the seed, not
+on the sub-block size or the number of CPUs.
+The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
 pages (glibc keeps the pages a worker thread frees in that thread's arena).
 """
@@ -71,7 +71,7 @@ REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 # time-major sums.
 _SUB_BLOCK_PATHS = 512
 
-# Time nodes per chunk of the trapezoid pass over Y and the objective: each
+# Time nodes per chunk of the trapezoid pass over Y and the objective: the
 # advancing thread's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
 # at 512 paths.
 # 64 and 128 ran the audit equally fast; 32 was slower.
@@ -97,14 +97,14 @@ class SimulationConfig:
     ``None`` keeps 0, the report times within the horizon, and the horizon
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
-    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes, W workers
-    (the usable CPUs, at most one per 512 paths) and a pool of
-    A = max(W - 1, 1) threads advancing paths, the buffers take
-    8 bytes x w x (steps + 1) x (W + A) and the scratch 2 x 8 bytes x w x
-    (min(64, steps) + 1) x A, which the calling thread allocates and frees
-    before the summary; ``simulate_wealth`` raises ``SimulationError``
-    before allocating anything the length of the time grid if these would
-    exceed the machine's physical memory.
+    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes and a
+    ring of R normals buffers (2, or 1 with one usable CPU or at most 512
+    paths), the ring and the zeta buffer take 8 bytes x w x (steps + 1) x
+    (R + 1) and the scratch 2 x 8 bytes x w x (min(64, steps) + 1), which
+    the calling thread allocates and frees before the summary;
+    ``simulate_wealth`` raises ``SimulationError`` before allocating
+    anything the length of the time grid if these would exceed the
+    machine's physical memory.
     """
 
     n_paths: int
@@ -230,7 +230,7 @@ class _Substreams:
 
 
 def _n_workers() -> int:
-    """Threads for the sub-block pipeline: the CPUs this process may run on."""
+    """The CPUs this process may run on: one keeps a ring of one buffer."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -242,7 +242,7 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) ->
     Per path and recorded time: X, zeta and Y, then the summary's income and
     zeta*X and one standard-deviation temporary; per path: the objective; per
     step: the time-grid arrays; and ``buffer_floats``, the floats of the ring
-    of normals and of the advancing threads' zeta buffers and scratch.
+    of normals, the zeta buffer and the scratch.
     """
     need = 8 * (n_paths * (6 * n_rec + 1) + _STEP_ARRAYS * (n_steps + 1) + buffer_floats)
     _require_memory(need, f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times)",
@@ -350,22 +350,14 @@ def simulate_wealth(
     n_rec = n_steps + 1 if record_idx is None else len(record_idx)
     sub = _SUB_BLOCK_PATHS
     n_blocks = -(-n_paths // sub)
-    n_workers = min(_n_workers(), n_blocks)
-    n_advancing = max(n_workers - 1, 1)
-    # the ring of normals buffers, and each advancing thread's zeta buffer and
-    # time-major scratch: the memory check counts these very shapes, and this
-    # thread allocates them so that their pages return to its heap, not a
-    # worker's; at most one sub-block per advancing thread is in flight, so
-    # the free list of workspaces is never empty (list.pop and list.append
-    # are atomic)
+    # the ring of normals, and the advancing thread's zeta buffer and scratch:
+    # the memory check counts these very shapes, and this thread allocates
+    # them so that their pages return to its heap, not the worker's
     lanes = max(min(sub, n_paths), 2)
-    ring_shape = (n_workers, lanes, n_steps + 1)
-    workspace_shapes = ((lanes, n_steps + 1), (2, min(_CHUNK_NODES, n_steps) + 1, lanes))
-    buffer_floats = math.prod(ring_shape) + n_advancing * sum(map(math.prod, workspace_shapes))
-    _check_memory(n_paths, n_rec, n_steps, buffer_floats)
-    ring = np.empty(ring_shape)
-    workspaces = [tuple(np.empty(shape) for shape in workspace_shapes)
-                  for _ in range(n_advancing)]
+    shapes = ((min(_n_workers(), 2, n_blocks), lanes, n_steps + 1), (lanes, n_steps + 1),
+              (2, min(_CHUNK_NODES, n_steps) + 1, lanes))
+    _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)))
+    ring, log_z_buffer, scratch = (np.empty(shape) for shape in shapes)
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
 
@@ -441,72 +433,68 @@ def simulate_wealth(
         """
         stop = min(start + sub, n_paths)
         m = stop - start
-        workspace = workspaces.pop()
-        log_z, scratch = workspace[0][: len(log_x)], workspace[1]
-        try:
-            with np.errstate(**fp_state):
-                # a one-lane reduction over axis 0 would be pairwise, so a
-                # lone path runs beside a copy of itself
-                log_x[m:] = log_x[0]
-                log_x[:, 0] = 0.0
-                np.multiply(log_x, vol_z, out=log_z)
-                log_z += drift_z
-                np.cumsum(log_z, axis=1, out=log_z)
-                log_x *= vol_x
-                log_x += drift_x
-                np.cumsum(log_x, axis=1, out=log_x)
-                # a non-finite running sum stays non-finite, so the last column
-                # shows whether any step of a path went bad
-                if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
-                    bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
-                    row = int(np.argmax(bad.any(axis=1)))
-                    return start + row, int(np.argmax(bad[row])) + 1, "non-finite increment at"
-                # in place: a (paths x recorded times) temporary would be a
-                # full buffer more when every node is recorded
-                for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
-                    np.take(logs[:m], record_idx, axis=1, out=rec)
-                    np.exp(rec, out=rec)
-                # Y = zeta*X + running trapezoid integral of zeta*X*outflow
-                np.add(log_x, log_z, out=log_z)
-                _trapezoid_totals(log_z, None, half_outflow, record_idx, scratch,
-                                  y_arr[start:stop], with_value=True)
-                # exp and the trapezoid sums may overflow where the logs did not
-                recorded = (wealth[start:stop], spd[start:stop], y_arr[start:stop])
-                if not all(np.isfinite(a.max()) and np.isfinite(a.min()) for a in recorded):
-                    bad = ~np.logical_and.reduce([np.isfinite(a) for a in recorded])
-                    row = int(np.argmax(bad.any(axis=1)))
-                    return (start + row, int(record_idx[np.argmax(bad[row])]),
-                            "X, zeta or Y overflows float64 by")
-                if accumulate_objective:
-                    # zeta*X is recorded; its buffer takes gamma log X
-                    with np.errstate(invalid="ignore"):
-                        np.multiply(log_x, gamma, out=log_z)
-                        _trapezoid_totals(log_z, utility_coef, half_dt, (n_steps,), scratch,
-                                          objective[start:stop, None], with_value=False)
-                return None
-        finally:
-            workspaces.append(workspace)
+        log_z = log_z_buffer[: len(log_x)]
+        with np.errstate(**fp_state):
+            # a one-lane reduction over axis 0 would be pairwise, so a lone
+            # path runs beside a copy of itself
+            log_x[m:] = log_x[0]
+            log_x[:, 0] = 0.0
+            np.multiply(log_x, vol_z, out=log_z)
+            log_z += drift_z
+            np.cumsum(log_z, axis=1, out=log_z)
+            log_x *= vol_x
+            log_x += drift_x
+            np.cumsum(log_x, axis=1, out=log_x)
+            # a non-finite running sum stays non-finite, so the last column
+            # shows whether any step of a path went bad
+            if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
+                bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
+                row = int(np.argmax(bad.any(axis=1)))
+                return start + row, int(np.argmax(bad[row])) + 1, "non-finite increment at"
+            # in place: a (paths x recorded times) temporary would be a
+            # full buffer more when every node is recorded
+            for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
+                np.take(logs[:m], record_idx, axis=1, out=rec)
+                np.exp(rec, out=rec)
+            # Y = zeta*X + running trapezoid integral of zeta*X*outflow
+            np.add(log_x, log_z, out=log_z)
+            _trapezoid_totals(log_z, None, half_outflow, record_idx, scratch,
+                              y_arr[start:stop], with_value=True)
+            # exp and the trapezoid sums may overflow where the logs did not
+            recorded = (wealth[start:stop], spd[start:stop], y_arr[start:stop])
+            if not all(np.isfinite(a.max()) and np.isfinite(a.min()) for a in recorded):
+                bad = ~np.logical_and.reduce([np.isfinite(a) for a in recorded])
+                row = int(np.argmax(bad.any(axis=1)))
+                return (start + row, int(record_idx[np.argmax(bad[row])]),
+                        "X, zeta or Y overflows float64 by")
+            if accumulate_objective:
+                # zeta*X is recorded; its buffer takes gamma log X
+                with np.errstate(invalid="ignore"):
+                    np.multiply(log_x, gamma, out=log_z)
+                    _trapezoid_totals(log_z, utility_coef, half_dt, (n_steps,), scratch,
+                                      objective[start:stop, None], with_value=False)
+            return None
 
     # This thread draws each sub-block's normals, in path order, into the
-    # next ring buffer once the sub-block before in it is done, and the pool
-    # advances it.  The loop stops at the first outcome it waits for that
-    # names a bad path; every sub-block below that one has started, so the
-    # lowest bad path found is the lowest of all.
+    # next ring buffer once the sub-block before in it is done, and the one
+    # pool thread advances them in that order.  The loop stops at the first
+    # outcome it waits for that names a bad path; every sub-block below that
+    # one is done, so the lowest bad path found is the lowest of all.
     from concurrent.futures import ThreadPoolExecutor
 
     normals = _Substreams(seed)
     outcomes = []
-    with ThreadPoolExecutor(max_workers=n_advancing) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for block in range(n_blocks):
-            if block >= n_workers and outcomes[block - n_workers].result() is not None:
+            if block >= len(ring) and outcomes[block - len(ring)].result() is not None:
                 break
             start = block * sub
             m = min(sub, n_paths - start)
-            log_x = ring[block % n_workers, : max(m, 2)]
+            log_x = ring[block % len(ring), : max(m, 2)]
             normals.fill(start, log_x[:m, 1:])
             outcomes.append(pool.submit(advance, start, log_x))
         found = [bad for outcome in outcomes if (bad := outcome.result()) is not None]
-    del ring, workspaces  # the summary takes their pages
+    del ring, log_z_buffer, scratch  # the summary takes their pages
     if found:
         path, k, what = min(found)
         raise SimulationError(f"{what} step {k} (t={times[k]:.6g}), path {path}")

@@ -111,6 +111,43 @@ def bisect_kappa(
     return float(np.exp(0.5 * (log_lo + log_hi)))
 
 
+def upper_incomplete_gamma(a: float, z: float) -> float:
+    """Gamma(a, z) = int_z^inf u^{a-1} e^{-u} du for real a and z > 0.
+
+    For z > 1, the continued fraction of Gamma(a, z) e^z z^{-a}, evaluated by
+    the modified Lentz method (Numerical Recipes, 3rd ed., section 6.2).  At
+    or below 1, ``scipy.special.gammaincc`` at a + n, the first of a, a + 1,
+    ... above 0, then the downward recurrence
+    Gamma(b, z) = (Gamma(b + 1, z) - z^b e^{-z}) / b back to a.  Within
+    about 1e-6 of an integer a <= 0 the recurrence starts from a tiny
+    a + n, where gamma(a + n) is huge, and loses accuracy.
+    """
+    from scipy.special import gamma, gammaincc
+
+    if z > 1.0:
+        tiny = 1e-300
+        b = z + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        fraction = d
+        for i in range(1, 1000):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = tiny if abs(d) < tiny else d
+            c = b + an / c
+            c = tiny if abs(c) < tiny else c
+            d = 1.0 / d
+            fraction *= d * c
+            if abs(d * c - 1.0) < 1e-16:
+                break
+        return float(np.exp(a * np.log(z) - z) * fraction)
+    n = max(0, int(np.floor(-a)) + 1)
+    value = float(gammaincc(a + n, z) * gamma(a + n))
+    for k in range(n - 1, -1, -1):
+        value = (value - z ** (a + k) * np.exp(-z)) / (a + k)
+    return value
+
+
 def synthetic_life_table_csv(
     path,
     params: GompertzMakehamParams,

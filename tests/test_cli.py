@@ -524,6 +524,8 @@ class TestErrorContract:
         (["schedule", "--gamma=-inf"], "gamma"),
         (["schedule", "--horizon", "inf"], "horizon_years"),
         (["simulate", "--x0", "inf"], "initial_wealth"),
+        (["schedule", "--gamma", "-inf"], "gamma"),
+        (["income", "--x0", "-inf"], "x0"),
     ])
     def test_infinite_input_is_one_config_line(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
@@ -591,6 +593,33 @@ class TestErrorContract:
         code, _, err = run_cli(["frobnicate"], capsys)
         assert code == 2
         assert err.startswith("error: USAGE:")
+
+    # a token after a flag is its value, though argparse alone reads only
+    # -10 and -0.01 of these as numbers, not as flags
+    @pytest.mark.parametrize("flag, value, plain", [
+        ("--gamma", "-1e1", "-10"),
+        ("--mu", "-1E-2", "-0.01"),
+        ("--gam", "-1e1", "-10"),
+    ])
+    def test_negative_value_in_any_form(self, tmp_path, capsys, flag, value, plain):
+        runs = []
+        for token in (value, plain):
+            out = tmp_path / f"{token}.csv"
+            code, _, err = run_cli(["schedule", flag, token, "--out", str(out)], capsys)
+            runs.append((code, err, out.read_bytes()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["schedule", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        (["schedule", "-x", "3"], "unrecognized arguments: -x 3"),
+        (["schedule", "--gamma", "-10", "--bogus"], "unrecognized arguments: --bogus"),
+        (["schedule", "--gamma"], "argument --gamma: expected one argument"),
+    ])
+    def test_unknown_flag_is_one_usage_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli([*argv[:1], "--out", str(out), *argv[1:]], capsys)
+        assert (code, err) == (2, f"error: USAGE: {message}\n")
+        assert not out.exists()
 
     def test_unexpected_exception_rolls_back_outputs(
         self, tmp_path, capsys, monkeypatch

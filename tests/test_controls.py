@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import trapezoid_denominator
+from helpers import trapezoid_denominator, upper_incomplete_gamma
 from tontine import controls as controls_module
 from tontine.controls import (
     DEFAULT_GRID_STEP_YEARS,
@@ -32,7 +32,8 @@ from tontine.controls import (
 from tontine.mortality import GompertzMakehamParams, cumulative_hazard, survival
 from tontine.preferences import auto_rho, log_transformed_weight
 
-from conftest import BENCH_A1, BENCH_A2, BENCH_A3, ODE_REL_TOL, QUAD_REL_TOL, make_schedule
+from conftest import (BENCH_A1, BENCH_A2, BENCH_A3, BENCH_GAMMAS, ODE_REL_TOL, QUAD_REL_TOL,
+                      make_schedule)
 
 
 class TestMarketParams:
@@ -171,6 +172,25 @@ class TestDenominatorIntegral:
             assert controls.grid[i] == t
             oracle = trapezoid_denominator(t, schedule, mortality, market)
             assert controls.denominator[i] == pytest.approx(oracle, rel=QUAD_REL_TOL)
+
+    @pytest.mark.parametrize("gamma", BENCH_GAMMAS)
+    def test_gompertz_makeham_closed_form(self, gamma, market, mortality):
+        # no bequest: with s = (beta + a3)/a2 and z_u = (a1/a2) e^{a2 u},
+        # D(t) = (e^{a1/a2}/a2) (a1/a2)^s [Gamma(-s, z_t) - Gamma(-s, z_{T_max})]
+        # (Milevsky 2006, The Calculus of Retirement Income); z_t crosses 1
+        # near t = 25, so both routes of the incomplete gamma are read
+        schedule = make_schedule(gamma, "none")
+        a1, a2, a3 = mortality.a1, mortality.a2, mortality.a3
+        s = (beta(market, gamma, schedule.rho) + a3) / a2
+        if abs(s - round(s)) < 1e-6:
+            pytest.skip(f"s = {s!r}: the downward recurrence loses accuracy near an integer")
+        t = np.array([0.0, 1.0, 5.0, 12.5, 20.0, 25.0, 33.3, 45.0, 49.9])
+        tail = upper_incomplete_gamma(-s, a1 / a2 * math.exp(a2 * mortality.limiting_age_years))
+        expected = [a1 / a2 - math.log(a2) + s * math.log(a1 / a2)
+                    + math.log(upper_incomplete_gamma(-s, a1 / a2 * math.exp(a2 * u)) - tail)
+                    for u in t]
+        got = log_tail_integrals(t, schedule, mortality, market)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [45.0, 48.0, 49.5])
     def test_steep_hazard_matches_dense_oracle(self, t, market):

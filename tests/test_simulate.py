@@ -338,9 +338,9 @@ class TestGoldenBytes:
         default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
-        # more threads than cores, switching often: the producer must not
-        # refill a ring buffer before its sub-block is done, and each
-        # advancing thread must keep to its own zeta buffer and scratch
+        # switching often: the drawing thread must not refill a ring buffer
+        # before the advancing thread is done with its sub-block; one CPU
+        # keeps a ring of one, and 2 or 5 CPUs a ring of two
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -539,8 +539,8 @@ class TestErrors:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_path_diagnostics(self, monkeypatch, market):
         # paths 40 (from step 3) and 45 (from step 1) share a 37-path sub-block;
-        # path 100 (from step 1) is in the next one, which at 3 workers a second
-        # thread advances beside it, and may finish first
+        # path 100 (from step 1) is in a later one, which a ring of two draws
+        # before the loop reads the outcome naming path 40
         poison = {40: 3, 45: 1, 100: 1}
         fill = simulate._Substreams.fill
 
@@ -678,15 +678,15 @@ class TestErrors:
     def test_memory_bound_counts_the_summary(self, monkeypatch, market):
         # results: X, zeta and Y per recorded time plus the objective; the
         # summary adds income, zeta*X and a standard-deviation temporary; each
-        # step adds the time-grid arrays, each worker a ring buffer of
-        # normals, and each of the workers - 1 advancing threads a zeta
-        # buffer and a two-part scratch of min(chunk, steps) + 1 nodes
-        n_paths, n_rec, n_steps, workers = 20_000, 5, 4, 3
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
-        sub, advancing = simulate._SUB_BLOCK_PATHS, workers - 1
+        # step adds the time-grid arrays, the ring two buffers of normals
+        # (three CPUs or more), and the one advancing thread a zeta buffer
+        # and a two-part scratch of min(chunk, steps) + 1 nodes
+        n_paths, n_rec, n_steps = 20_000, 5, 4
+        monkeypatch.setattr(simulate, "_n_workers", lambda: 3)
+        sub = simulate._SUB_BLOCK_PATHS
         need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
-            simulate._STEP_ARRAYS + (workers + advancing) * sub) * (n_steps + 1) + 8 * (
-            advancing * 2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
+            simulate._STEP_ARRAYS + (2 + 1) * sub) * (n_steps + 1) + 8 * (
+            2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
@@ -727,9 +727,39 @@ class TestErrors:
         buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
         caller = threading.get_ident()
         assert [n for ident, n in allocations if ident != caller and n >= buffer] == []
-        # the ring of one buffer per worker, and the one advancing thread's
-        # zeta buffer
+        # the ring of two buffers, and the one advancing thread's zeta buffer
         assert [n for ident, n in allocations if n >= buffer] == [workers * buffer, buffer]
+
+    @pytest.mark.parametrize("cpus, n_paths, ring", [(8, 8 * 512, 2), (1, 8 * 512, 1),
+                                                     (8, 512, 1)])
+    def test_ring_of_at_most_two_and_one_pool_thread(
+        self, monkeypatch, market, mortality, controls_cache, cpus, n_paths, ring
+    ):
+        # whatever the CPU count, one thread draws into a ring of two buffers
+        # (one with a single CPU or sub-block) and one pool thread advances
+        # in its one zeta buffer
+        n_steps = 1040
+        monkeypatch.setattr(simulate, "_n_workers", lambda: cpus)
+        allocations, alive = [], []
+        empty, fill = np.empty, simulate._Substreams.fill
+        before = set(threading.enumerate())
+
+        def recording_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            allocations.append(out.nbytes)
+            return out
+
+        def counting_fill(self, first_path, out):
+            alive.append(len(set(threading.enumerate()) - before))
+            fill(self, first_path, out)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        monkeypatch.setattr(simulate._Substreams, "fill", counting_fill)
+        config = SimulationConfig(n_paths=n_paths, horizon=40.0, step=1.0 / 26.0, seed=3)
+        simulate_wealth(config, controls_cache(-3.0, "scaled_trimmed"), market, mortality)
+        buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
+        assert [n for n in allocations if n >= buffer] == [ring * buffer, buffer]
+        assert len(alive) == n_paths // simulate._SUB_BLOCK_PATHS and max(alive) <= 1
 
     @pytest.mark.parametrize("with_objective", (True, False))
     def test_two_workers_hold_three_buffers(
