@@ -98,13 +98,14 @@ def expected_wealth(
     mortality: GompertzMakehamParams,
     x0: float = 100_000.0,
 ):
-    """E[X*_t] = X0 e^{(r + (mu-r)pi*) t} D(t) / (D(0) S_t) under the optimal controls."""
+    """E[X*_t] = X0 e^{(r + (mu-r)pi*) t} D(t) / (D(0) S_t) under the optimal controls;
+    one quadrature sweep gives D at 0 and at t."""
     _check_x0(x0)
-    t = np.asarray(t, dtype=float)
-    log_d0 = log_tail_integrals(0.0, schedule, mortality, market)
-    log_d = log_tail_integrals(t, schedule, mortality, market)
+    t = _check_times(t, mortality.limiting_age_years)
+    log_d = log_tail_integrals(np.append(0.0, t), schedule, mortality, market)
     growth = market.r + (market.mu - market.r) * merton_fraction(market, schedule.gamma)
-    out = x0 * np.exp(growth * t + log_d - log_d0 + cumulative_hazard(t, mortality))
+    out = x0 * np.exp(growth * t + log_d[1:].reshape(t.shape) - log_d[0]
+                      + cumulative_hazard(t, mortality))
     return out if out.ndim else float(out)
 
 

@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +85,12 @@ DEFAULTS: dict[str, object] = {
 VALID_KEYS = tuple(sorted(DEFAULTS))
 
 _FIGURE_GRID_STEP = 0.25
+
+# A ratio value such as 1/52: an optionally signed numerator and a
+# denominator, each of digits in groups joined by single underscores, with
+# no space around the slash (the strings fractions.Fraction takes with a
+# slash in Python 3.11).
+_RATIO = re.compile(r"([-+]?\d+(?:_\d+)*)/(\d+(?:_\d+)*)")
 
 # fig1-fig4: each (prefix, variant, gammas) adds a column `<prefix><gamma>`
 # per gamma, of expected discounted income for "income_" and alpha* otherwise.
@@ -176,8 +181,12 @@ def _as_float(merged: dict, key: str) -> float:
     if isinstance(value, str):
         value = value.strip()
         if "/" in value:
+            # int / int is correctly rounded: the float of the exact ratio
+            ratio = _RATIO.fullmatch(value)
             try:
-                return float(Fraction(value))
+                if ratio is None:
+                    raise ValueError(value)
+                return int(ratio[1]) / int(ratio[2])
             except (ValueError, ZeroDivisionError) as exc:
                 raise CliError("CONFIG", f"{key}: cannot parse {value!r}") from exc
     try:

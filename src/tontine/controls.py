@@ -61,7 +61,17 @@ _LOG_UNDERFLOW = -700.0
 # log of the largest float64: a tabulated D(0) above it would overflow.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], the bits of
+# numpy.polynomial.legendre.leggauss(16), which is exactly symmetric: the
+# nodes and weights of the upper half, mirrored.
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
 
 # Geometric refinement toward a singular endpoint: panel widths shrink by
@@ -182,6 +192,18 @@ def check_log_d0(log_d0: float, gamma: float) -> None:
 # Quadrature
 # ============================================================================
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of ``values``, flattened, in ascending order: the
+    default-kind sort that ``np.unique`` runs, keeping the first of each run
+    of equal values (of -0.0 and 0.0, the one the sort puts first).  Unlike
+    ``np.unique`` it loads no ``numpy.ma``, and it keeps every NaN."""
+    out = np.sort(np.ravel(values))
+    keep = np.empty(out.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _graded_edges(a: float, b: float) -> np.ndarray:
     """Panel edges on [a, b] refining geometrically toward b."""
     return np.concatenate([b - (b - a) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1), [b]])
@@ -194,11 +216,12 @@ def _panel_edges(schedule: PreferenceSchedule, mortality: GompertzMakehamParams)
     t_max = mortality.limiting_age_years
     h = schedule.horizon_years
     kink = [h] if schedule.is_trimmed and h < t_max else []
-    edges = np.unique(np.concatenate([np.arange(math.ceil(t_max), dtype=float), kink, [t_max]]))
+    edges = _sorted_unique(np.concatenate([np.arange(math.ceil(t_max), dtype=float), kink,
+                                            [t_max]]))
 
     if schedule.is_trimmed and schedule.gamma < 0 and h <= t_max:
         at_h = np.searchsorted(edges, h)  # edges[at_h] == h by construction
-        edges = np.unique(np.concatenate([edges, _graded_edges(edges[at_h - 1], h)]))
+        edges = _sorted_unique(np.concatenate([edges, _graded_edges(edges[at_h - 1], h)]))
 
     for level in range(_SPLIT_LEVELS + 1):
         cum = cumulative_hazard(edges, mortality)

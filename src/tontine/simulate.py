@@ -18,11 +18,11 @@ utility objective, up to the recorded times only: the same bits as a
 cumulative sum, with two full buffers per sub-block in flight.
 The sub-blocks run as a two-stage pipeline on any host: the calling thread
 draws the normals, in path order, each sub-block's into the next of a ring
-of two buffers (one with a single CPU or sub-block), and one pool thread
-advances each filled buffer's log X in place beside its one zeta buffer and
-scratch.  So the kernel holds at most three full buffers, whatever the
-CPU count, and the drawing and advancing stages, which take about equal
-CPU, overlap on two CPUs.  The output bytes depend only on the seed, not
+of two buffers (one with a single CPU or sub-block), and one advancing
+thread turns each filled buffer into log X in place beside its one zeta
+buffer and scratch.  So the kernel holds at most three full buffers,
+whatever the CPU count, and the drawing and advancing stages, which take
+about equal CPU, overlap on two CPUs.  The output bytes depend only on the seed, not
 on the sub-block size or the number of CPUs.
 The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
-from .controls import ControlSchedule, MarketParams, _require_memory
+from .controls import ControlSchedule, MarketParams, _require_memory, _sorted_unique
 from .mortality import (GompertzMakehamParams, _check_times, _csv_table, cumulative_hazard,
                         force_of_mortality)
 from .preferences import PreferenceSchedule, bequest_weight
@@ -302,8 +304,8 @@ def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarra
     if wanted is None:
         wanted = [0.0, *(t for t in REPORT_TIMES if t <= config.horizon + 1e-9), config.horizon]
     step = config.horizon / n_steps
-    return np.unique(np.clip(np.round(np.asarray(wanted, dtype=float) / step).astype(int),
-                             0, n_steps))
+    return _sorted_unique(np.clip(np.round(np.asarray(wanted, dtype=float) / step).astype(int),
+                                  0, n_steps))
 
 
 def simulate_wealth(
@@ -477,23 +479,48 @@ def simulate_wealth(
 
     # This thread draws each sub-block's normals, in path order, into the
     # next ring buffer once the sub-block before in it is done, and the one
-    # pool thread advances them in that order.  The loop stops at the first
-    # outcome it waits for that names a bad path; every sub-block below that
-    # one is done, so the lowest bad path found is the lowest of all.
-    from concurrent.futures import ThreadPoolExecutor
+    # advancing thread advances them in that order, returning each outcome
+    # (or the exception it raised) in that order too.  The loop stops at the
+    # first outcome it waits for that names a bad path; every sub-block below
+    # that one is done, so the lowest bad path found is the lowest of all.
+    jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def advancing() -> None:
+        while (job := jobs.get()) is not None:
+            try:
+                outcome = advance(*job)
+            except BaseException as exc:  # re-raised on the calling thread
+                outcome = exc
+            outcomes.put(outcome)
+
+    def next_outcome() -> tuple[int, int, str] | None:
+        outcome = outcomes.get()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     normals = _Substreams(seed)
-    outcomes = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    found = []
+    in_flight = 0  # sub-blocks put on the queue whose outcomes are not yet taken
+    worker = threading.Thread(target=advancing, name="tontine-advance")
+    worker.start()
+    try:
         for block in range(n_blocks):
-            if block >= len(ring) and outcomes[block - len(ring)].result() is not None:
-                break
+            if in_flight == len(ring):  # the next buffer frees with the oldest outcome
+                in_flight -= 1
+                if (bad := next_outcome()) is not None:
+                    found.append(bad)
+                    break
             start = block * sub
             m = min(sub, n_paths - start)
             log_x = ring[block % len(ring), : max(m, 2)]
             normals.fill(start, log_x[:m, 1:])
-            outcomes.append(pool.submit(advance, start, log_x))
-        found = [bad for outcome in outcomes if (bad := outcome.result()) is not None]
+            jobs.put((start, log_x))
+            in_flight += 1
+        found += [bad for _ in range(in_flight) if (bad := next_outcome()) is not None]
+    finally:
+        jobs.put(None)
+        worker.join()
     del ring, log_z_buffer, scratch  # the summary takes their pages
     if found:
         path, k, what = min(found)

@@ -426,6 +426,76 @@ class TestVerify:
         assert len(jitters) == 20 and all(row[-1] == "true" for row in jitters)
 
 
+# "a/b" values, each with the float the CLI reads or None for a refusal:
+# exactly the float(Fraction(s)) of Python 3.11, which takes digits joined by
+# single underscores, a sign on the numerator only, and no space around "/".
+RATIO_VALUES = [
+    ("1/52", 1 / 52), ("-1/52", -1 / 52), ("+3/4", 0.75), ("0/7", 0.0), ("-0/7", 0.0),
+    (" 1/3\t", 1 / 3), ("1_000/7", 1000 / 7), ("10/1_0", 1.0), ("007/0_2", 3.5),
+    ("9" * 40 + "/" + "7" * 39, int("9" * 40) / int("7" * 39)),
+    ("1" + "0" * 400 + "/3" + "0" * 399, 10 / 3),  # each beyond float64, the ratio not
+    ("1/-2", None), ("1/+2", None), ("1.5/2", None), ("/2", None), ("1/", None),
+    ("1/2/3", None), ("-/2", None), ("--1/2", None), ("+-1/2", None), ("1e3/2", None),
+    ("0x10/2", None), ("a/b", None), ("1__0/7", None), ("_1/2", None), ("1_/2", None),
+    ("1/2_", None), ("1 / 2", None), ("1 /2", None), ("1/ 2", None), ("1/0", None),
+    ("0/0", None), ("-3/0", None), ("1" * 4301 + "/1", None),  # past int's digit limit
+]
+
+
+def _fraction_cases():
+    """RATIO_VALUES for a comparison with this Python's Fraction, which took
+    underscores from Python 3.11 and spaces around the slash from 3.12."""
+    for value, expected in RATIO_VALUES:
+        marks = []
+        if "_" in value:
+            marks.append(pytest.mark.skipif(sys.version_info < (3, 11),
+                                            reason="Fraction takes underscores from 3.11"))
+        if " /" in value or "/ " in value:
+            marks.append(pytest.mark.skipif(sys.version_info >= (3, 12),
+                                            reason="Fraction takes spaces around / from 3.12"))
+        yield pytest.param(value, expected, marks=marks, id=value[:24])
+
+
+def _fraction_float(value: str):
+    """float(Fraction(value)), or None where Fraction refuses it."""
+    from fractions import Fraction
+
+    try:
+        return float(Fraction(value))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestRatioValues:
+    @pytest.mark.parametrize("value, expected", RATIO_VALUES,
+                             ids=[value[:24] for value, _ in RATIO_VALUES])
+    def test_ratio_value(self, value, expected):
+        if expected is None:
+            with pytest.raises(cli.CliError) as excinfo:
+                cli._as_float({"grid_step": value}, "grid_step")
+            assert excinfo.value.code == "CONFIG"
+            assert excinfo.value.message == f"grid_step: cannot parse {value.strip()!r}"
+        else:
+            got = cli._as_float({"grid_step": value}, "grid_step")
+            assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("value, expected", _fraction_cases())
+    def test_ratio_value_is_fractions(self, value, expected):
+        assert _fraction_float(value.strip()) == expected
+
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_ratios_are_fractions(self, numerator, denominator):
+        value = f"{numerator}/{denominator}"
+        assert cli._as_float({"x0": value}, "x0") == _fraction_float(value)
+
+    def test_zero_denominator_is_one_config_line(self, tmp_path, capsys):
+        code, _, err = run_cli(["schedule", "--grid-step", "1/0",
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err == "error: CONFIG: grid_step: cannot parse '1/0'\n"
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -750,6 +820,10 @@ def src_env():
     return env
 
 
+UNRUN_MODULES = ("numpy.ma", "numpy.polynomial", "concurrent", "logging", "fractions",
+                 "decimal", "scipy")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cal.csv"
@@ -761,8 +835,7 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    # scipy is a test dependency only; the thread pool is imported by the
-    # simulation kernel when it runs, not by `python -m tontine` at start-up
+    # scipy is a test dependency only, and no command loads a thread pool
     @pytest.mark.parametrize("prefix", ("scipy", "concurrent"))
     def test_import_loads_no(self, prefix):
         proc = subprocess.run(
@@ -773,6 +846,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # modules no command runs: np.unique loads numpy.ma, leggauss
+    # numpy.polynomial, a thread pool concurrent.futures and logging, and
+    # Fraction fractions and decimal; scipy is a test dependency only
+    @pytest.mark.parametrize("command", tuple(cli.COMMANDS))
+    def test_command_loads_only_what_it_runs(self, tmp_path, command):
+        argv = [command, "--out", str(tmp_path if command == "figures" else tmp_path / "out.csv")]
+        if command == "fit":
+            synthetic_life_table_csv(tmp_path / "table.csv", BENCH)
+            argv += ["--table", str(tmp_path / "table.csv")]
+        if command == "verify":
+            argv += ["--paths", "2000"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tontine.cli import main; "
+             f"code = main({argv!r}); "
+             f"print(code, sorted(m for m in sys.modules if m in {UNRUN_MODULES!r} "
+             f"or m.startswith(tuple(p + '.' for p in {UNRUN_MODULES!r}))))"],
+            capture_output=True, text=True, env=src_env(), timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.strip() == "0 []"
 
     def test_fit_loads_no_scipy(self, tmp_path):
         table = tmp_path / "table.csv"

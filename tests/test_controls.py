@@ -137,6 +137,37 @@ class TestMertonFraction:
         assert merton_fraction(market, -3.0) == merton_fraction(market, -3.0)
 
 
+class TestQuadratureConstants:
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(controls_module._GL_NODES, nodes)
+        assert np.array_equal(controls_module._GL_WEIGHTS, weights)
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],  # ties
+        [0.0, -0.0, 1.0, -0.0],  # signed zeros: the first one the sort puts first
+        [-0.0, 0.0, 0.0],
+        [2.5],
+        [],
+        np.arange(50.0)[::-1],
+        [[4.0, 4.0], [1.0, 2.0]],  # flattened, as np.unique flattens
+        [7, 3, 7, 0, -2, 3],  # integer input
+        np.array([10**15, 3, 10**15], dtype=np.int64),
+    ])
+    def test_sorted_unique_is_np_unique(self, values):
+        expected = np.unique(values)
+        got = controls_module._sorted_unique(values)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()  # -0.0 and 0.0 differ in bytes
+
+    def test_sorted_unique_on_random_ties(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            values = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0, 1e300], size=rng.integers(1, 40))
+            assert (controls_module._sorted_unique(values).tobytes()
+                    == np.unique(values).tobytes())
+
+
 class TestDenominatorIntegral:
     def test_exponential_closed_form(self):
         # constant hazard, no bequest: D(t) = (e^{-(beta+m)t} - e^{-(beta+m)T})/(beta+m)
@@ -191,6 +222,37 @@ class TestDenominatorIntegral:
                     for u in t]
         got = log_tail_integrals(t, schedule, mortality, market)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant, kappa", [("power", None), ("scaled_power", 0.7)])
+    @pytest.mark.parametrize("gamma", BENCH_GAMMAS)
+    def test_pure_gompertz_power_closed_form(self, gamma, variant, kappa, market):
+        # a3 = 0 and b_u = kappa lambda_u^gamma: with p = 1/(1-gamma) the
+        # bequest term e^{-beta u} S_u kappa^p lambda_u^p is one more
+        # incomplete gamma; with s = beta/a2 and z_u = (a1/a2) e^{a2 u},
+        # D(t) is the `none` form plus
+        # e^{a1/a2} a1^p (a2/a1)^{p-s}/a2 [Gamma(p-s, z_t) - Gamma(p-s, z_{T_max})],
+        # times kappa^p when scaled
+        mortality = GompertzMakehamParams(BENCH_A1, BENCH_A2, 0.0)
+        schedule = make_schedule(gamma, variant, kappa=kappa)
+        a1, a2 = mortality.a1, mortality.a2
+        p = 1.0 / (1.0 - gamma)
+        s = beta(market, gamma, schedule.rho) / a2
+        for a in (-s, p - s):
+            if a <= 0 and abs(a - round(a)) < 1e-6:
+                pytest.skip(f"a = {a!r}: the downward recurrence loses accuracy near an integer")
+
+        def log_gamma_difference(a: float, u: float) -> float:
+            z_t, z_max = (a1 / a2 * math.exp(a2 * v) for v in (u, mortality.limiting_age_years))
+            return math.log(upper_incomplete_gamma(a, z_t) - upper_incomplete_gamma(a, z_max))
+
+        t = np.array([0.0, 1.0, 5.0, 12.5, 20.0, 25.0, 33.3, 45.0, 49.9])
+        log_none = [a1 / a2 - math.log(a2) + s * math.log(a1 / a2) + log_gamma_difference(-s, u)
+                    for u in t]
+        log_bequest = [a1 / a2 + p * math.log(a1) + (p - s) * math.log(a2 / a1) - math.log(a2)
+                       + p * math.log(kappa or 1.0) + log_gamma_difference(p - s, u)
+                       for u in t]
+        got = log_tail_integrals(t, schedule, mortality, market)
+        np.testing.assert_allclose(got, np.logaddexp(log_none, log_bequest), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [45.0, 48.0, 49.5])
     def test_steep_hazard_matches_dense_oracle(self, t, market):
