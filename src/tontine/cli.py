@@ -187,7 +187,7 @@ def _as_float(merged: dict, key: str) -> float:
                 if ratio is None:
                     raise ValueError(value)
                 return int(ratio[1]) / int(ratio[2])
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise CliError("CONFIG", f"{key}: cannot parse {value!r}") from exc
     try:
         return float(value)

@@ -9,21 +9,25 @@ allocation drift through the exact increment of log D, so the only
 systematic error left is the control discretization (second order in the step).
 
 Because the controls are deterministic, one kernel advances a sub-block of a
-few hundred paths across the whole time axis at once.  Path p's normals come
-from its own Philox substream keyed by (seed, p); log X and log zeta are
-cumulative sums along path-major rows.  One chunked pass
-(``_trapezoid_totals``) exponentiates a few dozen nodes at a time into a
-small time-major scratch and sums the trapezoid terms of Y, then of the
-utility objective, up to the recorded times only: the same bits as a
-cumulative sum, with two full buffers per sub-block in flight.
-The sub-blocks run as a two-stage pipeline on any host: the calling thread
-draws the normals, in path order, each sub-block's into the next of a ring
-of two buffers (one with a single CPU or sub-block), and one advancing
-thread turns each filled buffer into log X in place beside its one zeta
-buffer and scratch.  So the kernel holds at most three full buffers,
-whatever the CPU count, and the drawing and advancing stages, which take
-about equal CPU, overlap on two CPUs.  The output bytes depend only on the seed, not
-on the sub-block size or the number of CPUs.
+few hundred paths across a stretch of the time axis at once: balanced time
+segments of at most 1,024 steps, one after another.  Path p's normals come
+from its own Philox substream keyed by (seed, p), which each lane resumes
+from one segment to the next; log X and log zeta are cumulative sums along
+path-major rows that start from the values carried over the segment edge.
+One chunked pass (``_trapezoid_totals``) exponentiates a few dozen nodes at
+a time into a small time-major scratch and sums the trapezoid terms of Y,
+then of the utility objective, from the totals carried over the edge up to
+the recorded times: the same bits as one cumulative sum over the whole axis,
+with two segment buffers per sub-block in flight.
+The segments run as a two-stage pipeline on any host: the calling thread
+draws the normals, in path and then time order, each segment's into the
+next of a ring of two buffers (one with a single CPU or segment), and one
+advancing thread turns each filled buffer into log X in place beside its one
+zeta buffer and scratch.  So the kernel holds at most three segment buffers,
+whatever the CPU count and the horizon, and the drawing and advancing
+stages, which take about equal CPU, overlap on two CPUs.  The output bytes
+depend only on the seed, not on the sub-block size, the segment length or
+the number of CPUs.
 The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
 pages (glibc keeps the pages a worker thread frees in that thread's arena).
@@ -65,13 +69,20 @@ __all__ = [
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
-# Paths per sub-block: a sub-block's normals and then log X fill one
-# path-major (paths x (steps + 1)) float64 ring buffer, and the thread that
+# Paths per sub-block: a segment's normals and then log X fill one
+# path-major (paths x (segment + 1)) float64 ring buffer, and the thread that
 # advances it holds one more for log zeta (then log zeta*X, then gamma log X),
-# 4.3 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
+# 2.1 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
 # 20,000 x 1,040 audit fastest on two threads, before and after the move to
-# time-major sums.
+# time-major sums; with segments, 256 and 384 ran it 25-30% slower.
 _SUB_BLOCK_PATHS = 512
+
+# Steps per time segment, at most: a sub-block advances in the fewest
+# balanced segments of at most this many steps, two of 520 at 1,040 steps,
+# so its buffers stop growing with the horizon.  Each segment past the first
+# costs one more Philox call per path; three segments of 347 steps ran the
+# 20,000 x 1,040 audit 18-22% slower than two of 520.
+_SEGMENT_STEPS = 1024
 
 # Time nodes per chunk of the trapezoid pass over Y and the objective: the
 # advancing thread's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
@@ -99,11 +110,13 @@ class SimulationConfig:
     ``None`` keeps 0, the report times within the horizon, and the horizon
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
-    recorded times + 1).  With w = max(min(512, n_paths), 2) lanes and a
-    ring of R normals buffers (2, or 1 with one usable CPU or at most 512
-    paths), the ring and the zeta buffer take 8 bytes x w x (steps + 1) x
-    (R + 1) and the scratch 2 x 8 bytes x w x (min(64, steps) + 1), which
-    the calling thread allocates and frees before the summary;
+    recorded times + 1).  The kernel advances the time axis in the fewest
+    balanced segments of seg <= 1,024 steps, whatever the horizon.  With
+    w = max(min(512, n_paths), 2) lanes and a ring of R normals buffers (2,
+    or 1 with one usable CPU or a single sub-block of one segment), the ring
+    and the zeta buffer take 8 bytes x w x (seg + 1) x (R + 1) and the
+    scratch 2 x 8 bytes x w x (min(64, seg) + 1), which the calling thread
+    allocates and frees before the summary;
     ``simulate_wealth`` raises ``SimulationError`` before allocating
     anything the length of the time grid if these would exceed the
     machine's physical memory.
@@ -205,13 +218,16 @@ class SimulationResult:
 
 class _Substreams:
     """Per-path normals: path p's are those of ``Philox`` keyed by the uint64
-    pair (seed, p).
+    pair (seed, p), drawn one time segment after another.
 
-    One Philox is reset to each path's key, zero counter and empty buffer,
-    instead of building a generator per path (which draws OS entropy for a
-    seed sequence the key then overrides).  The state is kept in plain
-    lists, which the setter reads faster than arrays, and only the key's
-    path word changes from one path to the next.
+    Each lane keeps its own Philox, reset to its path's key, zero counter and
+    empty buffer when a sub-block starts; a lane's generator then resumes
+    where it stopped, so the pieces of a path are the bits of one draw.  The
+    lane generators are built from one shared seed sequence, since a
+    generator built without one draws OS entropy for a seed sequence the key
+    then overrides.  The reset state is kept in plain lists, which the setter
+    reads faster than arrays, and only the key's path word changes from one
+    path to the next.
     """
 
     def __init__(self, seed: int) -> None:
@@ -220,15 +236,26 @@ class _Substreams:
             "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        self._bitgen = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
+        self._seeds = np.random.SeedSequence(0)
+        self._lanes: list[np.random.Generator] = []
 
-    def fill(self, first_path: int, out: np.ndarray) -> None:
-        """Fill row i of ``out`` with the normals of path ``first_path + i``."""
-        for row in range(out.shape[0]):
-            self._key[1] = first_path + row
-            self._bitgen.state = self._state
-            self._gen.standard_normal(out=out[row])
+    def fill(self, first_path: int, first_step: int, out: np.ndarray) -> None:
+        """Fill row i of ``out`` with the normals of path ``first_path + i``
+        from step ``first_step + 1`` on.
+
+        A sub-block's calls come in step order: step 0 resets each lane to
+        its path, and a later step resumes the lane where the call before
+        stopped.
+        """
+        lanes = out.shape[0]
+        if first_step == 0:
+            self._lanes += [np.random.Generator(np.random.Philox(self._seeds))
+                            for _ in range(lanes - len(self._lanes))]
+            for row in range(lanes):
+                self._key[1] = first_path + row
+                self._lanes[row].bit_generator.state = self._state
+        for row in range(lanes):
+            self._lanes[row].standard_normal(out=out[row])
 
 
 def _n_workers() -> int:
@@ -251,27 +278,33 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) ->
                     SimulationError)
 
 
-def _trapezoid_totals(logs, coef, half_weight, rows, scratch, out, *, with_value) -> None:
+def _leading(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the first elements of ``buffer``."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _trapezoid_totals(logs, coef, half_weight, rows, scratch, total, out, *,
+                      with_value) -> None:
     """Running trapezoid integrals of f = exp(``logs``) x ``coef`` at ``rows``.
 
     ``logs`` is path-major (lanes, nodes), ``coef`` per node or None, and
-    ``half_weight`` half of each step's weight.  Column j of ``out`` receives
-    the integral up to node ``rows[j]`` (ascending), plus f there if
-    ``with_value``.  Chunks of C nodes pass through the time-major halves of
-    ``scratch`` (2, C + 1, lanes or more): f behind f at the node before, and
-    the trapezoid terms behind the total so far, which a reduction over axis 0
-    extends one term at a time per lane.  That gives the bits of a cumulative
-    sum for two or more lanes; over a single lane numpy sums pairwise.
+    ``half_weight`` half of each step's weight.  ``total`` holds each lane's
+    integral up to node 0 and is advanced in place to the last node.  Column
+    j of ``out`` receives the integral up to node ``rows[j]`` (ascending),
+    plus f there if ``with_value``.  Chunks of C nodes pass through the
+    time-major halves of ``scratch`` (2, C + 1, lanes or more): f behind f at
+    the node before, and the trapezoid terms behind the total so far, which a
+    reduction over axis 0 extends one term at a time per lane.  That gives
+    the bits of a cumulative sum for two or more lanes, however the nodes
+    are split between calls; over a single lane numpy sums pairwise.
     """
     width, n_nodes = logs.shape
     m = out.shape[0]
     chunk = scratch.shape[1] - 1
-    vals, terms = (b.reshape(-1)[: (chunk + 1) * width].reshape(chunk + 1, width)
-                   for b in scratch)
+    vals, terms = (_leading(b, (chunk + 1, width)) for b in scratch)
     np.exp(logs[:, :1].T, out=vals[:1])
     if coef is not None:
         vals[0] *= coef[0]
-    total = np.zeros(width)
     j = 0
     for a in range(1, n_nodes, chunk):
         n = min(chunk, n_nodes - a)  # row i of the chunk holds node a - 1 + i
@@ -352,16 +385,23 @@ def simulate_wealth(
     n_rec = n_steps + 1 if record_idx is None else len(record_idx)
     sub = _SUB_BLOCK_PATHS
     n_blocks = -(-n_paths // sub)
+    n_segments = -(-n_steps // _SEGMENT_STEPS)
+    seg = -(-n_steps // n_segments)  # the longest segment
     # the ring of normals, and the advancing thread's zeta buffer and scratch:
     # the memory check counts these very shapes, and this thread allocates
     # them so that their pages return to its heap, not the worker's
     lanes = max(min(sub, n_paths), 2)
-    shapes = ((min(_n_workers(), 2, n_blocks), lanes, n_steps + 1), (lanes, n_steps + 1),
-              (2, min(_CHUNK_NODES, n_steps) + 1, lanes))
+    shapes = ((min(_n_workers(), 2, n_blocks * n_segments), lanes, seg + 1), (lanes, seg + 1),
+              (2, min(_CHUNK_NODES, seg) + 1, lanes))
     _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)))
     ring, log_z_buffer, scratch = (np.empty(shape) for shape in shapes)
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
+    # segment k runs from node edges[k] to edges[k + 1] and records
+    # record_idx[rec_edges[k] : rec_edges[k + 1]]: node 0 in the first
+    # segment, and only the nodes past its first in every other
+    edges = [k * n_steps // n_segments for k in range(n_segments + 1)]
+    rec_edges = [0, *np.searchsorted(record_idx, edges[1:], side="right").tolist()]
 
     times = np.arange(n_steps + 1) * config.horizon / n_steps
     dt = np.diff(times)
@@ -415,74 +455,108 @@ def simulate_wealth(
     y_arr = np.empty((n_paths, n_rec))
     objective = np.empty(n_paths) if accumulate_objective else None
 
-    # A leading column of zero volatility and the initial log as drift (with a
-    # zero normal) makes the affine steps whole-row operations and column 0 of
-    # each running sum log X0 (log zeta0).
-    vol_x = np.concatenate(([0.0], vol_x))
-    drift_x = np.concatenate(([math.log(config.initial_wealth)], drift_x))
-    vol_z = np.concatenate(([0.0], vol_z))
-    drift_z = np.concatenate(([math.log(phi0)], drift_z))
+    # A leading zero volatility and drift in each segment's coefficients (and
+    # a zero normal) make the affine steps whole-row operations, which run
+    # faster than ones on the rows past column 0; column 0 then takes the
+    # value carried over the segment edge.  Segment k's coefficients are
+    # [edges[k] + k : edges[k + 1] + k + 1].
+    vol_x, drift_x, vol_z, drift_z = (np.insert(c, edges[:-1], 0.0)
+                                      for c in (vol_x, drift_x, vol_z, drift_z))
     seed = int(config.seed)
     # floating-point error handling is per thread: workers take the caller's
     fp_state = dict(np.geterr(), call=np.geterrcall())
+    # What a sub-block carries over each segment edge, per lane: log X and
+    # log zeta at the edge, the trapezoid totals of Y and of the objective,
+    # and (-1 for none) the first non-finite step and the first recorded step
+    # whose X, zeta or Y overflows.
+    carried = np.empty((4, lanes))
+    first_bad = np.empty((2, lanes), dtype=np.int64)
+    carried_start = (math.log(config.initial_wealth), math.log(phi0), 0.0, 0.0)
 
-    def advance(start: int, log_x: np.ndarray) -> tuple[int, int, str] | None:
-        """Advance the sub-block from path ``start``, whose normals fill
-        ``log_x`` from column 1, turning them into log X in place.
+    def advance(start: int, k: int, log_x: np.ndarray) -> tuple[int, int, str] | None:
+        """Advance segment k of the sub-block from path ``start``, whose
+        normals fill ``log_x`` from column 1, turning them into log X in place
+        from the log X carried into column 0.
 
-        Returns (path, step, what) of its first non-finite increment, or else
-        of its first recorded X, zeta or Y that overflows, or None.
+        After its last segment, returns (path, step, what) of the sub-block's
+        lowest path with a non-finite increment and that path's first one,
+        or else of its lowest path with a recorded X, zeta or Y that
+        overflows and that path's first such step, or None.
         """
         stop = min(start + sub, n_paths)
         m = stop - start
-        log_z = log_z_buffer[: len(log_x)]
+        a, b = edges[k], edges[k + 1]
+        j0, j1 = rec_edges[k], rec_edges[k + 1]
+        log_z = _leading(log_z_buffer, log_x.shape)
+        x_at, z_at, y_total, objective_total = carried[:, : len(log_x)]
+        bad_at, overflow_at = first_bad[:, :m]
+        if k == 0:
+            carried[:] = np.array(carried_start)[:, None]
+            first_bad[:] = -1
         with np.errstate(**fp_state):
             # a one-lane reduction over axis 0 would be pairwise, so a lone
             # path runs beside a copy of itself
             log_x[m:] = log_x[0]
             log_x[:, 0] = 0.0
-            np.multiply(log_x, vol_z, out=log_z)
-            log_z += drift_z
+            coefs = slice(a + k, b + k + 1)
+            np.multiply(log_x, vol_z[coefs], out=log_z)
+            log_z += drift_z[coefs]
+            log_z[:, 0] = z_at
             np.cumsum(log_z, axis=1, out=log_z)
-            log_x *= vol_x
-            log_x += drift_x
+            log_x *= vol_x[coefs]
+            log_x += drift_x[coefs]
+            log_x[:, 0] = x_at
             np.cumsum(log_x, axis=1, out=log_x)
+            x_at[:], z_at[:] = log_x[:, -1], log_z[:, -1]
             # a non-finite running sum stays non-finite, so the last column
             # shows whether any step of a path went bad
             if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
                 bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
-                row = int(np.argmax(bad.any(axis=1)))
-                return start + row, int(np.argmax(bad[row])) + 1, "non-finite increment at"
-            # in place: a (paths x recorded times) temporary would be a
-            # full buffer more when every node is recorded
-            for logs, rec in ((log_x, wealth[start:stop]), (log_z, spd[start:stop])):
-                np.take(logs[:m], record_idx, axis=1, out=rec)
-                np.exp(rec, out=rec)
-            # Y = zeta*X + running trapezoid integral of zeta*X*outflow
-            np.add(log_x, log_z, out=log_z)
-            _trapezoid_totals(log_z, None, half_outflow, record_idx, scratch,
-                              y_arr[start:stop], with_value=True)
-            # exp and the trapezoid sums may overflow where the logs did not
-            recorded = (wealth[start:stop], spd[start:stop], y_arr[start:stop])
-            if not all(np.isfinite(a.max()) and np.isfinite(a.min()) for a in recorded):
-                bad = ~np.logical_and.reduce([np.isfinite(a) for a in recorded])
-                row = int(np.argmax(bad.any(axis=1)))
-                return (start + row, int(record_idx[np.argmax(bad[row])]),
-                        "X, zeta or Y overflows float64 by")
-            if accumulate_objective:
-                # zeta*X is recorded; its buffer takes gamma log X
-                with np.errstate(invalid="ignore"):
-                    np.multiply(log_x, gamma, out=log_z)
-                    _trapezoid_totals(log_z, utility_coef, half_dt, (n_steps,), scratch,
-                                      objective[start:stop, None], with_value=False)
+                rows = np.flatnonzero(bad[:, -1] & (bad_at < 0))
+                bad_at[rows] = a + 1 + np.argmax(bad[rows], axis=1)
+            if bad_at.max() < 0:  # else only the bad increments matter
+                nodes = record_idx[j0:j1] - a
+                recorded = tuple(arr[start:stop, j0:j1] for arr in (wealth, spd, y_arr))
+                # in place, a segment at a time: a (paths x recorded times)
+                # temporary would be a full buffer more when every node is
+                # recorded
+                for logs, rec in zip((log_x, log_z), recorded):
+                    np.take(logs[:m], nodes, axis=1, out=rec)
+                    np.exp(rec, out=rec)
+                # Y = zeta*X + running trapezoid integral of zeta*X*outflow
+                np.add(log_x, log_z, out=log_z)
+                _trapezoid_totals(log_z, None, half_outflow[a:b], nodes, scratch, y_total,
+                                  recorded[2], with_value=True)
+                # exp and the trapezoid sums may overflow where the logs did not
+                if j1 > j0 and not all(np.isfinite(arr.max()) and np.isfinite(arr.min())
+                                       for arr in recorded):
+                    bad = ~np.logical_and.reduce([np.isfinite(arr) for arr in recorded])
+                    rows = np.flatnonzero(bad.any(axis=1) & (overflow_at < 0))
+                    overflow_at[rows] = record_idx[j0 + np.argmax(bad[rows], axis=1)]
+                if accumulate_objective and overflow_at.max() < 0:
+                    # zeta*X is recorded; its buffer takes gamma log X
+                    with np.errstate(invalid="ignore"):
+                        np.multiply(log_x, gamma, out=log_z)
+                        _trapezoid_totals(log_z, utility_coef[a : b + 1], half_dt[a:b],
+                                          (b - a,) if b == n_steps else (), scratch,
+                                          objective_total, objective[start:stop, None],
+                                          with_value=False)
+        if b < n_steps:
             return None
+        for what, at in (("non-finite increment at", bad_at),
+                         ("X, zeta or Y overflows float64 by", overflow_at)):
+            if at.max() >= 0:
+                row = int(np.argmax(at >= 0))
+                return start + row, int(at[row]), what
+        return None
 
-    # This thread draws each sub-block's normals, in path order, into the
-    # next ring buffer once the sub-block before in it is done, and the one
-    # advancing thread advances them in that order, returning each outcome
-    # (or the exception it raised) in that order too.  The loop stops at the
-    # first outcome it waits for that names a bad path; every sub-block below
-    # that one is done, so the lowest bad path found is the lowest of all.
+    # This thread draws each sub-block's normals, in path order and each
+    # sub-block's segments in time order, into the next ring buffer once the
+    # segment before in it is done, and the one advancing thread advances
+    # them in that order, returning each outcome (or the exception it raised)
+    # in that order too.  The loop stops at the first outcome it waits for
+    # that names a bad path; every sub-block below that one is done, so the
+    # lowest bad path found is the lowest of all.
     jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
 
     def advancing() -> None:
@@ -501,21 +575,22 @@ def simulate_wealth(
 
     normals = _Substreams(seed)
     found = []
-    in_flight = 0  # sub-blocks put on the queue whose outcomes are not yet taken
+    in_flight = 0  # segments put on the queue whose outcomes are not yet taken
     worker = threading.Thread(target=advancing, name="tontine-advance")
     worker.start()
     try:
-        for block in range(n_blocks):
+        for job in range(n_blocks * n_segments):
             if in_flight == len(ring):  # the next buffer frees with the oldest outcome
                 in_flight -= 1
                 if (bad := next_outcome()) is not None:
                     found.append(bad)
                     break
+            block, k = divmod(job, n_segments)
             start = block * sub
             m = min(sub, n_paths - start)
-            log_x = ring[block % len(ring), : max(m, 2)]
-            normals.fill(start, log_x[:m, 1:])
-            jobs.put((start, log_x))
+            log_x = _leading(ring[job % len(ring)], (max(m, 2), edges[k + 1] - edges[k] + 1))
+            normals.fill(start, edges[k], log_x[:m, 1:])
+            jobs.put((start, k, log_x))
             in_flight += 1
         found += [bad for _ in range(in_flight) if (bad := next_outcome()) is not None]
     finally:

@@ -630,6 +630,9 @@ class TestErrorContract:
          "none, power, scaled_power, trimmed, scaled_trimmed"),
         (["figures", "--out", "nope"], "IO: output directory 'nope' does not exist"),
         (["figures", "--out", "a1.cfg"], "IO: output directory 'a1.cfg' is not a directory"),
+        # the ratio leaves float64: int / int raises OverflowError
+        (["schedule", "--grid-step", "1" + "0" * 400 + "/1"],
+         f"CONFIG: grid_step: cannot parse {'1' + '0' * 400 + '/1'!r}"),
     ])
     def test_library_error_is_one_exact_line(self, tmp_path, capsys, monkeypatch, argv, line):
         monkeypatch.chdir(tmp_path)

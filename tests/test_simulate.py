@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -194,13 +195,19 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", (0, 2**64 - 1))
     @pytest.mark.parametrize("first, rows", [(0, (0, 1, 511)), (2**32 + 7, (0, 1, 2))])
     def test_substream_is_philox_keyed_by_seed_and_path(self, seed, first, rows):
-        # a uint64 key: a list holding 2**64 - 1 would pass through float64
-        out = np.empty((max(rows) + 1, 16))
-        simulate._Substreams(seed).fill(first, out)
+        # a uint64 key: a list holding 2**64 - 1 would pass through float64;
+        # a path drawn in pieces, as segments draw it, is one draw, and step 0
+        # starts the paths afresh
+        out, again = np.empty((2, max(rows) + 1, 16))
+        normals = simulate._Substreams(seed)
+        for a, b in ((0, 5), (5, 6), (6, 16)):
+            normals.fill(first, a, out[:, a:b])
+        normals.fill(first, 0, again)
         for i in rows:
             key = np.array([seed, first + i], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
             assert np.array_equal(out[i], expected)
+            assert np.array_equal(again[i], expected)
 
 
 # sha256 of the result arrays of _golden_runs, taken from the per-step loop
@@ -331,6 +338,20 @@ class TestGoldenBytes:
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         assert _digests(runs) == GOLDEN_DIGESTS
 
+    @pytest.mark.parametrize("segment", (1, 7, 100))
+    @pytest.mark.parametrize("n_paths, sub", [(700, 512), (1, 512), (2 * 37 + 1, 37)])
+    def test_segment_edges_leave_digests_unchanged(
+        self, monkeypatch, segment, n_paths, sub, market, mortality, controls_cache,
+        calibrated_cache,
+    ):
+        # 260 steps, every node recorded: a segment edge on every node, on
+        # every 6th or 7th, or twice between chunk edges; each lane's
+        # substream, log X, log zeta and both trapezoid totals cross them
+        monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", sub)
+        runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
+        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS.get((n_paths, sub), GOLDEN_DIGESTS)
+
     @pytest.mark.parametrize("workers", (1, 2, 5))
     def test_sub_block_size_and_workers_leave_arrays_unchanged(
         self, monkeypatch, workers, market, mortality, controls_cache, calibrated_cache
@@ -339,18 +360,22 @@ class TestGoldenBytes:
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         # switching often: the drawing thread must not refill a ring buffer
-        # before the advancing thread is done with its sub-block; one CPU
-        # keeps a ring of one, and 2 or 5 CPUs a ring of two
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pipelined = _within_timeout(lambda: _golden_runs(
-                market, mortality, controls_cache, calibrated_cache))
-        finally:
-            sys.setswitchinterval(interval)
-        for name, result in default.items():
-            for field in RESULT_ARRAYS:
-                assert np.array_equal(getattr(pipelined[name], field), getattr(result, field))
+        # before the advancing thread is done with its segment; one CPU
+        # keeps a ring of one, and 2 or 5 CPUs a ring of two; 260 steps run
+        # in one segment or, at a cap of 7, in 38
+        for segment in (simulate._SEGMENT_STEPS, 7):
+            monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pipelined = _within_timeout(lambda: _golden_runs(
+                    market, mortality, controls_cache, calibrated_cache))
+            finally:
+                sys.setswitchinterval(interval)
+            for name, result in default.items():
+                for field in RESULT_ARRAYS:
+                    assert np.array_equal(getattr(pipelined[name], field),
+                                          getattr(result, field))
 
 
 class TestMartingaleStructure:
@@ -540,22 +565,25 @@ class TestErrors:
     def test_non_finite_path_diagnostics(self, monkeypatch, market):
         # paths 40 (from step 3) and 45 (from step 1) share a 37-path sub-block;
         # path 100 (from step 1) is in a later one, which a ring of two draws
-        # before the loop reads the outcome naming path 40
+        # before the loop reads the outcome naming path 40; at a cap of one
+        # step, path 45 goes bad two segments before path 40
         poison = {40: 3, 45: 1, 100: 1}
         fill = simulate._Substreams.fill
 
-        def poisoned_fill(self, first_path, out):
-            fill(self, first_path, out)
+        def poisoned_fill(self, first_path, first_step, out):
+            fill(self, first_path, first_step, out)
             for path, step in poison.items():
-                if first_path <= path < first_path + len(out):
-                    out[path - first_path, step - 1] = np.nan
+                if (first_path <= path < first_path + len(out)
+                        and first_step < step <= first_step + out.shape[1]):
+                    out[path - first_path, step - 1 - first_step] = np.nan
 
         monkeypatch.setattr(simulate._Substreams, "fill", poisoned_fill)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         overflowing = DeterministicControls(pi=1e300, consumption=0.0, tontine_fraction=1.0)
         moderate = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
-        for workers in (1, 2, 3):
+        for workers, segment in itertools.product((1, 2, 3), (simulate._SEGMENT_STEPS, 1)):
             monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+            monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
             # every path overflows on the first step
             config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25)
             with pytest.raises(SimulationError) as excinfo:
@@ -568,21 +596,43 @@ class TestErrors:
             assert str(excinfo.value) == "non-finite increment at step 3 (t=0.75), path 40"
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_recorded_overflow_diagnostics(self):
+    def test_recorded_overflow_diagnostics(self, monkeypatch):
         # log X = log(1e300) + 10 t stays finite, but X leaves float64 past
-        # t = 1.9, so the first recorded node holding it is t = 2 (step 8)
+        # t = 1.9, so the first recorded node holding it is t = 2 (step 8);
+        # a cap of 1 or 3 steps puts it in the 8th or 4th segment of 16 steps
         with pytest.warns(UserWarning):  # mu <= r: zeta is deterministic
             market = MarketParams(0.03, 0.2, 0.03)
         growing = DeterministicControls(pi=0.0, consumption=-10.0, tontine_fraction=0.0)
+        # a normal of 500 at pi = 1 lifts log X by 50: path 2 overflows from
+        # step 2, path 1 from step 10, and the lower path is named
+        lifted = DeterministicControls(pi=1.0, consumption=0.0, tontine_fraction=0.0)
+        fill = simulate._Substreams.fill
+
+        def lifting_fill(self, first_path, first_step, out):
+            fill(self, first_path, first_step, out)
+            if lift:
+                for path, step in ((1, 10), (2, 2)):
+                    if first_step < step <= first_step + out.shape[1]:
+                        out[path - first_path, step - 1 - first_step] = 500.0
+
+        monkeypatch.setattr(simulate._Substreams, "fill", lifting_fill)
         config = SimulationConfig(n_paths=3, horizon=4.0, step=0.25, initial_wealth=1e300,
                                   record_times="all")
-        with pytest.raises(SimulationError) as excinfo:
-            simulate_wealth(config, growing, market, NO_MORTALITY)
-        assert str(excinfo.value) == "X, zeta or Y overflows float64 by step 8 (t=2), path 0"
-        # recorded only at 0 and 4, the overflow shows at step 16
-        config = replace(config, record_times=(0.0, 4.0))
-        with pytest.raises(SimulationError, match=r"by step 16 \(t=4\), path 0$"):
-            simulate_wealth(config, growing, market, NO_MORTALITY)
+        for segment in (simulate._SEGMENT_STEPS, 1, 3):
+            monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
+            lift = False
+            with pytest.raises(SimulationError) as excinfo:
+                simulate_wealth(config, growing, market, NO_MORTALITY)
+            assert str(excinfo.value) == "X, zeta or Y overflows float64 by step 8 (t=2), path 0"
+            # recorded only at 0 and 4, the overflow shows at step 16
+            with pytest.raises(SimulationError, match=r"by step 16 \(t=4\), path 0$"):
+                simulate_wealth(replace(config, record_times=(0.0, 4.0)), growing, market,
+                                NO_MORTALITY)
+            lift = True
+            with pytest.raises(SimulationError) as excinfo:
+                simulate_wealth(config, lifted, market, NO_MORTALITY)
+            assert str(excinfo.value) == (
+                "X, zeta or Y overflows float64 by step 10 (t=2.5), path 1")
 
     @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_producer_exception_reaches_caller(self, monkeypatch, market, workers):
@@ -590,10 +640,10 @@ class TestErrors:
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         fill = simulate._Substreams.fill
 
-        def failing_fill(self, first_path, out):
+        def failing_fill(self, first_path, first_step, out):
             if first_path == 37:  # the second sub-block
                 raise RuntimeError("substream failed")
-            fill(self, first_path, out)
+            fill(self, first_path, first_step, out)
 
         monkeypatch.setattr(simulate._Substreams, "fill", failing_fill)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
@@ -607,11 +657,11 @@ class TestErrors:
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         totals = simulate._trapezoid_totals
 
-        def failing_totals(logs, coef, half_weight, rows, scratch, out, **kwargs):
+        def failing_totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs):
             # out is the sub-block's slice of Y: its offset in rows is the first path
             if (out.ctypes.data - out.base.ctypes.data) // out.strides[0] == 37:
                 raise RuntimeError("advance failed")
-            totals(logs, coef, half_weight, rows, scratch, out, **kwargs)
+            totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs)
 
         monkeypatch.setattr(simulate, "_trapezoid_totals", failing_totals)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
@@ -628,9 +678,9 @@ class TestErrors:
         fill, totals = simulate._Substreams.fill, simulate._trapezoid_totals
         fills, advances = [], []
 
-        def recording_fill(self, first_path, out):
+        def recording_fill(self, first_path, first_step, out):
             fills.append(threading.get_ident())
-            fill(self, first_path, out)
+            fill(self, first_path, first_step, out)
 
         def recording_totals(*args, **kwargs):
             advances.append(threading.get_ident())
@@ -678,9 +728,10 @@ class TestErrors:
     def test_memory_bound_counts_the_summary(self, monkeypatch, market):
         # results: X, zeta and Y per recorded time plus the objective; the
         # summary adds income, zeta*X and a standard-deviation temporary; each
-        # step adds the time-grid arrays, the ring two buffers of normals
-        # (three CPUs or more), and the one advancing thread a zeta buffer
-        # and a two-part scratch of min(chunk, steps) + 1 nodes
+        # step adds the time-grid arrays and, since 4 steps are one segment,
+        # the ring two buffers of normals (three CPUs or more), and the one
+        # advancing thread a zeta buffer and a two-part scratch of
+        # min(chunk, steps) + 1 nodes
         n_paths, n_rec, n_steps = 20_000, 5, 4
         monkeypatch.setattr(simulate, "_n_workers", lambda: 3)
         sub = simulate._SUB_BLOCK_PATHS
@@ -710,8 +761,9 @@ class TestErrors:
         self, monkeypatch, market, mortality, controls_cache
     ):
         # pages a worker thread allocates stay in its own malloc arena, where
-        # the summary and the next call cannot reuse them
-        n_steps, workers = 1040, 2
+        # the summary and the next call cannot reuse them; 1,040 steps run
+        # in two segments of 520
+        segment, workers = 520, 2
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         allocations = []
         empty = np.empty
@@ -724,21 +776,52 @@ class TestErrors:
         monkeypatch.setattr(np, "empty", recording_empty)
         config = SimulationConfig(n_paths=2048, horizon=40.0, step=1.0 / 26.0, seed=3)
         simulate_wealth(config, controls_cache(-3.0, "scaled_trimmed"), market, mortality)
-        buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
+        buffer = 8 * simulate._SUB_BLOCK_PATHS * (segment + 1)
         caller = threading.get_ident()
         assert [n for ident, n in allocations if ident != caller and n >= buffer] == []
         # the ring of two buffers, and the one advancing thread's zeta buffer
         assert [n for ident, n in allocations if n >= buffer] == [workers * buffer, buffer]
 
-    @pytest.mark.parametrize("cpus, n_paths, ring", [(8, 8 * 512, 2), (1, 8 * 512, 1),
-                                                     (8, 512, 1)])
+    def test_buffers_do_not_grow_with_the_horizon(self, monkeypatch, market, mortality):
+        # 40 years of daily steps, 10,080, run in ten segments of 1,008: the
+        # ring, the zeta buffer and the scratch are 1,009 nodes wide, and the
+        # memory check counts exactly those shapes
+        monkeypatch.setattr(simulate, "_n_workers", lambda: 2)
+        shapes, checked = [], []
+        empty, check = np.empty, simulate._check_memory
+
+        def recording_empty(shape, *args, **kwargs):
+            shapes.append(tuple(np.atleast_1d(shape)))
+            return empty(shape, *args, **kwargs)
+
+        def recording_check(*args):
+            checked.append(args)
+            check(*args)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        monkeypatch.setattr(simulate, "_check_memory", recording_check)
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=1024, horizon=40.0, step=1.0 / 252.0, seed=3)
+        simulate_wealth(config, controls, market, mortality)
+        sub, chunk, width = simulate._SUB_BLOCK_PATHS, simulate._CHUNK_NODES, 1009
+        assert width <= simulate._SEGMENT_STEPS + 1
+        buffers = [(2, sub, width), (sub, width), (2, chunk + 1, sub)]
+        assert [s for s in shapes if math.prod(s) >= 2 * (chunk + 1) * sub] == buffers
+        assert checked == [(1024, 8, 10_080, sum(map(math.prod, buffers)))]
+
+    @pytest.mark.parametrize("cpus, n_paths, horizon, ring", [
+        (8, 8 * 512, 40.0, 2), (1, 8 * 512, 40.0, 1),
+        (8, 512, 40.0, 2),  # one sub-block in two segments of 520 steps
+        (8, 512, 39.0, 1),  # one sub-block in one segment of 1,014 steps
+    ])
     def test_ring_of_at_most_two_and_one_pool_thread(
-        self, monkeypatch, market, mortality, controls_cache, cpus, n_paths, ring
+        self, monkeypatch, market, mortality, controls_cache, cpus, n_paths, horizon, ring
     ):
         # whatever the CPU count, one thread draws into a ring of two buffers
-        # (one with a single CPU or sub-block) and one pool thread advances
+        # (one with a single CPU or segment) and one pool thread advances
         # in its one zeta buffer
-        n_steps = 1040
+        n_steps = round(horizon * 26)
+        segments = -(-n_steps // simulate._SEGMENT_STEPS)
         monkeypatch.setattr(simulate, "_n_workers", lambda: cpus)
         allocations, alive = [], []
         empty, fill = np.empty, simulate._Substreams.fill
@@ -749,23 +832,24 @@ class TestErrors:
             allocations.append(out.nbytes)
             return out
 
-        def counting_fill(self, first_path, out):
+        def counting_fill(self, first_path, first_step, out):
             alive.append(len(set(threading.enumerate()) - before))
-            fill(self, first_path, out)
+            fill(self, first_path, first_step, out)
 
         monkeypatch.setattr(np, "empty", recording_empty)
         monkeypatch.setattr(simulate._Substreams, "fill", counting_fill)
-        config = SimulationConfig(n_paths=n_paths, horizon=40.0, step=1.0 / 26.0, seed=3)
+        config = SimulationConfig(n_paths=n_paths, horizon=horizon, step=1.0 / 26.0, seed=3)
         simulate_wealth(config, controls_cache(-3.0, "scaled_trimmed"), market, mortality)
-        buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps + 1)
+        buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps // segments + 1)
         assert [n for n in allocations if n >= buffer] == [ring * buffer, buffer]
-        assert len(alive) == n_paths // simulate._SUB_BLOCK_PATHS and max(alive) <= 1
+        assert len(alive) == n_paths // simulate._SUB_BLOCK_PATHS * segments
+        assert max(alive) <= 1
 
     @pytest.mark.parametrize("with_objective", (True, False))
     def test_two_workers_hold_three_buffers(
         self, monkeypatch, with_objective, market, mortality, controls_cache, calibrated_cache
     ):
-        n_paths, n_steps, workers = 2048, 1040, 2
+        n_paths, n_steps, segment, workers = 2048, 1040, 520, 2
         monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         controls = controls_cache(-3.0, "scaled_trimmed")
         schedule = calibrated_cache(-3.0, "scaled_trimmed") if with_objective else None
@@ -780,13 +864,14 @@ class TestErrors:
             tracemalloc.stop()
         sub, n_rec = simulate._SUB_BLOCK_PATHS, len(result.times)
         assert n_paths == 2 * workers * sub
-        buffer = 8 * sub * (n_steps + 1)  # one full (paths x (steps + 1)) buffer
+        buffer = 8 * sub * (segment + 1)  # one (paths x (segment + 1)) buffer
         fixed = 8 * n_paths * (6 * n_rec + 1) + 8 * simulate._STEP_ARRAYS * (n_steps + 1)
         scratch = 8 * 2 * sub * (simulate._CHUNK_NODES + 1)
+        generators = 1024 * sub  # each lane's Philox, about 0.6 KB
         # the memory check's bound: two ring buffers, and one zeta buffer and
         # one scratch for the one advancing thread; two buffers a worker
-        # would be a fourth
-        assert peak <= fixed + 3 * buffer + scratch
+        # would be a fourth, and one spanning the horizon two more
+        assert peak <= fixed + 3 * buffer + scratch + generators
 
 
 class TestValueFunction:
