@@ -19,23 +19,21 @@ a time into a small time-major scratch and sums the trapezoid terms of Y,
 then of the utility objective, from the totals carried over the edge up to
 the recorded times: the same bits as one cumulative sum over the whole axis,
 with two segment buffers per sub-block in flight.
-The segments run as a two-stage pipeline on any host: the calling thread
-draws the normals, in path and then time order, each segment's into the
-next of a ring of two buffers (one with a single CPU or segment), and one
-advancing thread turns each filled buffer into log X in place beside its one
-zeta buffer and scratch.  So the kernel holds at most three segment buffers,
-whatever the CPU count and the horizon, and the drawing and advancing
-stages, which take about equal CPU, overlap on two CPUs.  The output bytes
-depend only on the seed, not on the sub-block size, the segment length or
-the number of CPUs.
+The segments run as a two-stage pipeline on any host: one helper thread
+draws the normals, in path and then time order, each segment's into the next
+of a ring of two buffers, and the calling thread turns each filled buffer
+into log X in place beside its one zeta buffer and scratch.  So the kernel
+holds three segment buffers, whatever the CPU count and the horizon, and the
+drawing and advancing stages, which take about equal CPU, overlap on two
+CPUs.  The output bytes depend only on the seed, not on the sub-block size,
+the segment length or the number of CPUs.
 The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
-pages (glibc keeps the pages a worker thread frees in that thread's arena).
+pages (glibc keeps the pages a helper thread frees in that thread's arena).
 """
 from __future__ import annotations
 
 import math
-import os
 import queue
 import sys
 import threading
@@ -70,11 +68,12 @@ __all__ = [
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
 # Paths per sub-block: a segment's normals and then log X fill one
-# path-major (paths x (segment + 1)) float64 ring buffer, and the thread that
-# advances it holds one more for log zeta (then log zeta*X, then gamma log X),
-# 2.1 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048 paths, 512 ran the
-# 20,000 x 1,040 audit fastest on two threads, before and after the move to
-# time-major sums; with segments, 256 and 384 ran it 25-30% slower.
+# path-major (paths x (segment + 1)) float64 ring buffer, and the calling
+# thread, which advances it, holds one more for log zeta (then log zeta*X,
+# then gamma log X), 2.1 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048
+# paths, 512 ran the 20,000 x 1,040 audit fastest on two threads, before and
+# after the move to time-major sums; with segments, 256 and 384 ran it 25-30%
+# slower.
 _SUB_BLOCK_PATHS = 512
 
 # Steps per time segment, at most: a sub-block advances in the fewest
@@ -85,8 +84,7 @@ _SUB_BLOCK_PATHS = 512
 _SEGMENT_STEPS = 1024
 
 # Time nodes per chunk of the trapezoid pass over Y and the objective: the
-# advancing thread's time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB
-# at 512 paths.
+# time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB at 512 paths.
 # 64 and 128 ran the audit equally fast; 32 was slower.
 _CHUNK_NODES = 64
 
@@ -112,11 +110,10 @@ class SimulationConfig:
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
     recorded times + 1).  The kernel advances the time axis in the fewest
     balanced segments of seg <= 1,024 steps, whatever the horizon.  With
-    w = max(min(512, n_paths), 2) lanes and a ring of R normals buffers (2,
-    or 1 with one usable CPU or a single sub-block of one segment), the ring
-    and the zeta buffer take 8 bytes x w x (seg + 1) x (R + 1) and the
-    scratch 2 x 8 bytes x w x (min(64, seg) + 1), which the calling thread
-    allocates and frees before the summary;
+    w = max(min(512, n_paths), 2) lanes, the ring of two normals buffers and
+    the zeta buffer take 8 bytes x w x (seg + 1) x 3 and the scratch
+    2 x 8 bytes x w x (min(64, seg) + 1), which the calling thread allocates
+    and frees before the summary;
     ``simulate_wealth`` raises ``SimulationError`` before allocating
     anything the length of the time grid if these would exceed the
     machine's physical memory.
@@ -258,13 +255,6 @@ class _Substreams:
             self._lanes[row].standard_normal(out=out[row])
 
 
-def _n_workers() -> int:
-    """The CPUs this process may run on: one keeps a ring of one buffer."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) -> None:
     """Raise before allocating more than physical memory.
 
@@ -387,12 +377,11 @@ def simulate_wealth(
     n_blocks = -(-n_paths // sub)
     n_segments = -(-n_steps // _SEGMENT_STEPS)
     seg = -(-n_steps // n_segments)  # the longest segment
-    # the ring of normals, and the advancing thread's zeta buffer and scratch:
-    # the memory check counts these very shapes, and this thread allocates
-    # them so that their pages return to its heap, not the worker's
+    # the ring of normals, and the zeta buffer and scratch: the memory check
+    # counts these very shapes, and this thread allocates them so that their
+    # pages return to its heap, not the helper's
     lanes = max(min(sub, n_paths), 2)
-    shapes = ((min(_n_workers(), 2, n_blocks * n_segments), lanes, seg + 1), (lanes, seg + 1),
-              (2, min(_CHUNK_NODES, seg) + 1, lanes))
+    shapes = ((2, lanes, seg + 1), (lanes, seg + 1), (2, min(_CHUNK_NODES, seg) + 1, lanes))
     _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)))
     ring, log_z_buffer, scratch = (np.empty(shape) for shape in shapes)
     if record_idx is None:
@@ -462,9 +451,6 @@ def simulate_wealth(
     # [edges[k] + k : edges[k + 1] + k + 1].
     vol_x, drift_x, vol_z, drift_z = (np.insert(c, edges[:-1], 0.0)
                                       for c in (vol_x, drift_x, vol_z, drift_z))
-    seed = int(config.seed)
-    # floating-point error handling is per thread: workers take the caller's
-    fp_state = dict(np.geterr(), call=np.geterrcall())
     # What a sub-block carries over each segment edge, per lane: log X and
     # log zeta at the edge, the trapezoid totals of Y and of the objective,
     # and (-1 for none) the first non-finite step and the first recorded step
@@ -473,18 +459,17 @@ def simulate_wealth(
     first_bad = np.empty((2, lanes), dtype=np.int64)
     carried_start = (math.log(config.initial_wealth), math.log(phi0), 0.0, 0.0)
 
-    def advance(start: int, k: int, log_x: np.ndarray) -> tuple[int, int, str] | None:
-        """Advance segment k of the sub-block from path ``start``, whose
-        normals fill ``log_x`` from column 1, turning them into log X in place
-        from the log X carried into column 0.
+    def advance(start: int, k: int, m: int, log_x: np.ndarray) -> None:
+        """Advance segment k of the sub-block of ``m`` paths from path
+        ``start``, whose normals fill ``log_x`` from column 1, turning them
+        into log X in place from the log X carried into column 0.
 
-        After its last segment, returns (path, step, what) of the sub-block's
-        lowest path with a non-finite increment and that path's first one,
-        or else of its lowest path with a recorded X, zeta or Y that
-        overflows and that path's first such step, or None.
+        After its last segment, raises ``SimulationError`` naming the
+        sub-block's lowest path with a non-finite increment and that path's
+        first one, or else its lowest path with a recorded X, zeta or Y that
+        overflows and that path's first such step.
         """
-        stop = min(start + sub, n_paths)
-        m = stop - start
+        stop = start + m
         a, b = edges[k], edges[k + 1]
         j0, j1 = rec_edges[k], rec_edges[k + 1]
         log_z = _leading(log_z_buffer, log_x.shape)
@@ -493,113 +478,103 @@ def simulate_wealth(
         if k == 0:
             carried[:] = np.array(carried_start)[:, None]
             first_bad[:] = -1
-        with np.errstate(**fp_state):
-            # a one-lane reduction over axis 0 would be pairwise, so a lone
-            # path runs beside a copy of itself
-            log_x[m:] = log_x[0]
-            log_x[:, 0] = 0.0
-            coefs = slice(a + k, b + k + 1)
-            np.multiply(log_x, vol_z[coefs], out=log_z)
-            log_z += drift_z[coefs]
-            log_z[:, 0] = z_at
-            np.cumsum(log_z, axis=1, out=log_z)
-            log_x *= vol_x[coefs]
-            log_x += drift_x[coefs]
-            log_x[:, 0] = x_at
-            np.cumsum(log_x, axis=1, out=log_x)
-            x_at[:], z_at[:] = log_x[:, -1], log_z[:, -1]
-            # a non-finite running sum stays non-finite, so the last column
-            # shows whether any step of a path went bad
-            if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
-                bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
-                rows = np.flatnonzero(bad[:, -1] & (bad_at < 0))
-                bad_at[rows] = a + 1 + np.argmax(bad[rows], axis=1)
-            if bad_at.max() < 0:  # else only the bad increments matter
-                nodes = record_idx[j0:j1] - a
-                recorded = tuple(arr[start:stop, j0:j1] for arr in (wealth, spd, y_arr))
-                # in place, a segment at a time: a (paths x recorded times)
-                # temporary would be a full buffer more when every node is
-                # recorded
-                for logs, rec in zip((log_x, log_z), recorded):
-                    np.take(logs[:m], nodes, axis=1, out=rec)
-                    np.exp(rec, out=rec)
-                # Y = zeta*X + running trapezoid integral of zeta*X*outflow
-                np.add(log_x, log_z, out=log_z)
-                _trapezoid_totals(log_z, None, half_outflow[a:b], nodes, scratch, y_total,
-                                  recorded[2], with_value=True)
-                # exp and the trapezoid sums may overflow where the logs did not
-                if j1 > j0 and not all(np.isfinite(arr.max()) and np.isfinite(arr.min())
-                                       for arr in recorded):
-                    bad = ~np.logical_and.reduce([np.isfinite(arr) for arr in recorded])
-                    rows = np.flatnonzero(bad.any(axis=1) & (overflow_at < 0))
-                    overflow_at[rows] = record_idx[j0 + np.argmax(bad[rows], axis=1)]
-                if accumulate_objective and overflow_at.max() < 0:
-                    # zeta*X is recorded; its buffer takes gamma log X
-                    with np.errstate(invalid="ignore"):
-                        np.multiply(log_x, gamma, out=log_z)
-                        _trapezoid_totals(log_z, utility_coef[a : b + 1], half_dt[a:b],
-                                          (b - a,) if b == n_steps else (), scratch,
-                                          objective_total, objective[start:stop, None],
-                                          with_value=False)
+        # a one-lane reduction over axis 0 would be pairwise, so a lone
+        # path runs beside a copy of itself
+        log_x[m:] = log_x[0]
+        log_x[:, 0] = 0.0
+        coefs = slice(a + k, b + k + 1)
+        np.multiply(log_x, vol_z[coefs], out=log_z)
+        log_z += drift_z[coefs]
+        log_z[:, 0] = z_at
+        np.cumsum(log_z, axis=1, out=log_z)
+        log_x *= vol_x[coefs]
+        log_x += drift_x[coefs]
+        log_x[:, 0] = x_at
+        np.cumsum(log_x, axis=1, out=log_x)
+        x_at[:], z_at[:] = log_x[:, -1], log_z[:, -1]
+        # a non-finite running sum stays non-finite, so the last column
+        # shows whether any step of a path went bad
+        if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
+            bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
+            rows = np.flatnonzero(bad[:, -1] & (bad_at < 0))
+            bad_at[rows] = a + 1 + np.argmax(bad[rows], axis=1)
+        if bad_at.max() < 0:  # else only the bad increments matter
+            nodes = record_idx[j0:j1] - a
+            recorded = tuple(arr[start:stop, j0:j1] for arr in (wealth, spd, y_arr))
+            # in place, a segment at a time: a (paths x recorded times)
+            # temporary would be a full buffer more when every node is
+            # recorded
+            for logs, rec in zip((log_x, log_z), recorded):
+                np.take(logs[:m], nodes, axis=1, out=rec)
+                np.exp(rec, out=rec)
+            # Y = zeta*X + running trapezoid integral of zeta*X*outflow
+            np.add(log_x, log_z, out=log_z)
+            _trapezoid_totals(log_z, None, half_outflow[a:b], nodes, scratch, y_total,
+                              recorded[2], with_value=True)
+            # exp and the trapezoid sums may overflow where the logs did not
+            if j1 > j0 and not all(np.isfinite(arr.max()) and np.isfinite(arr.min())
+                                   for arr in recorded):
+                bad = ~np.logical_and.reduce([np.isfinite(arr) for arr in recorded])
+                rows = np.flatnonzero(bad.any(axis=1) & (overflow_at < 0))
+                overflow_at[rows] = record_idx[j0 + np.argmax(bad[rows], axis=1)]
+            if accumulate_objective and overflow_at.max() < 0:
+                # zeta*X is recorded; its buffer takes gamma log X
+                with np.errstate(invalid="ignore"):
+                    np.multiply(log_x, gamma, out=log_z)
+                    _trapezoid_totals(log_z, utility_coef[a : b + 1], half_dt[a:b],
+                                      (b - a,) if b == n_steps else (), scratch,
+                                      objective_total, objective[start:stop, None],
+                                      with_value=False)
         if b < n_steps:
-            return None
+            return
         for what, at in (("non-finite increment at", bad_at),
                          ("X, zeta or Y overflows float64 by", overflow_at)):
             if at.max() >= 0:
                 row = int(np.argmax(at >= 0))
-                return start + row, int(at[row]), what
-        return None
+                step = int(at[row])
+                raise SimulationError(f"{what} step {step} (t={times[step]:.6g}), "
+                                      f"path {start + row}")
 
-    # This thread draws each sub-block's normals, in path order and each
-    # sub-block's segments in time order, into the next ring buffer once the
-    # segment before in it is done, and the one advancing thread advances
-    # them in that order, returning each outcome (or the exception it raised)
-    # in that order too.  The loop stops at the first outcome it waits for
-    # that names a bad path; every sub-block below that one is done, so the
-    # lowest bad path found is the lowest of all.
-    jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+    def segment(job: int, slot: int) -> tuple[int, int, int, np.ndarray]:
+        """(first path, segment, paths, view of ring buffer ``slot``) of job
+        number ``job``: sub-block after sub-block, each segment after segment."""
+        block, k = divmod(job, n_segments)
+        start = block * sub
+        m = min(sub, n_paths - start)
+        return start, k, m, _leading(ring[slot], (max(m, 2), edges[k + 1] - edges[k] + 1))
 
-    def advancing() -> None:
-        while (job := jobs.get()) is not None:
-            try:
-                outcome = advance(*job)
-            except BaseException as exc:  # re-raised on the calling thread
-                outcome = exc
-            outcomes.put(outcome)
+    # The helper thread draws the jobs' normals in order, each into the ring
+    # buffer this thread has freed, and this thread advances them in that
+    # order: the first sub-block that raises holds the lowest bad path.
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    n_jobs = n_blocks * n_segments
+    normals = _Substreams(int(config.seed))
 
-    def next_outcome() -> tuple[int, int, str] | None:
-        outcome = outcomes.get()
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
+    def drawing() -> None:
+        try:
+            for job in range(n_jobs):
+                if (slot := free.get()) is None:
+                    return
+                start, k, m, log_x = segment(job, slot)
+                normals.fill(start, edges[k], log_x[:m, 1:])
+                filled.put(slot)
+        except BaseException as exc:  # re-raised on the calling thread
+            filled.put(exc)
 
-    normals = _Substreams(seed)
-    found = []
-    in_flight = 0  # segments put on the queue whose outcomes are not yet taken
-    worker = threading.Thread(target=advancing, name="tontine-advance")
-    worker.start()
+    for slot in range(len(ring)):
+        free.put(slot)
+    drawer = threading.Thread(target=drawing, name="tontine-draw")
+    drawer.start()
     try:
-        for job in range(n_blocks * n_segments):
-            if in_flight == len(ring):  # the next buffer frees with the oldest outcome
-                in_flight -= 1
-                if (bad := next_outcome()) is not None:
-                    found.append(bad)
-                    break
-            block, k = divmod(job, n_segments)
-            start = block * sub
-            m = min(sub, n_paths - start)
-            log_x = _leading(ring[job % len(ring)], (max(m, 2), edges[k + 1] - edges[k] + 1))
-            normals.fill(start, edges[k], log_x[:m, 1:])
-            jobs.put((start, k, log_x))
-            in_flight += 1
-        found += [bad for _ in range(in_flight) if (bad := next_outcome()) is not None]
+        for job in range(n_jobs):
+            if isinstance(slot := filled.get(), BaseException):
+                raise slot
+            advance(*segment(job, slot))
+            free.put(slot)
     finally:
-        jobs.put(None)
-        worker.join()
+        free.put(None)
+        drawer.join()
     del ring, log_z_buffer, scratch  # the summary takes their pages
-    if found:
-        path, k, what = min(found)
-        raise SimulationError(f"{what} step {k} (t={times[k]:.6g}), path {path}")
 
     rec_times = times[record_idx]
     income = np.exp(-market.r * rec_times)[None, :] * c_nodes[record_idx][None, :] * wealth

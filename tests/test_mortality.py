@@ -234,6 +234,20 @@ class TestLifeTable:
         with pytest.raises(LifeTableError):
             LifeTable(base_age=65, ages=np.array([65]), survival=np.array([1.0]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LifeTable(base_age=65, ages=np.array([65, 66, 67]),
+                           survival=np.array([1.0, 0.9])),
+         "ages and survival must be 1-d arrays of equal length"),
+        (lambda: LifeTable(base_age=65, ages=np.array([66, 67]), survival=np.array([1.0, 0.9])),
+         "first row must be the base age"),
+        (lambda: LifeTable.from_death_probabilities(np.array([65, 66]), np.array([0.01])),
+         "ages and qx must be 1-d arrays of equal length"),
+    ], ids=["survival-length", "base-age", "qx-length"])
+    def test_refusal_names_the_fault(self, build, message):
+        with pytest.raises(LifeTableError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
 
 def dogbox_objective(table: LifeTable) -> float:
     """The fit's objective from scipy's bounded dogbox trust region (the

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisect_kappa
+from tontine import controls
 from tontine.controls import log_tail_integrals
 from tontine.mortality import GompertzMakehamParams, force_of_mortality
 from tontine.preferences import (
@@ -269,6 +270,21 @@ class TestCalibrateKappa:
         assert np.all(np.diff(alphas) < 0.0)
         # and the calibrated point itself sits at zero
         assert abs(alphas[6]) < 1e-12
+
+    def test_refuses_a_rebuilt_alpha0_off_zero(self, monkeypatch, market, mortality):
+        # the third D(0) is rebuilt with the solved kappa; raised by 1e-6 in
+        # log, it puts alpha*_0 near 1e-6, a thousand times the tolerance
+        calls = []
+
+        def raised(*args):
+            calls.append(args)
+            log_d = log_tail_integrals(*args)
+            return log_d + 1e-6 if len(calls) == 3 else log_d
+
+        monkeypatch.setattr(controls, "log_tail_integrals", raised)
+        result = calibrate_kappa(make_schedule(-3.0, "scaled_trimmed"), market, mortality)
+        assert len(calls) == 3
+        assert not result.feasible and result.residual == math.inf
 
     def test_non_scaled_variant_rejected(self, market, mortality):
         with pytest.raises(ValueError):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -37,6 +39,15 @@ from tontine.simulate import (
 from conftest import make_schedule
 
 NO_MORTALITY = GompertzMakehamParams(0.0, 0.0, 0.0)
+
+
+@pytest.fixture(autouse=True)
+def no_pipeline_thread_left():
+    """Every exit of ``simulate_wealth`` joins its helper thread: a fill or
+    advance error, a bad path and a memory refusal as much as a result."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("tontine-")]
+    assert left == [], f"threads still alive after the test: {left}"
 
 
 class TestConfigValidation:
@@ -309,22 +320,36 @@ def _digests(runs):
     }
 
 
+# Run as a script: pin this process to the CPU named by argv[1], then print
+# the CPUs it may run on and the digests of _golden_runs as JSON.
+ONE_CPU_GOLDEN_RUNS = """
+import json, os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+from conftest import make_schedule, BENCH_A1, BENCH_A2, BENCH_A3, BENCH_MU, BENCH_R, BENCH_SIGMA
+from test_simulate import _digests, _golden_runs
+from tontine import GompertzMakehamParams, MarketParams, build_control_schedule, calibrate_kappa
+market = MarketParams(mu=BENCH_MU, sigma=BENCH_SIGMA, r=BENCH_R)
+mortality = GompertzMakehamParams(BENCH_A1, BENCH_A2, BENCH_A3)
+schedule = make_schedule(-3.0, "scaled_trimmed")
+schedule = schedule.with_kappa(calibrate_kappa(schedule, market, mortality).kappa)
+controls = build_control_schedule(schedule, mortality, market)
+runs = _golden_runs(market, mortality, lambda *_: controls, lambda *_: schedule)
+print(json.dumps([len(os.sched_getaffinity(0)), _digests(runs)]))
+"""
+
+
 class TestGoldenBytes:
     def test_digests(self, market, mortality, controls_cache, calibrated_cache):
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         assert runs["candidate"].n_paths > simulate._SUB_BLOCK_PATHS
         assert _digests(runs) == GOLDEN_DIGESTS
 
-    @pytest.mark.parametrize(
-        "n_paths, sub, workers", [(1, 512, 1), (2 * 37 + 1, 37, 1), (2 * 37 + 1, 37, 2)]
-    )
+    @pytest.mark.parametrize("n_paths, sub", [(1, 512), (2 * 37 + 1, 37)])
     def test_one_path_sub_block_digests(
-        self, monkeypatch, n_paths, sub, workers, market, mortality, controls_cache,
-        calibrated_cache,
+        self, monkeypatch, n_paths, sub, market, mortality, controls_cache, calibrated_cache
     ):
         # a sum over axis 0 of a single lane is pairwise in numpy, not sequential
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", sub)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
         assert n_paths % sub == 1
         assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS[n_paths, sub]
@@ -352,16 +377,29 @@ class TestGoldenBytes:
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
         assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS.get((n_paths, sub), GOLDEN_DIGESTS)
 
-    @pytest.mark.parametrize("workers", (1, 2, 5))
-    def test_sub_block_size_and_workers_leave_arrays_unchanged(
-        self, monkeypatch, workers, market, mortality, controls_cache, calibrated_cache
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_one_cpu_process_reproduces_the_digests(self):
+        # a fresh interpreter pinned to a single CPU, where the helper thread
+        # and the calling thread take turns, gives the same bytes
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(here, os.pardir, "src"), here, env.get("PYTHONPATH", "")])
+        child = subprocess.run(
+            [sys.executable, "-c", ONE_CPU_GOLDEN_RUNS, str(min(os.sched_getaffinity(0)))],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        cpus, digests = json.loads(child.stdout)
+        assert cpus == 1
+        assert digests == GOLDEN_DIGESTS
+
+    def test_sub_block_size_and_thread_switching_leave_arrays_unchanged(
+        self, monkeypatch, market, mortality, controls_cache, calibrated_cache
     ):
         default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         # switching often: the drawing thread must not refill a ring buffer
-        # before the advancing thread is done with its segment; one CPU
-        # keeps a ring of one, and 2 or 5 CPUs a ring of two; 260 steps run
+        # before the calling thread is done with its segment; 260 steps run
         # in one segment or, at a cap of 7, in 38
         for segment in (simulate._SEGMENT_STEPS, 7):
             monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
@@ -405,6 +443,25 @@ class TestMartingaleStructure:
         diff = best.objective_paths - worse.objective_paths
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert diff.mean() > 3.0 * se
+
+    def test_martingale_slack_covers_rounding_only(self):
+        # two paths from Y_0 = 1 that rise by 5e-6 and 3e-6: a mean deviation
+        # of 4e-6 with an SE of 1e-6 is 4 SE out, and the 1e-12 Y_0 slack
+        # does not hide it; a rise of 3e-6 and 1e-6 is 2 SE out and passes
+        def result(rises):
+            y = np.array([[1.0, 1.0 + rises[0]], [1.0, 1.0 + rises[1]]])
+            return SimulationResult(
+                times=np.array([0.0, 1.0]), wealth_paths=y, spd_paths=np.ones_like(y),
+                y_paths=y, objective_paths=None, summary={}, n_paths=2, step=1.0,
+                horizon=1.0, initial_wealth=1.0, spd0=1.0,
+            )
+
+        report = check_supermartingale(result((5e-6, 3e-6)), candidate=True)
+        check = report.martingale[1]
+        assert check.deviation == pytest.approx(4e-6, rel=1e-9)
+        assert check.se == pytest.approx(1e-6, rel=1e-9)
+        assert not report.martingale_ok
+        assert check_supermartingale(result((3e-6, 1e-6)), candidate=True).martingale_ok
 
     def test_supermartingale_logic_flags_increase(self):
         # fabricated paths: mean Y rising over time must fail the pair checks
@@ -564,8 +621,8 @@ class TestErrors:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_path_diagnostics(self, monkeypatch, market):
         # paths 40 (from step 3) and 45 (from step 1) share a 37-path sub-block;
-        # path 100 (from step 1) is in a later one, which a ring of two draws
-        # before the loop reads the outcome naming path 40; at a cap of one
+        # path 100 (from step 1) is in a later one, which the ring of two may
+        # draw before the calling thread advances path 40; at a cap of one
         # step, path 45 goes bad two segments before path 40
         poison = {40: 3, 45: 1, 100: 1}
         fill = simulate._Substreams.fill
@@ -581,8 +638,7 @@ class TestErrors:
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         overflowing = DeterministicControls(pi=1e300, consumption=0.0, tontine_fraction=1.0)
         moderate = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
-        for workers, segment in itertools.product((1, 2, 3), (simulate._SEGMENT_STEPS, 1)):
-            monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        for segment in (simulate._SEGMENT_STEPS, 1):
             monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
             # every path overflows on the first step
             config = SimulationConfig(n_paths=4, horizon=1.0, step=0.25)
@@ -634,10 +690,8 @@ class TestErrors:
             assert str(excinfo.value) == (
                 "X, zeta or Y overflows float64 by step 10 (t=2.5), path 1")
 
-    @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_producer_exception_reaches_caller(self, monkeypatch, market, workers):
+    def test_producer_exception_reaches_caller(self, monkeypatch, market):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         fill = simulate._Substreams.fill
 
         def failing_fill(self, first_path, first_step, out):
@@ -651,10 +705,8 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="substream failed"):
             _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
 
-    @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_advancing_exception_reaches_caller(self, monkeypatch, market, workers):
+    def test_advancing_exception_reaches_caller(self, monkeypatch, market):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         totals = simulate._trapezoid_totals
 
         def failing_totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs):
@@ -669,17 +721,15 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="advance failed"):
             _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
 
-    @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_calling_thread_only_draws(self, monkeypatch, market, workers):
-        # the calling thread draws every sub-block's normals and the pool
-        # advances every one, whatever the number of workers
+    def test_helper_thread_only_draws(self, monkeypatch, market):
+        # one helper thread draws every sub-block's normals and the calling
+        # thread advances every one
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         fill, totals = simulate._Substreams.fill, simulate._trapezoid_totals
         fills, advances = [], []
 
         def recording_fill(self, first_path, first_step, out):
-            fills.append(threading.get_ident())
+            fills.append(threading.current_thread().name)
             fill(self, first_path, first_step, out)
 
         def recording_totals(*args, **kwargs):
@@ -691,18 +741,13 @@ class TestErrors:
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
         simulate_wealth(config, controls, market, NO_MORTALITY)
-        caller = threading.get_ident()
-        assert fills == [caller] * 4  # 120 paths in sub-blocks of 37
-        assert advances and caller not in advances
+        assert fills == ["tontine-draw"] * 4  # 120 paths in sub-blocks of 37
+        assert advances == [threading.get_ident()] * 4
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_workers_follow_caller_floating_point_errors(
-        self, monkeypatch, market, mortality, workers
-    ):
+    def test_follows_caller_floating_point_errors(self, monkeypatch, market, mortality):
         # X0 = 1e-200 and gamma = -3: X^gamma overflows, and only in the
-        # workers' utility accrual (the summary sees finite X)
+        # utility accrual (the summary sees finite X)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25, initial_wealth=1e-200)
         schedule = make_schedule(-3.0, "power")
@@ -729,11 +774,9 @@ class TestErrors:
         # results: X, zeta and Y per recorded time plus the objective; the
         # summary adds income, zeta*X and a standard-deviation temporary; each
         # step adds the time-grid arrays and, since 4 steps are one segment,
-        # the ring two buffers of normals (three CPUs or more), and the one
-        # advancing thread a zeta buffer and a two-part scratch of
-        # min(chunk, steps) + 1 nodes
+        # the ring's two buffers of normals and the calling thread a zeta
+        # buffer and a two-part scratch of min(chunk, steps) + 1 nodes
         n_paths, n_rec, n_steps = 20_000, 5, 4
-        monkeypatch.setattr(simulate, "_n_workers", lambda: 3)
         sub = simulate._SUB_BLOCK_PATHS
         need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
             simulate._STEP_ARRAYS + (2 + 1) * sub) * (n_steps + 1) + 8 * (
@@ -743,7 +786,7 @@ class TestErrors:
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
         )
         pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": need // 8 - 1}
-        monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert need - 8 > 8 * n_paths * (3 * n_rec + 1)  # above the results alone
         tracemalloc.start()
         try:
@@ -757,14 +800,13 @@ class TestErrors:
         result = simulate_wealth(config, controls, market, NO_MORTALITY)
         assert result.wealth_paths.shape == (n_paths, n_rec)
 
-    def test_calling_thread_allocates_the_worker_buffers(
+    def test_calling_thread_allocates_the_buffers(
         self, monkeypatch, market, mortality, controls_cache
     ):
-        # pages a worker thread allocates stay in its own malloc arena, where
+        # pages a helper thread allocates stay in its own malloc arena, where
         # the summary and the next call cannot reuse them; 1,040 steps run
         # in two segments of 520
-        segment, workers = 520, 2
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        segment = 520
         allocations = []
         empty = np.empty
 
@@ -779,14 +821,13 @@ class TestErrors:
         buffer = 8 * simulate._SUB_BLOCK_PATHS * (segment + 1)
         caller = threading.get_ident()
         assert [n for ident, n in allocations if ident != caller and n >= buffer] == []
-        # the ring of two buffers, and the one advancing thread's zeta buffer
-        assert [n for ident, n in allocations if n >= buffer] == [workers * buffer, buffer]
+        # the ring of two buffers, and the zeta buffer
+        assert [n for ident, n in allocations if n >= buffer] == [2 * buffer, buffer]
 
     def test_buffers_do_not_grow_with_the_horizon(self, monkeypatch, market, mortality):
         # 40 years of daily steps, 10,080, run in ten segments of 1,008: the
         # ring, the zeta buffer and the scratch are 1,009 nodes wide, and the
         # memory check counts exactly those shapes
-        monkeypatch.setattr(simulate, "_n_workers", lambda: 2)
         shapes, checked = [], []
         empty, check = np.empty, simulate._check_memory
 
@@ -809,20 +850,18 @@ class TestErrors:
         assert [s for s in shapes if math.prod(s) >= 2 * (chunk + 1) * sub] == buffers
         assert checked == [(1024, 8, 10_080, sum(map(math.prod, buffers)))]
 
-    @pytest.mark.parametrize("cpus, n_paths, horizon, ring", [
-        (8, 8 * 512, 40.0, 2), (1, 8 * 512, 40.0, 1),
-        (8, 512, 40.0, 2),  # one sub-block in two segments of 520 steps
-        (8, 512, 39.0, 1),  # one sub-block in one segment of 1,014 steps
+    @pytest.mark.parametrize("n_paths, horizon", [
+        (8 * 512, 40.0),
+        (512, 40.0),  # one sub-block in two segments of 520 steps
+        (512, 39.0),  # one sub-block in one segment of 1,014 steps: one job
     ])
-    def test_ring_of_at_most_two_and_one_pool_thread(
-        self, monkeypatch, market, mortality, controls_cache, cpus, n_paths, horizon, ring
+    def test_ring_of_two_and_one_helper_thread(
+        self, monkeypatch, market, mortality, controls_cache, n_paths, horizon
     ):
-        # whatever the CPU count, one thread draws into a ring of two buffers
-        # (one with a single CPU or segment) and one pool thread advances
-        # in its one zeta buffer
+        # whatever the job count, one helper thread draws into a ring of two
+        # buffers and the calling thread advances in its one zeta buffer
         n_steps = round(horizon * 26)
         segments = -(-n_steps // simulate._SEGMENT_STEPS)
-        monkeypatch.setattr(simulate, "_n_workers", lambda: cpus)
         allocations, alive = [], []
         empty, fill = np.empty, simulate._Substreams.fill
         before = set(threading.enumerate())
@@ -841,16 +880,15 @@ class TestErrors:
         config = SimulationConfig(n_paths=n_paths, horizon=horizon, step=1.0 / 26.0, seed=3)
         simulate_wealth(config, controls_cache(-3.0, "scaled_trimmed"), market, mortality)
         buffer = 8 * simulate._SUB_BLOCK_PATHS * (n_steps // segments + 1)
-        assert [n for n in allocations if n >= buffer] == [ring * buffer, buffer]
+        assert [n for n in allocations if n >= buffer] == [2 * buffer, buffer]
         assert len(alive) == n_paths // simulate._SUB_BLOCK_PATHS * segments
-        assert max(alive) <= 1
+        assert max(alive) == 1
 
     @pytest.mark.parametrize("with_objective", (True, False))
-    def test_two_workers_hold_three_buffers(
-        self, monkeypatch, with_objective, market, mortality, controls_cache, calibrated_cache
+    def test_pipeline_holds_three_buffers(
+        self, with_objective, market, mortality, controls_cache, calibrated_cache
     ):
-        n_paths, n_steps, segment, workers = 2048, 1040, 520, 2
-        monkeypatch.setattr(simulate, "_n_workers", lambda: workers)
+        n_paths, n_steps, segment = 2048, 1040, 520
         controls = controls_cache(-3.0, "scaled_trimmed")
         schedule = calibrated_cache(-3.0, "scaled_trimmed") if with_objective else None
         config = SimulationConfig(n_paths=n_paths, horizon=40.0, step=1.0 / 26.0, seed=3)
@@ -863,14 +901,14 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         sub, n_rec = simulate._SUB_BLOCK_PATHS, len(result.times)
-        assert n_paths == 2 * workers * sub
+        assert n_paths == 4 * sub
         buffer = 8 * sub * (segment + 1)  # one (paths x (segment + 1)) buffer
         fixed = 8 * n_paths * (6 * n_rec + 1) + 8 * simulate._STEP_ARRAYS * (n_steps + 1)
         scratch = 8 * 2 * sub * (simulate._CHUNK_NODES + 1)
         generators = 1024 * sub  # each lane's Philox, about 0.6 KB
         # the memory check's bound: two ring buffers, and one zeta buffer and
-        # one scratch for the one advancing thread; two buffers a worker
-        # would be a fourth, and one spanning the horizon two more
+        # one scratch; a third ring buffer would be a fourth, and one
+        # spanning the horizon two more
         assert peak <= fixed + 3 * buffer + scratch + generators
 
 
@@ -926,6 +964,16 @@ class TestOptimalityAudit:
         # J_10 alone prefers jitters that defer consumption past year 10: the
         # value-function completion is what makes a short horizon sound
         assert sum(j.truncated_margin < 0.0 for j in short_audit.jitters) >= 1
+
+    @pytest.mark.parametrize("losses, ok", [(1, True), (2, False)])
+    def test_candidate_may_lose_one_pair_only(self, losses, ok):
+        # 19 wins of 20 pass the rule and 18 fail it, all else passing
+        jitters = tuple(simulate.JitterCheck(1.0, 1.0, True, -1.0 if i < losses else 1.0,
+                                             1.0, 1.0) for i in range(20))
+        martingale = simulate.SupermartingaleReport(pairs=(), martingale=())
+        report = simulate.AuditReport(martingale, 10.0, 0.0, 1.0, jitters)
+        assert report.wins == 20 - losses
+        assert report.ok is ok
 
     def test_csv_layout(self, short_audit):
         lines = audit_csv(short_audit).splitlines()
