@@ -690,12 +690,19 @@ class TestErrors:
             assert str(excinfo.value) == (
                 "X, zeta or Y overflows float64 by step 10 (t=2.5), path 1")
 
-    def test_producer_exception_reaches_caller(self, monkeypatch, market):
+    # 120 paths in sub-blocks of 37 start at paths 0, 37, 74 and 111: a fault
+    # in the first job comes before the caller holds a buffer, one in the
+    # second while the ring is full, and one in the last after every draw
+    FAULTY_SUB_BLOCKS = pytest.mark.parametrize(
+        "bad_path", (0, 37, 111), ids=("first", "second", "last"))
+
+    @FAULTY_SUB_BLOCKS
+    def test_producer_exception_reaches_caller(self, monkeypatch, market, bad_path):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         fill = simulate._Substreams.fill
 
         def failing_fill(self, first_path, first_step, out):
-            if first_path == 37:  # the second sub-block
+            if first_path == bad_path:
                 raise RuntimeError("substream failed")
             fill(self, first_path, first_step, out)
 
@@ -705,13 +712,14 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="substream failed"):
             _within_timeout(lambda: simulate_wealth(config, controls, market, NO_MORTALITY))
 
-    def test_advancing_exception_reaches_caller(self, monkeypatch, market):
+    @FAULTY_SUB_BLOCKS
+    def test_advancing_exception_reaches_caller(self, monkeypatch, market, bad_path):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         totals = simulate._trapezoid_totals
 
         def failing_totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs):
             # out is the sub-block's slice of Y: its offset in rows is the first path
-            if (out.ctypes.data - out.base.ctypes.data) // out.strides[0] == 37:
+            if (out.ctypes.data - out.base.ctypes.data) // out.strides[0] == bad_path:
                 raise RuntimeError("advance failed")
             totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs)
 
