@@ -7,13 +7,15 @@ agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from tontine.controls import MarketParams, beta
+from tontine.controls import ControlSchedule, MarketParams, beta
 from tontine.mortality import GompertzMakehamParams, force_of_mortality, survival
 from tontine.preferences import PreferenceSchedule, bequest_weight
+from tontine.simulate import SimulationConfig
 
 
 def trapezoid_denominator(
@@ -168,3 +170,97 @@ def synthetic_life_table_csv(
         for age, q in zip(ages[:-1], qx):
             lines.append(f"{age},{q:.15g}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_paths(
+    config: SimulationConfig,
+    controls,
+    market: MarketParams,
+    mortality: GompertzMakehamParams,
+    schedule: PreferenceSchedule,
+) -> dict[str, np.ndarray]:
+    """Per-step reference of ``simulate_wealth`` with every node recorded.
+
+    One path at a time, one step at a time, in Python floats.  The dynamics
+    are written from the model, not from the kernel's coefficient arrays;
+    only the controls' values and the tabulated log D come from the library.
+    Path p reads its normals from
+    ``Generator(Philox(key=(seed, p)))``.  Over a step of length h with
+    controls held at (pi, c, alpha), wealth and the state-price density take
+    the exact lognormal update of
+
+        dX / X = (r + pi (mu - r) - c + alpha lambda) dt + pi sigma dW,
+        dzeta / zeta = -(r + lambda) dt - theta dW,
+
+    where the hazard enters through the step's increment of the closed-form
+    cumulative hazard.  The tabulated optimum holds pi* = theta / (sigma
+    (1 - gamma)) and pays out c + lambda (1 - alpha) = -d log D / dt, so its
+    step's outflow is the drop in log D; other controls are read at the
+    step's midpoint.  Y = zeta X + the trapezoid sum of zeta X times each
+    step's outflow, and the objective is the trapezoid sum of
+    e^{-rho t - Lambda(t)} ((c X)^gamma + lambda b (bq X)^gamma) / gamma with
+    c and the bequest fraction bq = 1 - alpha at the nodes.
+    """
+    a1, a2, a3 = mortality.a1, mortality.a2, mortality.a3
+    mu, sigma, r = market.mu, market.sigma, market.r
+    gamma, rho = schedule.gamma, schedule.rho
+    theta = (mu - r) / sigma
+    n = round(config.horizon / config.step)
+    times = [i * config.horizon / n for i in range(n + 1)]
+    cum_hazard = [a3 * t + a1 / a2 * math.expm1(a2 * t) for t in times]
+    hazard = [a1 * math.exp(a2 * t) + a3 for t in times]
+    weight = [float(w) for w in bequest_weight(np.array(times), schedule, mortality)]
+
+    steps = []  # (h, hazard mass, pi, the control drift of log X, outflow) per step
+    if isinstance(controls, ControlSchedule):
+        pi = (mu - r) / ((1.0 - gamma) * sigma**2)
+        log_d = [float(v) for v in controls.log_denominator_at(np.array(times))]
+        for i in range(n):
+            d_lam = cum_hazard[i + 1] - cum_hazard[i]
+            outflow = log_d[i] - log_d[i + 1]
+            steps.append((times[i + 1] - times[i], d_lam, pi, d_lam - outflow, outflow))
+        c_nodes = [float(c) for c in controls.consumption_at(np.array(times))]
+        bq_nodes = [float(q) for q in controls.bequest_fraction_at(np.array(times))]
+        log_zeta0 = (gamma - 1.0) * math.log(c_nodes[0])
+    else:
+        for i in range(n):
+            h = times[i + 1] - times[i]
+            d_lam = cum_hazard[i + 1] - cum_hazard[i]
+            pi, c, alpha = (float(v) for v in controls.at(0.5 * (times[i] + times[i + 1])))
+            steps.append((h, d_lam, pi, -c * h + alpha * d_lam, c * h + (1.0 - alpha) * d_lam))
+        c_nodes, bq_nodes = [], []
+        for t in times:
+            _, c, alpha = (float(v) for v in controls.at(t))
+            c_nodes.append(c)
+            bq_nodes.append(1.0 - alpha)
+        log_zeta0 = 0.0
+
+    def utility(i: int, x: float) -> float:
+        bequest = hazard[i] * weight[i] * (bq_nodes[i] * x) ** gamma if weight[i] > 0 else 0.0
+        return math.exp(-rho * times[i] - cum_hazard[i]) * ((c_nodes[i] * x) ** gamma
+                                                            + bequest) / gamma
+
+    out = {name: np.empty((config.n_paths, n + 1))
+           for name in ("wealth_paths", "spd_paths", "y_paths")}
+    out["objective_paths"] = np.empty(config.n_paths)
+    for p in range(config.n_paths):
+        key = np.array([config.seed, p], dtype=np.uint64)
+        normals = np.random.Generator(np.random.Philox(key=key)).standard_normal(n).tolist()
+        log_x, log_zeta = math.log(config.initial_wealth), log_zeta0
+        x, zeta = [math.exp(log_x)], [math.exp(log_zeta)]
+        for (h, d_lam, pi, control_drift, _), z in zip(steps, normals):
+            log_x += ((r + pi * (mu - r) - 0.5 * (pi * sigma) ** 2) * h + control_drift
+                      + pi * sigma * math.sqrt(h) * z)
+            log_zeta += -(r + 0.5 * theta**2) * h - d_lam - theta * math.sqrt(h) * z
+            x.append(math.exp(log_x))
+            zeta.append(math.exp(log_zeta))
+        integral, objective = 0.0, 0.0
+        y = [zeta[0] * x[0]]
+        for i, (h, _, _, _, outflow) in enumerate(steps):
+            integral += 0.5 * (zeta[i] * x[i] + zeta[i + 1] * x[i + 1]) * outflow
+            y.append(zeta[i + 1] * x[i + 1] + integral)
+            objective += 0.5 * (utility(i, x[i]) + utility(i + 1, x[i + 1])) * h
+        out["wealth_paths"][p], out["spd_paths"][p], out["y_paths"][p] = x, zeta, y
+        out["objective_paths"][p] = objective
+    out["times"] = np.array(times)
+    return out

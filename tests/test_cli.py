@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -827,6 +828,28 @@ UNRUN_MODULES = ("numpy.ma", "numpy.polynomial", "concurrent", "logging", "fract
                  "decimal", "scipy")
 
 
+# Run as a script: `tontine` with argv[1:] as its arguments through the
+# package's entry, then print as JSON its exit code, whether _hashlib is
+# masked, the OpenSSL libraries mapped (None where /proc/self/maps is absent)
+# and the sha256 of b"abc".
+ENTRY_RUN = """
+import json, os, runpy, sys
+sys.argv = ["tontine", *sys.argv[1:]]
+try:
+    runpy.run_module("tontine", run_name="__main__")
+except SystemExit as exit:
+    code = exit.code
+libraries = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libraries = sorted({line.split()[-1] for line in maps
+                            if "libcrypto" in line or "libssl" in line})
+import hashlib
+print(json.dumps([code, sys.modules.get("_hashlib", 0) is None, libraries,
+                  hashlib.sha256(b"abc").hexdigest()]))
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cal.csv"
@@ -871,6 +894,39 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout.strip() == "0 []"
+
+    # the entry masks OpenSSL's _hashlib before any command runs: numpy.random
+    # loads secrets and so hmac, which then use the interpreter's own hashes
+    @pytest.mark.parametrize("command", tuple(cli.COMMANDS))
+    def test_entry_maps_no_openssl(self, tmp_path, command):
+        argv = [command, "--out", str(tmp_path if command == "figures" else tmp_path / "out.csv")]
+        if command == "fit":
+            synthetic_life_table_csv(tmp_path / "table.csv", BENCH)
+            argv += ["--table", str(tmp_path / "table.csv")]
+        if command == "verify":
+            argv += ["--paths", "2000"]
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_RUN, *argv],
+            capture_output=True, text=True, env=src_env(), timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        code, masked, libraries, digest = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, masked) == (0, True)
+        assert libraries in ([], None)
+        assert digest == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+    def test_embedding_process_keeps_openssl(self, tmp_path):
+        # the entry module, imported as the `tontine` script imports it, and
+        # cli.main leave an OpenSSL that the process has loaded in place
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import hashlib, sys, tontine.__main__; from tontine.cli import main; "
+             f"code = main(['simulate', '--paths', '100', '--out', {str(tmp_path / 'sim.csv')!r}]); "
+             "print(code, getattr(sys.modules.get('_hashlib'), '__name__', None))"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.split() == ["0", "_hashlib"]
 
     def test_fit_loads_no_scipy(self, tmp_path):
         table = tmp_path / "table.csv"

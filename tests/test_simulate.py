@@ -37,6 +37,7 @@ from tontine.simulate import (
 )
 
 from conftest import make_schedule
+from helpers import reference_paths
 
 NO_MORTALITY = GompertzMakehamParams(0.0, 0.0, 0.0)
 
@@ -171,6 +172,32 @@ class TestExactDynamics:
             float(controls.c_star[0]) ** (controls.gamma - 1.0), rel=1e-14
         )
         assert result.y0 == pytest.approx(result.spd0 * config.initial_wealth, rel=1e-14)
+
+
+class TestReferenceKernel:
+    # against a per-step loop written from the model, to 1e-12: a
+    # coefficient error far below what the Monte Carlo checks resolve fails
+    # here even where the byte digests are re-pinned.  40 steps in segments
+    # of 6 and 7, so every carry over a segment edge is checked too
+    @pytest.mark.parametrize("name", ("candidate", "jitter", "constant"))
+    def test_matches_the_per_step_reference(
+        self, monkeypatch, name, market, mortality, controls_cache, calibrated_cache
+    ):
+        monkeypatch.setattr(simulate, "_SEGMENT_STEPS", 7)
+        candidate = controls_cache(-3.0, "scaled_trimmed")
+        schedule = calibrated_cache(-3.0, "scaled_trimmed")
+        controls = {
+            "candidate": candidate,
+            "jitter": scaled_controls(candidate, c_scale=1.1, alpha_scale=0.9),
+            "constant": DeterministicControls(pi=0.6, consumption=0.05, tontine_fraction=0.7),
+        }[name]
+        config = SimulationConfig(n_paths=3, horizon=10.0, step=0.25, seed=31,
+                                  record_times="all")
+        result = simulate_wealth(config, controls, market, mortality, schedule=schedule)
+        for field, expected in reference_paths(config, controls, market, mortality,
+                                               schedule).items():
+            np.testing.assert_allclose(getattr(result, field), expected, rtol=1e-12, atol=0,
+                                       err_msg=field)
 
 
 class TestDeterminism:
