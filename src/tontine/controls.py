@@ -10,8 +10,10 @@ with gamma < 0, geometrically refined toward it, where the integrand's
 derivative is singular; a panel over which the cumulative hazard rises by
 more than 16 is halved until it does not, unless survival has underflowed
 before it starts.  The fixed panels are integrated once and summed from the
-top down; each query point t adds its own head panel [t, next edge].  The
-panel count is checked against physical memory before any edge is built.
+top down; each query point t adds its own head panel [t, next edge], and the
+head panels are integrated in blocks of a few hundred points, so the sweep's
+transient memory is bounded by the panels whatever the size of the grid.
+The panel count is checked against physical memory before any edge is built.
 """
 from __future__ import annotations
 
@@ -45,10 +47,20 @@ __all__ = [
 
 DEFAULT_GRID_STEP_YEARS = 1.0 / 52.0
 
-# float64 values per grid point or quadrature panel that build_control_schedule
-# and log_tail_integrals hold at once: 16 Gauss-Legendre nodes a panel times
-# about seven integrand temporaries (tracemalloc peaks at 118 for every variant).
-_GRID_ARRAYS = 120
+# float64 values per quadrature panel that log_tail_integrals holds at once:
+# 16 Gauss-Legendre nodes a panel times about seven integrand temporaries
+# (tracemalloc peaks at 137 for a block of _HEAD_BLOCK head panels, the sweep's
+# own arrays included, and at 114 for 2,560 panels, for every variant).
+_PANEL_ARRAYS = 140
+
+# float64 values per grid point that build_control_schedule holds at once: the
+# grid, log D and the schedule's derived arrays, their temporaries and, at the
+# weekly grid, its share of the panels (tracemalloc peaks at 15.3 for every
+# variant on the weekly grid, 8.0 on a grid ten times finer).
+_GRID_POINT_ARRAYS = 16
+
+# Query points whose head panels log_tail_integrals integrates at once.
+_HEAD_BLOCK = 256
 
 # Text of both the MarketParams warning and the ControlSchedule note, so that
 # the CLI, which prints each distinct message once, prints it once.
@@ -176,12 +188,6 @@ def _require_memory(need: float, what: str, error: type[Exception]) -> None:
                     f"{have / 2**30:.3g} GiB of physical memory")
 
 
-def _check_quadrature_memory(count: int, what: str) -> None:
-    """Raise ``MemoryError`` before ``count`` grid points or quadrature panels,
-    each holding _GRID_ARRAYS float64 values, would exceed physical memory."""
-    _require_memory(8.0 * _GRID_ARRAYS * count, f"{count:.6g} {what}", MemoryError)
-
-
 def check_log_d0(log_d0: float, gamma: float) -> None:
     """Raise ``ValueError`` naming gamma when D(0) = exp(log_d0) overflows float64."""
     if log_d0 > _LOG_FLOAT_MAX:
@@ -279,25 +285,32 @@ def log_tail_integrals(
     from the top down; each t then adds its own head panel [t, next edge].
     Every t is thus integrated on the same panels whichever grid asked for
     it, which keeps the mesh-dependent trimmed gamma > 0 value consistent.
+    The head panels are integrated _HEAD_BLOCK points at a time, each point
+    through the same element-wise operations, so a value does not depend on
+    the block it falls in.
     """
     t_max = mortality.limiting_age_years
     t = _check_times(t, t_max)
     # counted before any edge is built: the yearly panels, the horizon and its
-    # graded panels (halving steep panels adds at most a few thousand)
-    _check_quadrature_memory(math.ceil(t_max) + _GRADE_LEVELS + 2, "quadrature panels")
+    # graded panels (halving steep panels adds at most a few thousand), or one
+    # block of head panels, whichever is more
+    panels = max(math.ceil(t_max) + _GRADE_LEVELS + 2, _HEAD_BLOCK)
+    _require_memory(8.0 * _PANEL_ARRAYS * panels, f"{panels:.6g} quadrature panels",
+                    MemoryError)
     beta_value = beta(market, schedule.gamma, schedule.rho)
     edges = _panel_edges(schedule, mortality)
-    flat = t.ravel()
-    # first edge strictly above each t; t = T_max gets an empty head panel
-    nxt = np.minimum(np.searchsorted(edges, flat, side="right"), len(edges) - 1)
-    log_panels = _log_panel_integrals(
-        np.concatenate([edges[:-1], flat]), np.concatenate([edges[1:], edges[nxt]]),
-        schedule, mortality, beta_value,
-    )
-    fixed, head = log_panels[:len(edges) - 1], log_panels[len(edges) - 1:]
+    fixed = _log_panel_integrals(edges[:-1], edges[1:], schedule, mortality, beta_value)
     # log_suffix[k]: log of the integral over [edges[k], T_max]
     log_suffix = np.append(np.logaddexp.accumulate(fixed[::-1])[::-1], -np.inf)
-    return np.logaddexp(head, log_suffix[nxt]).reshape(t.shape)[()]
+    flat = t.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _HEAD_BLOCK):
+        block = flat[start:start + _HEAD_BLOCK]
+        # first edge strictly above each t; t = T_max gets an empty head panel
+        nxt = np.minimum(np.searchsorted(edges, block, side="right"), len(edges) - 1)
+        head = _log_panel_integrals(block, edges[nxt], schedule, mortality, beta_value)
+        np.logaddexp(head, log_suffix[nxt], out=out[start:start + _HEAD_BLOCK])
+    return out.reshape(t.shape)[()]
 
 
 # ============================================================================
@@ -422,7 +435,7 @@ def build_control_schedule(
     n = round(t_max / grid_step)
     if n < 2 or abs(n * grid_step - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError("grid_step must divide the limiting age horizon")
-    _check_quadrature_memory(n, "grid points")
+    _require_memory(8.0 * _GRID_POINT_ARRAYS * n, f"{n:.6g} grid points", MemoryError)
     grid_full = np.arange(n) * t_max / n  # T_max itself, where D vanishes, is left out
 
     notes = list(model_notes(schedule, market))

@@ -171,7 +171,7 @@ class TestCalibrate:
 
 
     def test_panel_count_checked_against_memory(self, tmp_path, capsys, monkeypatch):
-        # 99,935 years of yearly panels need 0.09 GiB, past a patched 16 MiB;
+        # 99,985 quadrature panels need 0.10 GiB, past a patched 16 MiB;
         # a2 = 0.005 keeps the hazard within float64 up to that limiting age
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}.__getitem__)
         (tmp_path / "run.cfg").write_text("a2 = 0.005\n")
@@ -210,8 +210,9 @@ class TestSchedule:
         assert abs(float(rows[0][4])) < 1e-8
 
     def test_grid_bound_checked_before_allocating(self, tmp_path, capsys, monkeypatch):
-        # 1 MiB of physical memory: the default 2,600-point grid needs 2.4 MiB
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+        # 300 KiB of physical memory: the default 2,600-point grid needs 325 KiB,
+        # one block of quadrature panels 280 KiB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 75}.__getitem__)
         out = tmp_path / "schedule.csv"
         code, _, err = run_cli(["schedule", "--out", str(out)], capsys)
         assert code == 2

@@ -340,6 +340,42 @@ class TestDenominatorIntegral:
             with pytest.raises(ValueError):
                 log_tail_integrals(bad, schedule, mortality, market)
 
+    @pytest.mark.parametrize("gamma", [-3.0, 0.5])
+    @pytest.mark.parametrize("variant",
+                             ["none", "power", "scaled_power", "trimmed", "scaled_trimmed"])
+    def test_block_edges_keep_the_bits(self, gamma, variant, market, mortality):
+        # a sweep integrates its head panels in blocks; every grid value, on
+        # either side of a block edge, must be the bits of that point alone,
+        # the mesh-dependent trimmed gamma = 0.5 cell included
+        schedule = make_schedule(gamma, variant,
+                                 kappa=0.7 if variant.startswith("scaled") else None)
+        block = controls_module._HEAD_BLOCK
+        t_max = mortality.limiting_age_years
+        t = np.linspace(0.0, t_max, 2 * block + 7)
+        # a yearly panel edge, the horizon and T_max at the first two block edges
+        t[[block - 1, block, 2 * block - 1, 2 * block]] = (7.0, schedule.horizon_years,
+                                                           t_max, 13.0)
+        log_d = log_tail_integrals(t, schedule, mortality, market)
+        alone = np.array([log_tail_integrals(x, schedule, mortality, market) for x in t])
+        assert np.array_equal(log_d, alone)
+
+    def test_sweep_transient_does_not_grow_with_the_grid(self, market, mortality):
+        # the head panels go in fixed blocks, so beyond the result (one float64
+        # a point) a sweep's peak is set by the panels, not by the grid
+        schedule = make_schedule(-3.0, "scaled_trimmed", kappa=0.7)
+        t_max = mortality.limiting_age_years
+        peaks = {}
+        for n in (2600, 26000):
+            grid = np.arange(n) * t_max / n
+            tracemalloc.start()
+            try:
+                log_tail_integrals(grid, schedule, mortality, market)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2600] <= 0.5e6  # the weekly grid
+        assert peaks[26000] <= peaks[2600] + 3 * 8 * (26000 - 2600)
+
     def test_integrability_flag(self):
         assert has_integrability_warning(make_schedule(0.5, "trimmed"))
         assert not has_integrability_warning(make_schedule(-0.5, "trimmed"))
@@ -554,7 +590,7 @@ class TestBuildControlSchedule:
         # the grid's arrays, counted per point, against physical memory
         schedule = make_schedule(-3.0, "none")
         n = 2600
-        need = 8 * controls_module._GRID_ARRAYS * n
+        need = 8 * controls_module._GRID_POINT_ARRAYS * n
         pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": need // 8 - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         tracemalloc.start()
