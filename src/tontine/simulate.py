@@ -8,28 +8,33 @@ the cumulative hazard, and for tabulated optimal controls the consumption/
 allocation drift through the exact increment of log D, so the only
 systematic error left is the control discretization (second order in the step).
 
-Because the controls are deterministic, one kernel advances a sub-block of a
-few hundred paths across a stretch of the time axis at once: balanced time
-segments of at most 1,024 steps, one after another.  Path p's normals come
-from its own Philox substream keyed by (seed, p), which each lane resumes
-from one segment to the next; log X and log zeta are cumulative sums along
-path-major rows that start from the values carried over the segment edge.
-One chunked pass (``_trapezoid_totals``) exponentiates a few dozen nodes at
-a time into a small time-major scratch and sums the trapezoid terms of Y,
-then of the utility objective, from the totals carried over the edge up to
-the recorded times: the same bits as one cumulative sum over the whole axis,
-with two segment buffers per sub-block in flight.
+Because the controls are deterministic, one kernel advances a sub-block of
+512 paths across a stretch of the time axis at once: balanced time segments
+of at most 1,024 steps, one after another.  Sub-block b's normals come from
+one Philox stream keyed by (seed, b), drawn time-major, 512 lanes a step
+with path p in lane p mod 512 (a partial last sub-block still draws all
+512), and resumed from one segment to the next; log X and log zeta are
+running sums down time-major rows that start from the values carried over
+the segment edge.  One chunked pass (``_trapezoid_totals``) exponentiates a
+few dozen rows at a time into a small scratch and sums the trapezoid terms
+of Y, then of the utility objective, from the totals carried over the edge
+up to the recorded times: the same bits as one cumulative sum over the
+whole axis, with two segment buffers per sub-block in flight.
 The segments run as a two-stage pipeline on any host: one helper thread
-draws the normals, in path and then time order, each segment's into the next
+draws the normals, one call per sub-block and segment, each into the next
 of a ring of two buffers, and the calling thread turns each filled buffer
 into log X in place beside its one zeta buffer and scratch.  So the kernel
 holds three segment buffers, whatever the CPU count and the horizon, and the
-drawing and advancing stages, which take about equal CPU, overlap on two
-CPUs.  The output bytes depend only on the seed, not on the sub-block size,
-the segment length or the number of CPUs.
+drawing and advancing stages overlap on two CPUs.  The output bytes depend
+only on the seed, not on the segment length, the number of CPUs, the path
+count (path p's values are the same in any run that has it) or the horizon
+(a shorter run's are a prefix of a longer one's).  The sub-block width is
+part of the stream: changing it changes the bytes.
 The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
-pages (glibc keeps the pages a helper thread frees in that thread's arena).
+pages (glibc keeps the pages a helper thread frees in that thread's arena);
+it also loads ``numpy.random``, whose memory would otherwise be charged to
+the helper's arena.
 """
 from __future__ import annotations
 
@@ -67,25 +72,23 @@ __all__ = [
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
-# Paths per sub-block: a segment's normals and then log X fill one
-# path-major (paths x (segment + 1)) float64 ring buffer, and the calling
-# thread, which advances it, holds one more for log zeta (then log zeta*X,
-# then gamma log X), 2.1 MB each at 1,040 steps.  Of 256, 512, 1024 and 2048
-# paths, 512 ran the 20,000 x 1,040 audit fastest on two threads, before and
-# after the move to time-major sums; with segments, 256 and 384 ran it 25-30%
-# slower.
+# Paths per sub-block, and the width of each Philox stream: a segment's
+# normals and then log X fill one time-major ((segment + 1) x 512) float64
+# ring buffer, and the calling thread, which advances it, holds one more for
+# log zeta (then log zeta*X, then gamma log X), 2.1 MB each at 1,040 steps.
+# Of 256, 512, 1024 and 2048 paths, 512 ran the 20,000 x 1,040 audit fastest
+# on two threads.  The streams are keyed by sub-block, so changing this
+# changes every Monte Carlo output.
 _SUB_BLOCK_PATHS = 512
 
 # Steps per time segment, at most: a sub-block advances in the fewest
 # balanced segments of at most this many steps, two of 520 at 1,040 steps,
-# so its buffers stop growing with the horizon.  Each segment past the first
-# costs one more Philox call per path; three segments of 347 steps ran the
-# 20,000 x 1,040 audit 18-22% slower than two of 520.
+# so its buffers stop growing with the horizon.
 _SEGMENT_STEPS = 1024
 
 # Time nodes per chunk of the trapezoid pass over Y and the objective: the
-# time-major scratch is 2 x (nodes + 1) x paths, 0.5 MB at 512 paths.
-# 64 and 128 ran the audit equally fast; 32 was slower.
+# scratch is 2 x (nodes + 1) x 512, 0.5 MB.  64 and 128 ran the audit equally
+# fast; 32 was slower.
 _CHUNK_NODES = 64
 
 # Float64 arrays over the time grid that simulate_wealth holds at once, an
@@ -109,11 +112,11 @@ class SimulationConfig:
     itself, while the string ``"all"`` keeps every grid node.  The result
     arrays and the summary's temporaries take 8 bytes x n_paths x (6 x
     recorded times + 1).  The kernel advances the time axis in the fewest
-    balanced segments of seg <= 1,024 steps, whatever the horizon.  With
-    w = max(min(512, n_paths), 2) lanes, the ring of two normals buffers and
-    the zeta buffer take 8 bytes x w x (seg + 1) x 3 and the scratch
-    2 x 8 bytes x w x (min(64, seg) + 1), which the calling thread allocates
-    and frees before the summary;
+    balanced segments of seg <= 1,024 steps, whatever the horizon.  Whatever
+    the path count, even one, the ring of two normals buffers and the zeta
+    buffer take 3 x 8 bytes x 512 x (seg + 1), at most 12.6 MB, and the
+    scratch 2 x 8 bytes x 512 x (min(64, seg) + 1), which the calling thread
+    allocates and frees before the summary;
     ``simulate_wealth`` raises ``SimulationError`` before allocating
     anything the length of the time grid if these would exceed the
     machine's physical memory.
@@ -214,45 +217,40 @@ class SimulationResult:
 
 
 class _Substreams:
-    """Per-path normals: path p's are those of ``Philox`` keyed by the uint64
-    pair (seed, p), drawn one time segment after another.
+    """The normals of each sub-block: those of ``Philox`` keyed by the uint64
+    pair (seed, block), drawn time-major, one row of ``_SUB_BLOCK_PATHS``
+    lanes a step, one time segment after another.
 
-    Each lane keeps its own Philox, reset to its path's key, zero counter and
-    empty buffer when a sub-block starts; a lane's generator then resumes
-    where it stopped, so the pieces of a path are the bits of one draw.  The
-    lane generators are built from one shared seed sequence, since a
+    One generator serves every sub-block: step 0 resets it to the block's
+    key, zero counter and empty buffer, and a later segment resumes it where
+    the one before stopped, so the pieces of a stream are the bits of one
+    draw.  It is built, and ``numpy.random`` loaded, on the thread that
+    constructs this; it is built from a fixed seed sequence, since a
     generator built without one draws OS entropy for a seed sequence the key
-    then overrides.  The reset state is kept in plain lists, which the setter
-    reads faster than arrays, and only the key's path word changes from one
-    path to the next.
+    then overrides.
     """
 
     def __init__(self, seed: int) -> None:
-        self._key = [int(seed), 0]
+        self._key = np.array([seed, 0], dtype=np.uint64)
         self._state = {
-            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0,
         }
-        self._seeds = np.random.SeedSequence(0)
-        self._lanes: list[np.random.Generator] = []
+        self._stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
 
-    def fill(self, first_path: int, first_step: int, out: np.ndarray) -> None:
-        """Fill row i of ``out`` with the normals of path ``first_path + i``
-        from step ``first_step + 1`` on.
+    def fill(self, block: int, first_step: int, out: np.ndarray) -> None:
+        """Fill row i of ``out`` with the normals of sub-block ``block`` at
+        step ``first_step + 1 + i``, one per lane.
 
-        A sub-block's calls come in step order: step 0 resets each lane to
-        its path, and a later step resumes the lane where the call before
-        stopped.
+        A sub-block's calls come in step order, with every lane: step 0
+        starts its stream, and a later step resumes it.
         """
-        lanes = out.shape[0]
         if first_step == 0:
-            self._lanes += [np.random.Generator(np.random.Philox(self._seeds))
-                            for _ in range(lanes - len(self._lanes))]
-            for row in range(lanes):
-                self._key[1] = first_path + row
-                self._lanes[row].bit_generator.state = self._state
-        for row in range(lanes):
-            self._lanes[row].standard_normal(out=out[row])
+            self._key[1] = block
+            self._stream.bit_generator.state = self._state
+        self._stream.standard_normal(out=out)
 
 
 def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) -> None:
@@ -268,37 +266,32 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) ->
                     SimulationError)
 
 
-def _leading(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous ``shape`` view of the first elements of ``buffer``."""
-    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _trapezoid_totals(logs, coef, half_weight, rows, scratch, total, out, *,
                       with_value) -> None:
     """Running trapezoid integrals of f = exp(``logs``) x ``coef`` at ``rows``.
 
-    ``logs`` is path-major (lanes, nodes), ``coef`` per node or None, and
+    ``logs`` is time-major (nodes, lanes), ``coef`` per node or None, and
     ``half_weight`` half of each step's weight.  ``total`` holds each lane's
     integral up to node 0 and is advanced in place to the last node.  Column
     j of ``out`` receives the integral up to node ``rows[j]`` (ascending),
     plus f there if ``with_value``.  Chunks of C nodes pass through the
-    time-major halves of ``scratch`` (2, C + 1, lanes or more): f behind f at
-    the node before, and the trapezoid terms behind the total so far, which a
+    halves of ``scratch`` (2, C + 1, lanes or more): f behind f at the node
+    before, and the trapezoid terms behind the total so far, which a
     reduction over axis 0 extends one term at a time per lane.  That gives
     the bits of a cumulative sum for two or more lanes, however the nodes
     are split between calls; over a single lane numpy sums pairwise.
     """
-    width, n_nodes = logs.shape
+    n_nodes, width = logs.shape
     m = out.shape[0]
     chunk = scratch.shape[1] - 1
-    vals, terms = (_leading(b, (chunk + 1, width)) for b in scratch)
-    np.exp(logs[:, :1].T, out=vals[:1])
+    vals, terms = scratch[:, :, :width]
+    np.exp(logs[:1], out=vals[:1])
     if coef is not None:
         vals[0] *= coef[0]
     j = 0
     for a in range(1, n_nodes, chunk):
         n = min(chunk, n_nodes - a)  # row i of the chunk holds node a - 1 + i
-        np.exp(logs[:, a : a + n].T, out=vals[1 : n + 1])
+        np.exp(logs[a : a + n], out=vals[1 : n + 1])
         if coef is not None:
             vals[1 : n + 1] *= coef[a : a + n, None]
         np.add(vals[:n], vals[1 : n + 1], out=terms[1 : n + 1])
@@ -380,8 +373,7 @@ def simulate_wealth(
     # the ring of normals, and the zeta buffer and scratch: the memory check
     # counts these very shapes, and this thread allocates them so that their
     # pages return to its heap, not the helper's
-    lanes = max(min(sub, n_paths), 2)
-    shapes = ((2, lanes, seg + 1), (lanes, seg + 1), (2, min(_CHUNK_NODES, seg) + 1, lanes))
+    shapes = ((2, seg + 1, sub), (seg + 1, sub), (2, min(_CHUNK_NODES, seg) + 1, sub))
     _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)))
     ring, log_z_buffer, scratch = (np.empty(shape) for shape in shapes)
     if record_idx is None:
@@ -444,69 +436,66 @@ def simulate_wealth(
     y_arr = np.empty((n_paths, n_rec))
     objective = np.empty(n_paths) if accumulate_objective else None
 
-    # A leading zero volatility and drift in each segment's coefficients (and
-    # a zero normal) make the affine steps whole-row operations, which run
-    # faster than ones on the rows past column 0; column 0 then takes the
-    # value carried over the segment edge.  Segment k's coefficients are
-    # [edges[k] + k : edges[k + 1] + k + 1].
-    vol_x, drift_x, vol_z, drift_z = (np.insert(c, edges[:-1], 0.0)
-                                      for c in (vol_x, drift_x, vol_z, drift_z))
+    # per-step coefficients as columns, to scale the time-major rows
+    vol_x, drift_x, vol_z, drift_z = (c[:, None] for c in (vol_x, drift_x, vol_z, drift_z))
     # What a sub-block carries over each segment edge, per lane: log X and
     # log zeta at the edge, the trapezoid totals of Y and of the objective,
     # and (-1 for none) the first non-finite step and the first recorded step
     # whose X, zeta or Y overflows.
-    carried = np.empty((4, lanes))
-    first_bad = np.empty((2, lanes), dtype=np.int64)
+    carried = np.empty((4, sub))
+    first_bad = np.empty((2, sub), dtype=np.int64)
     carried_start = (math.log(config.initial_wealth), math.log(phi0), 0.0, 0.0)
 
-    def advance(start: int, k: int, m: int, log_x: np.ndarray) -> None:
-        """Advance segment k of the sub-block of ``m`` paths from path
-        ``start``, whose normals fill ``log_x`` from column 1, turning them
-        into log X in place from the log X carried into column 0.
+    def advance(block: int, k: int, log_x: np.ndarray) -> None:
+        """Advance segment k of sub-block ``block``, whose normals fill
+        ``log_x`` from row 1, turning them into log X in place from the log
+        X carried into row 0.
 
         After its last segment, raises ``SimulationError`` naming the
         sub-block's lowest path with a non-finite increment and that path's
         first one, or else its lowest path with a recorded X, zeta or Y that
         overflows and that path's first such step.
         """
-        stop = start + m
+        start = block * sub
+        m = min(sub, n_paths - start)
+        # the lanes past a partial sub-block's paths are drawn but not
+        # advanced, so a path that does not exist costs no time and raises
+        # no floating-point error; a lone path keeps one lane beside it, as
+        # a reduction over axis 0 of a single lane would be pairwise
+        width = max(m, 2)
         a, b = edges[k], edges[k + 1]
         j0, j1 = rec_edges[k], rec_edges[k + 1]
-        log_z = _leading(log_z_buffer, log_x.shape)
-        x_at, z_at, y_total, objective_total = carried[:, : len(log_x)]
+        log_x = log_x[:, :width]
+        log_z = log_z_buffer[: b - a + 1, :width]
+        x_at, z_at, y_total, objective_total = carried[:, :width]
         bad_at, overflow_at = first_bad[:, :m]
         if k == 0:
             carried[:] = np.array(carried_start)[:, None]
             first_bad[:] = -1
-        # a one-lane reduction over axis 0 would be pairwise, so a lone
-        # path runs beside a copy of itself
-        log_x[m:] = log_x[0]
-        log_x[:, 0] = 0.0
-        coefs = slice(a + k, b + k + 1)
-        np.multiply(log_x, vol_z[coefs], out=log_z)
-        log_z += drift_z[coefs]
-        log_z[:, 0] = z_at
-        np.cumsum(log_z, axis=1, out=log_z)
-        log_x *= vol_x[coefs]
-        log_x += drift_x[coefs]
-        log_x[:, 0] = x_at
-        np.cumsum(log_x, axis=1, out=log_x)
-        x_at[:], z_at[:] = log_x[:, -1], log_z[:, -1]
-        # a non-finite running sum stays non-finite, so the last column
-        # shows whether any step of a path went bad
-        if not (np.isfinite(log_x[:m, -1]).all() and np.isfinite(log_z[:m, -1]).all()):
-            bad = ~(np.isfinite(log_x[:m, 1:]) & np.isfinite(log_z[:m, 1:]))
-            rows = np.flatnonzero(bad[:, -1] & (bad_at < 0))
-            bad_at[rows] = a + 1 + np.argmax(bad[rows], axis=1)
+        np.multiply(log_x[1:], vol_z[a:b], out=log_z[1:])
+        log_z[1:] += drift_z[a:b]
+        log_z[0] = z_at
+        log_x[1:] *= vol_x[a:b]
+        log_x[1:] += drift_x[a:b]
+        log_x[0] = x_at
+        # running sums a row at a time: the bits of a cumulative sum along
+        # each lane, faster than one over axis 0
+        x_rows, z_rows = list(log_x), list(log_z)
+        for x_before, x_row, z_before, z_row in zip(x_rows, x_rows[1:], z_rows, z_rows[1:]):
+            np.add(x_before, x_row, x_row)
+            np.add(z_before, z_row, z_row)
+        x_at[:], z_at[:] = log_x[-1], log_z[-1]
+        # a non-finite running sum stays non-finite, so the last row shows
+        # whether any step of a path went bad
+        if not (np.isfinite(log_x[-1, :m]).all() and np.isfinite(log_z[-1, :m]).all()):
+            bad = ~(np.isfinite(log_x[1:, :m]) & np.isfinite(log_z[1:, :m]))
+            lanes = np.flatnonzero(bad[-1] & (bad_at < 0))
+            bad_at[lanes] = a + 1 + np.argmax(bad[:, lanes], axis=0)
         if bad_at.max() < 0:  # else only the bad increments matter
             nodes = record_idx[j0:j1] - a
-            recorded = tuple(arr[start:stop, j0:j1] for arr in (wealth, spd, y_arr))
-            # in place, a segment at a time: a (paths x recorded times)
-            # temporary would be a full buffer more when every node is
-            # recorded
+            recorded = tuple(arr[start : start + m, j0:j1] for arr in (wealth, spd, y_arr))
             for logs, rec in zip((log_x, log_z), recorded):
-                np.take(logs[:m], nodes, axis=1, out=rec)
-                np.exp(rec, out=rec)
+                np.exp(logs[nodes, :m].T, out=rec)
             # Y = zeta*X + running trapezoid integral of zeta*X*outflow
             np.add(log_x, log_z, out=log_z)
             _trapezoid_totals(log_z, None, half_outflow[a:b], nodes, scratch, y_total,
@@ -523,7 +512,7 @@ def simulate_wealth(
                     np.multiply(log_x, gamma, out=log_z)
                     _trapezoid_totals(log_z, utility_coef[a : b + 1], half_dt[a:b],
                                       (b - a,) if b == n_steps else (), scratch,
-                                      objective_total, objective[start:stop, None],
+                                      objective_total, objective[start : start + m, None],
                                       with_value=False)
         if b < n_steps:
             return
@@ -535,28 +524,26 @@ def simulate_wealth(
                 raise SimulationError(f"{what} step {step} (t={times[step]:.6g}), "
                                       f"path {start + row}")
 
-    def segment(job: int, slot: int) -> tuple[int, int, int, np.ndarray]:
-        """(first path, segment, paths, view of ring buffer ``slot``) of job
+    def segment(job: int, slot: int) -> tuple[int, int, np.ndarray]:
+        """(sub-block, segment, its rows of ring buffer ``slot``) of job
         number ``job``: sub-block after sub-block, each segment after segment."""
         block, k = divmod(job, n_segments)
-        start = block * sub
-        m = min(sub, n_paths - start)
-        return start, k, m, _leading(ring[slot], (max(m, 2), edges[k + 1] - edges[k] + 1))
+        return block, k, ring[slot, : edges[k + 1] - edges[k] + 1]
 
     # The helper thread draws the jobs' normals in order, each into the ring
     # buffer this thread has freed, and this thread advances them in that
     # order: the first sub-block that raises holds the lowest bad path.
     free, filled = queue.SimpleQueue(), queue.SimpleQueue()
     n_jobs = n_blocks * n_segments
-    normals = _Substreams(int(config.seed))
+    normals = _Substreams(config.seed)
 
     def drawing() -> None:
         try:
             for job in range(n_jobs):
                 if (slot := free.get()) is None:
                     return
-                start, k, m, log_x = segment(job, slot)
-                normals.fill(start, edges[k], log_x[:m, 1:])
+                block, k, log_x = segment(job, slot)
+                normals.fill(block, edges[k], log_x[1:])
                 filled.put(slot)
         except BaseException as exc:  # re-raised on the calling thread
             filled.put(exc)

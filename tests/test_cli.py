@@ -339,8 +339,10 @@ class TestSimulate:
         assert all(math.isfinite(v) for v in numeric_cells(out))
 
     @pytest.mark.parametrize("flags, message", [
-        # phi_0 = 2.45e302, so Y leaves float64 though log X and log zeta do not
-        (["--kappa", "1e300"], "X, zeta or Y overflows float64 by step "),
+        # phi_0 = 2.45e302, so Y_0 = phi_0 X_0 leaves float64 on every path at
+        # X_0 = 1e6, though phi_0, X_0, log X and log zeta do not
+        (["--kappa", "1e300", "--x0", "1e6"],
+         "X, zeta or Y overflows float64 by step 0 (t=0), path 0"),
         (["--kappa", "1e300", "--gamma", "-100"],
          "zeta_0 = (c*_0)^(gamma-1) overflows float64 at gamma=-100"),
     ])
@@ -973,10 +975,10 @@ DEFAULT_CSV_SHA256 = {
         "income.csv": "9ef3fe3035ff4b6ad2775fede8715d3af6209fe7d8e0b7a86402ffbf89975fc4",
     },
     "simulate": {
-        "simulate.csv": "c05a109de29da3b6d8d5f74a6c6fb6b45d42cd095a2ebde319b233b12d8f519e",
+        "simulate.csv": "632dcdd112dda7dd82149e86ee353ee86193ce3b2b8e0e0d9c97a06c3aa5b268",
     },
     "verify": {
-        "verify.csv": "2ac5e41774f4bd3fbfaa7f43dff6d5b86eceb508cc8b318ab4c53c9a888c252f",
+        "verify.csv": "631f13eb5c39383095a51faf3d2a3ace53b6598cae0bb83c2245dd4757396642",
     },
     "figures": {
         "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",

@@ -231,69 +231,99 @@ class TestDeterminism:
         assert np.array_equal(big.spd_paths[:10], small.spd_paths)
 
     @pytest.mark.parametrize("seed", (0, 2**64 - 1))
-    @pytest.mark.parametrize("first, rows", [(0, (0, 1, 511)), (2**32 + 7, (0, 1, 2))])
-    def test_substream_is_philox_keyed_by_seed_and_path(self, seed, first, rows):
+    @pytest.mark.parametrize("block", (0, 1, 2**32 + 7))
+    def test_substream_is_philox_keyed_by_seed_and_block(self, seed, block):
         # a uint64 key: a list holding 2**64 - 1 would pass through float64;
-        # a path drawn in pieces, as segments draw it, is one draw, and step 0
-        # starts the paths afresh
-        out, again = np.empty((2, max(rows) + 1, 16))
+        # drawn time-major, 512 lanes a step; a stream drawn in pieces, as
+        # segments draw it, is one draw, and step 0 starts it afresh
+        lanes = simulate._SUB_BLOCK_PATHS
+        out, again = np.empty((2, 16, lanes))
         normals = simulate._Substreams(seed)
         for a, b in ((0, 5), (5, 6), (6, 16)):
-            normals.fill(first, a, out[:, a:b])
-        normals.fill(first, 0, again)
-        for i in rows:
-            key = np.array([seed, first + i], dtype=np.uint64)
-            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
-            assert np.array_equal(out[i], expected)
-            assert np.array_equal(again[i], expected)
+            normals.fill(block, a, out[a:b])
+        normals.fill(block, 0, again)
+        key = np.array([seed, block], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal((16, 512))
+        assert lanes == 512
+        assert np.array_equal(out, expected)
+        assert np.array_equal(again, expected)
+
+    def test_path_reads_its_lane_of_its_sub_block(self, market):
+        # path p's increments are driven by lane p mod 512 of sub-block
+        # p // 512's stream, in a run whose last sub-block is partial
+        pi = 1.0
+        controls = DeterministicControls(pi=pi, consumption=0.0, tontine_fraction=0.0)
+        config = SimulationConfig(n_paths=1100, horizon=1.0, step=0.25, seed=8,
+                                  record_times="all")
+        result = simulate_wealth(config, controls, market, NO_MORTALITY)
+        h = result.step
+        drift = (market.r + (market.mu - market.r) * pi - 0.5 * (market.sigma * pi) ** 2) * h
+        normals = (np.diff(np.log(result.wealth_paths), axis=1) - drift) / (
+            market.sigma * pi * math.sqrt(h))
+        for path in (0, 511, 512, 1023, 1024, 1099):
+            key = np.array([config.seed, path // 512], dtype=np.uint64)
+            stream = np.random.Generator(np.random.Philox(key=key)).standard_normal((4, 512))
+            np.testing.assert_allclose(normals[path], stream[:, path % 512], rtol=0,
+                                       atol=1e-9)
+
+    def test_shorter_horizon_is_a_prefix(self, market, mortality, controls_cache):
+        # each stream is drawn a step at a time, so a run to H = 2 gives the
+        # values that a run to H = 5 gives up to t = 2
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        runs = [simulate_wealth(SimulationConfig(n_paths=700, horizon=horizon,
+                                                 step=1.0 / 26.0, seed=19,
+                                                 record_times=(0.0, 1.0, 2.0)),
+                                controls, market, mortality)
+                for horizon in (2.0, 5.0)]
+        for field in ("wealth_paths", "spd_paths", "y_paths"):
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
 
-# sha256 of the result arrays of _golden_runs, taken from the per-step loop
-# that the sub-block kernel replaced.
+# sha256 of the result arrays of _golden_runs, taken when the streams were
+# keyed by sub-block; TestReferenceKernel checks the arithmetic beneath them.
 GOLDEN_DIGESTS = {
     "candidate": {
-        "wealth_paths": "8c225a2010df996fb0275126af84f96a3ea69fcb62e8da7bd910b0331ebfa5e5",
-        "spd_paths": "de8d0e33603eb2c078870f8aba237aaba627d72ad020e7977e64312bca97e92a",
-        "y_paths": "088533a2583c4e8c04233cedff019dd370a08c177fdfea40b5a7c56301c6e624",
-        "objective_paths": "7e2f05cf1a80f53550248f7ae2932192439d340f07ddfce3134864a3d6152a89",
+        "wealth_paths": "ae74df2acd93d3905fbeb75a86b8fa1b2aee85b3ea39608632a07aef7bafe8e0",
+        "spd_paths": "dc71b33299bdcfba77a40d284340b36e6658b079b3044a76c1de4413cbb003ea",
+        "y_paths": "8177a288d3ac259ea4b3c667da175e180bcb9f6367c5ad13f68b0df14b0eaec2",
+        "objective_paths": "d57300d69d412085afa7e6331100667a518ebcd494f5a44db362f0d2449b649e",
     },
     "jitter": {
-        "wealth_paths": "e011fec1660ff4b0a48ae390d914fadb78fbfa8cf7d4404af851acf392a4ef7d",
-        "spd_paths": "fe7cd48e93cb196cf291c31bab0242029c0ec522d64a0c32586ba03ed0fe3efa",
-        "y_paths": "5ccef6afb9d27382da06a697fd16d8c7dd09c00c532a86a4ae700aea3fbea8aa",
-        "objective_paths": "e2413e72142798be08cd41b1297a6102d5edcbbf2bca9eeefb327137ead27054",
+        "wealth_paths": "480810e505d708a6170dee5c757658f99b32a4ede5e84ecedd251a6b99620a9b",
+        "spd_paths": "130cc22ba0de7e58d18de2f186418e1dfc4b39ee8c45c1ae89f3bcaecc446254",
+        "y_paths": "34b2a3163881a4db4834134a07bdf05da2015cb927d4730e0e692520c3d35c2d",
+        "objective_paths": "def2f3fc03fabd390b52d56d4c50ee1dc33757f08a2cc07f446cc30f034c86e6",
     },
 }
-# sha256 of _golden_runs at path counts that leave a sub-block holding one
-# path, taken from the path-major kernel that the time-major one replaced:
-# (n_paths, paths per sub-block) -> digests.
+# sha256 of _golden_runs at path counts that leave a partial sub-block of
+# one path and of 75: n_paths -> digests.
 ONE_PATH_BLOCK_DIGESTS = {
-    (1, 512): {
+    1: {
         "candidate": {
-            "wealth_paths": "4fbe2ed7f0926da996ea655a6cc0f44d66bb6821eb7957bf92ba54e6fc4f8d11",
-            "spd_paths": "39130aff92628e6224d73bf90d3a76a298a966114a44f5327321aed80a3ecd25",
-            "y_paths": "0aa6aee32cebb1ca15386703685124d6e749f286844dc58fb183356a0f02a906",
-            "objective_paths": "e9e1160d61f37bda5fabb033aa7a892911d1fd86d73599b9223a861be135fd94",
+            "wealth_paths": "8515cab8db70cb86020300669f9b621c42c2f5c733f50c71ec61356990ca3fc4",
+            "spd_paths": "c4446589e5abfe6e88ad24500c8e850c4aef149c8177d2ef054fdc3cb71f85ef",
+            "y_paths": "cdf6f330be20f3a371ad2c9127a867de3fc358b021b881d2b900a28a0009c7dc",
+            "objective_paths": "fbe00a621ecb703dcb1f12afdc701f129176d65b47dcf9c183d70a435cec8e1d",
         },
         "jitter": {
-            "wealth_paths": "e5de467078ffedfb4e552c1ad185c3678fc1190c7d84fae1be094eab94d57ac1",
-            "spd_paths": "67068b367e201427f837dd131773f764000f1c464584de4734aa9e21d8d52676",
-            "y_paths": "e1a4a6e8569f61d08effa131adaa1a21c1558e94d6fab34e50773b608e891773",
-            "objective_paths": "6d81731376102cdd2d392131f21f5547e8ae9b39c8459877ab3fa9ea0e801225",
+            "wealth_paths": "55a4aec437fab2bf4d530600706a686990ad36d1095dba834d404765a064564b",
+            "spd_paths": "b992896967e3436dd96720a6eaf37f530851847b07c4f0f04b222a86a2ab626f",
+            "y_paths": "1456e2bd3580f976ed9cfda1b1325932c23d928cd84e69e42b2c4b57bd96af79",
+            "objective_paths": "a6ec8ccb863cba18630d6331403392f8f3476ec534267592bacd613337d9419c",
         },
     },
-    (2 * 37 + 1, 37): {
+    75: {
         "candidate": {
-            "wealth_paths": "f3d5028fddd96d8dbed768ddd568d89b3cdb27d2ad6217ee8547948ac433f29b",
-            "spd_paths": "26fc82c0f903d93fd74cd022562ba78001f3c0bce0d367d7f7866a76f573d6e5",
-            "y_paths": "ba386def367af3411aa847257cbd3c790db03c44d4330e4df70aec9d0feb5056",
-            "objective_paths": "b8bd4806cec1d97259a02f4404709bfd02e13ec1c686062bcd89c527eaf24686",
+            "wealth_paths": "669b1871efff2074a5d8d90336a296dde8a7cd0e57a729114f23128022946f74",
+            "spd_paths": "0684800661c4e75b20b01ab0e94aa6b479505db2fc89a79ff89a16ec554a9417",
+            "y_paths": "86c4f3a3366d85e2c45035e283e4fd07476a0e266231063dd8fc6455467ed325",
+            "objective_paths": "054b9dc2ac7936161d57222bc63b11db50a59aa52dff2961ebfdb64a28381fd6",
         },
         "jitter": {
-            "wealth_paths": "44440ddf0d1b85cbae988568c67ec51bd4a0d614d3765845f7b768f120469617",
-            "spd_paths": "e679451eb304a82d112764f08644c7837a0496a2c21950679aca5e5b2589576d",
-            "y_paths": "3e21db58011d0af8010d647a2dd9d4b934a396197043496ceedac980a6f9ee62",
-            "objective_paths": "19b3adcdad7bd24408c87a74610656b8821628cfe88eed11a42bef27a5367f24",
+            "wealth_paths": "380d8f6e6c6febab137465b19e460fa8420f1b2858f441a212fb85374fc519ec",
+            "spd_paths": "0500b404c095a43a877c084e0f74edbcf658f204fe0f275d2d83aa43e6570d41",
+            "y_paths": "a59c5d87ce0785a6bb264e7ec712c966fa2de6309332a9d77e026bb6c777d48d",
+            "objective_paths": "cab0832ab4b818259e1f753603de544c10f31db46fc0cadbe4f8831b2112fb26",
         },
     },
 }
@@ -365,21 +395,41 @@ print(json.dumps([len(os.sched_getaffinity(0)), _digests(runs)]))
 """
 
 
+# Run as a script: print whether numpy.random is loaded after the import and
+# when the helper thread of one simulate_wealth call starts.
+NUMPY_RANDOM_AT_DRAW = """
+import json, sys, threading
+from tontine import DeterministicControls, GompertzMakehamParams, MarketParams
+from tontine import SimulationConfig, simulate_wealth
+loaded = {"import": "numpy.random" in sys.modules}
+start = threading.Thread.start
+def recording_start(self):
+    if self.name == "tontine-draw":
+        loaded["draw"] = "numpy.random" in sys.modules
+    start(self)
+threading.Thread.start = recording_start
+simulate_wealth(SimulationConfig(n_paths=4, horizon=1.0, step=0.25),
+                DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5),
+                MarketParams(0.10, 0.20, 0.03), GompertzMakehamParams(0.0, 0.0, 0.0))
+print(json.dumps(loaded))
+"""
+
+
 class TestGoldenBytes:
     def test_digests(self, market, mortality, controls_cache, calibrated_cache):
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache)
         assert runs["candidate"].n_paths > simulate._SUB_BLOCK_PATHS
         assert _digests(runs) == GOLDEN_DIGESTS
 
-    @pytest.mark.parametrize("n_paths, sub", [(1, 512), (2 * 37 + 1, 37)])
+    @pytest.mark.parametrize("n_paths", (1, 75))
     def test_one_path_sub_block_digests(
-        self, monkeypatch, n_paths, sub, market, mortality, controls_cache, calibrated_cache
+        self, n_paths, market, mortality, controls_cache, calibrated_cache
     ):
-        # a sum over axis 0 of a single lane is pairwise in numpy, not sequential
-        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", sub)
+        # a sum over axis 0 of a single lane is pairwise in numpy, not
+        # sequential, so a lone path runs beside the next lane of its stream
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
-        assert n_paths % sub == 1
-        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS[n_paths, sub]
+        assert n_paths < simulate._SUB_BLOCK_PATHS
+        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS[n_paths]
 
     @pytest.mark.parametrize("chunk", (1, 5))
     def test_chunk_size_leaves_digests_unchanged(
@@ -391,18 +441,18 @@ class TestGoldenBytes:
         assert _digests(runs) == GOLDEN_DIGESTS
 
     @pytest.mark.parametrize("segment", (1, 7, 100))
-    @pytest.mark.parametrize("n_paths, sub", [(700, 512), (1, 512), (2 * 37 + 1, 37)])
+    @pytest.mark.parametrize("n_paths", (700, 1, 75))
     def test_segment_edges_leave_digests_unchanged(
-        self, monkeypatch, segment, n_paths, sub, market, mortality, controls_cache,
+        self, monkeypatch, segment, n_paths, market, mortality, controls_cache,
         calibrated_cache,
     ):
         # 260 steps, every node recorded: a segment edge on every node, on
-        # every 6th or 7th, or twice between chunk edges; each lane's
-        # substream, log X, log zeta and both trapezoid totals cross them
+        # every 6th or 7th, or twice between chunk edges; each sub-block's
+        # stream and each lane's log X, log zeta and both trapezoid totals
+        # cross them
         monkeypatch.setattr(simulate, "_SEGMENT_STEPS", segment)
-        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", sub)
         runs = _golden_runs(market, mortality, controls_cache, calibrated_cache, n_paths)
-        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS.get((n_paths, sub), GOLDEN_DIGESTS)
+        assert _digests(runs) == ONE_PATH_BLOCK_DIGESTS.get(n_paths, GOLDEN_DIGESTS)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
@@ -420,11 +470,22 @@ class TestGoldenBytes:
         assert cpus == 1
         assert digests == GOLDEN_DIGESTS
 
-    def test_sub_block_size_and_thread_switching_leave_arrays_unchanged(
+    def test_calling_thread_loads_numpy_random(self):
+        # numpy.random loads lazily, and what it allocates on loading stays
+        # in the loading thread's malloc arena: the helper thread must find
+        # it loaded
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(here, os.pardir, "src"), env.get("PYTHONPATH", "")])
+        child = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_AT_DRAW], env=env,
+                               capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(child.stdout) == {"import": False, "draw": True}
+
+    def test_thread_switching_leaves_arrays_unchanged(
         self, monkeypatch, market, mortality, controls_cache, calibrated_cache
     ):
         default = _golden_runs(market, mortality, controls_cache, calibrated_cache)
-        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         # switching often: the drawing thread must not refill a ring buffer
         # before the calling thread is done with its segment; 260 steps run
         # in one segment or, at a cap of 7, in 38
@@ -654,12 +715,12 @@ class TestErrors:
         poison = {40: 3, 45: 1, 100: 1}
         fill = simulate._Substreams.fill
 
-        def poisoned_fill(self, first_path, first_step, out):
-            fill(self, first_path, first_step, out)
+        def poisoned_fill(self, block, first_step, out):
+            fill(self, block, first_step, out)
+            sub = simulate._SUB_BLOCK_PATHS
             for path, step in poison.items():
-                if (first_path <= path < first_path + len(out)
-                        and first_step < step <= first_step + out.shape[1]):
-                    out[path - first_path, step - 1 - first_step] = np.nan
+                if path // sub == block and first_step < step <= first_step + len(out):
+                    out[step - 1 - first_step, path % sub] = np.nan
 
         monkeypatch.setattr(simulate._Substreams, "fill", poisoned_fill)
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
@@ -691,12 +752,12 @@ class TestErrors:
         lifted = DeterministicControls(pi=1.0, consumption=0.0, tontine_fraction=0.0)
         fill = simulate._Substreams.fill
 
-        def lifting_fill(self, first_path, first_step, out):
-            fill(self, first_path, first_step, out)
+        def lifting_fill(self, block, first_step, out):
+            fill(self, block, first_step, out)
             if lift:
                 for path, step in ((1, 10), (2, 2)):
-                    if first_step < step <= first_step + out.shape[1]:
-                        out[path - first_path, step - 1 - first_step] = 500.0
+                    if first_step < step <= first_step + len(out):
+                        out[step - 1 - first_step, path] = 500.0
 
         monkeypatch.setattr(simulate._Substreams, "fill", lifting_fill)
         config = SimulationConfig(n_paths=3, horizon=4.0, step=0.25, initial_wealth=1e300,
@@ -728,10 +789,10 @@ class TestErrors:
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
         fill = simulate._Substreams.fill
 
-        def failing_fill(self, first_path, first_step, out):
-            if first_path == bad_path:
+        def failing_fill(self, block, first_step, out):
+            if block * simulate._SUB_BLOCK_PATHS == bad_path:
                 raise RuntimeError("substream failed")
-            fill(self, first_path, first_step, out)
+            fill(self, block, first_step, out)
 
         monkeypatch.setattr(simulate._Substreams, "fill", failing_fill)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
@@ -763,9 +824,9 @@ class TestErrors:
         fill, totals = simulate._Substreams.fill, simulate._trapezoid_totals
         fills, advances = [], []
 
-        def recording_fill(self, first_path, first_step, out):
+        def recording_fill(self, block, first_step, out):
             fills.append(threading.current_thread().name)
-            fill(self, first_path, first_step, out)
+            fill(self, block, first_step, out)
 
         def recording_totals(*args, **kwargs):
             advances.append(threading.get_ident())
@@ -881,7 +942,7 @@ class TestErrors:
         simulate_wealth(config, controls, market, mortality)
         sub, chunk, width = simulate._SUB_BLOCK_PATHS, simulate._CHUNK_NODES, 1009
         assert width <= simulate._SEGMENT_STEPS + 1
-        buffers = [(2, sub, width), (sub, width), (2, chunk + 1, sub)]
+        buffers = [(2, width, sub), (width, sub), (2, chunk + 1, sub)]
         assert [s for s in shapes if math.prod(s) >= 2 * (chunk + 1) * sub] == buffers
         assert checked == [(1024, 8, 10_080, sum(map(math.prod, buffers)))]
 
@@ -906,9 +967,9 @@ class TestErrors:
             allocations.append(out.nbytes)
             return out
 
-        def counting_fill(self, first_path, first_step, out):
+        def counting_fill(self, block, first_step, out):
             alive.append(len(set(threading.enumerate()) - before))
-            fill(self, first_path, first_step, out)
+            fill(self, block, first_step, out)
 
         monkeypatch.setattr(np, "empty", recording_empty)
         monkeypatch.setattr(simulate._Substreams, "fill", counting_fill)
@@ -937,14 +998,13 @@ class TestErrors:
             tracemalloc.stop()
         sub, n_rec = simulate._SUB_BLOCK_PATHS, len(result.times)
         assert n_paths == 4 * sub
-        buffer = 8 * sub * (segment + 1)  # one (paths x (segment + 1)) buffer
+        buffer = 8 * (segment + 1) * sub  # one ((segment + 1) x paths) buffer
         fixed = 8 * n_paths * (6 * n_rec + 1) + 8 * simulate._STEP_ARRAYS * (n_steps + 1)
-        scratch = 8 * 2 * sub * (simulate._CHUNK_NODES + 1)
-        generators = 1024 * sub  # each lane's Philox, about 0.6 KB
+        scratch = 8 * 2 * (simulate._CHUNK_NODES + 1) * sub
         # the memory check's bound: two ring buffers, and one zeta buffer and
         # one scratch; a third ring buffer would be a fourth, and one
         # spanning the horizon two more
-        assert peak <= fixed + 3 * buffer + scratch + generators
+        assert peak <= fixed + 3 * buffer + scratch
 
 
 class TestValueFunction:
