@@ -7,6 +7,10 @@ controls; hazard mass over each step enters through the exact increment of
 the cumulative hazard, and for tabulated optimal controls the consumption/
 allocation drift through the exact increment of log D, so the only
 systematic error left is the control discretization (second order in the step).
+One builder, ``_step_coefficients``, turns a control set into a record of
+these per-step coefficients on the simulation grid, and it alone tells the
+kinds of controls apart; tabulated optimal controls run under the market and
+mortality they were built from.  The kernel reads only the record.
 
 Because the controls are deterministic, one kernel advances a sub-block of
 512 paths across a stretch of the time axis at once: balanced time segments
@@ -92,8 +96,8 @@ _SEGMENT_STEPS = 1024
 _CHUNK_NODES = 64
 
 # Float64 arrays over the time grid that simulate_wealth holds at once, an
-# upper bound: grid, hazard and control nodes, per-step coefficients and
-# their padded copies, and the utility coefficients.
+# upper bound: the grid, and the step-coefficient builder's record and
+# temporaries (hazard, control and utility nodes), at most 27 at its peak.
 _STEP_ARRAYS = 32
 
 
@@ -324,6 +328,84 @@ def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarra
                                   0, n_steps))
 
 
+@dataclass(frozen=True)
+class _StepCoefficients:
+    """One control set's coefficients on the simulation grid.  Over step i
+    with normal Z, log X gains ``drift_x[i] + vol_x[i] Z`` and log zeta
+    ``drift_z[i] + vol_z[i] Z``; half each step's outflow (the integral of
+    c + lambda (1 - alpha)) and length weigh the trapezoid sums of Y and of
+    the objective.  Per node: consumption and, with preferences (else None),
+    e^{-rho t - Lambda(t)} (c^gamma + lambda b (1 - alpha)^gamma) / gamma,
+    the coefficient of X^gamma.  ``r`` discounts the income summary."""
+
+    drift_x: np.ndarray
+    vol_x: np.ndarray
+    drift_z: np.ndarray
+    vol_z: np.ndarray
+    half_outflow: np.ndarray
+    half_dt: np.ndarray
+    consumption: np.ndarray
+    utility_coef: np.ndarray | None
+    gamma: float | None
+    phi0: float
+    r: float
+
+
+def _step_coefficients(controls, market, mortality, schedule, times) -> _StepCoefficients:
+    """The coefficients of ``controls`` on the grid ``times``.  A
+    ``ControlSchedule`` runs under its own market and mortality, holds pi*,
+    pays out each step's exact drop of log D, reads c and 1 - alpha at the
+    nodes and starts zeta at ``spd0``; other controls run under ``market``
+    and ``mortality``, held at each step's midpoint, with zeta starting at 1."""
+    candidate = isinstance(controls, ControlSchedule)
+    if candidate:
+        market, mortality = controls.market, controls.mortality
+    dt = np.diff(times)
+    sqdt = np.sqrt(dt)
+    lam_cum = cumulative_hazard(times, mortality)
+    d_lam = np.diff(lam_cum)
+    if candidate:
+        # exact integral of c + lambda(1-alpha) per step
+        outflow = -np.diff(controls.log_denominator_at(times))
+        x_control_drift = -outflow + d_lam  # exact integral of -c + alpha*lambda
+        pi_step = np.full(len(dt), controls.pi_star)
+        c_nodes = controls.consumption_at(times)
+        bq_nodes = controls.bequest_fraction_at(times)
+    else:
+        pi_step, c_mid, alpha_mid = controls.at(0.5 * (times[:-1] + times[1:]))
+        outflow = c_mid * dt + (1.0 - alpha_mid) * d_lam
+        x_control_drift = -c_mid * dt + alpha_mid * d_lam
+        _, c_nodes, alpha_nodes = controls.at(times)
+        bq_nodes = 1.0 - alpha_nodes
+    utility_coef = gamma = None
+    if schedule is not None:
+        gamma = schedule.gamma
+        b_nodes = np.asarray(bequest_weight(times, schedule, mortality))
+        lam_nodes = force_of_mortality(times, mortality)
+        disc = np.exp(-schedule.rho * times - lam_cum)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            c_pow, bq_pow = (np.where(v > 0, np.where(v > 0, v, np.nan) ** gamma,
+                                      np.inf if gamma < 0 else 0.0) for v in (c_nodes, bq_nodes))
+            bequest_term = np.where(b_nodes > 0, lam_nodes * b_nodes * bq_pow, 0.0)
+        utility_coef = disc * (c_pow + bequest_term) / gamma
+
+    return _StepCoefficients(
+        drift_x=(market.r + (market.mu - market.r) * pi_step
+                 - 0.5 * market.sigma**2 * pi_step**2) * dt + x_control_drift,
+        vol_x=market.sigma * pi_step * sqdt,
+        drift_z=-market.r * dt - d_lam - 0.5 * market.sharpe**2 * dt,
+        vol_z=-market.sharpe * sqdt,
+        # the trapezoid rule's 0.5 folded into the per-step weights (exactly)
+        half_outflow=0.5 * outflow,
+        half_dt=0.5 * dt,
+        consumption=c_nodes,
+        utility_coef=utility_coef,
+        gamma=gamma,
+        phi0=controls.spd0 if candidate else 1.0,
+        r=market.r,
+    )
+
+
 def simulate_wealth(
     config: SimulationConfig,
     controls: Union[ControlSchedule, DeterministicControls],
@@ -333,14 +415,15 @@ def simulate_wealth(
 ) -> SimulationResult:
     """Simulate X, zeta, and Y; optionally accumulate the utility objective.
 
-    For a tabulated ``ControlSchedule`` the initial state-price density is
-    its ``spd0`` (so Y is a martingale, not just a local one, at the optimum);
-    custom ``DeterministicControls`` start the density at 1.
-    Supplying ``schedule`` turns on per-path accumulation of the discounted
-    utility of consumption and bequest under those preferences.
+    A tabulated ``ControlSchedule`` runs under the market and mortality it
+    was built from (so these may be None) and starts the state-price density
+    at its ``spd0``, so Y is a martingale, not just a local one, at the
+    optimum; custom ``DeterministicControls`` run under the given ones and
+    start the density at 1.  Supplying ``schedule`` turns on per-path
+    accumulation of the discounted utility of consumption and bequest.
 
-    Raises ``ValueError`` naming the field if a ``ControlSchedule`` was built
-    from another ``market``, ``mortality`` or (when given) ``schedule``: its
+    Raises ``ValueError`` naming the field if a ``ControlSchedule`` is given
+    a ``market``, ``mortality`` or ``schedule`` other than its own: its
     tabulated optimum holds only under its own model.  Raises ``ValueError``
     too if the tabulated controls stop short of the horizon or the step does
     not divide it.  Raises ``SimulationError`` if the results and buffers
@@ -349,8 +432,7 @@ def simulate_wealth(
     and its first non-finite step (for an overflow, the first recorded step
     that holds one).  A phi_0 past float64 raises it before anything is run.
     """
-    candidate = isinstance(controls, ControlSchedule)
-    if candidate:
+    if isinstance(controls, ControlSchedule):
         for name, given in (("market", market), ("mortality", mortality), ("schedule", schedule)):
             if given is not None and given != getattr(controls, name):
                 raise ValueError(f"{name} differs from the {name} the controls were built from")
@@ -385,66 +467,20 @@ def simulate_wealth(
     rec_edges = [0, *np.searchsorted(record_idx, edges[1:], side="right").tolist()]
 
     times = np.arange(n_steps + 1) * config.horizon / n_steps
-    dt = np.diff(times)
-    sqdt = np.sqrt(dt)
-    lam_cum = cumulative_hazard(times, mortality)
-    d_lam = np.diff(lam_cum)
-    theta = market.sharpe
-
-    if candidate:
-        log_d_nodes = controls.log_denominator_at(times)
-        outflow = -np.diff(log_d_nodes)  # exact integral of c + lambda(1-alpha) per step
-        x_control_drift = -outflow + d_lam  # exact integral of -c + alpha*lambda
-        pi_step = np.full(n_steps, controls.pi_star)
-        c_nodes = controls.consumption_at(times)
-        bq_nodes = controls.bequest_fraction_at(times)
-    else:
-        mid = 0.5 * (times[:-1] + times[1:])
-        pi_step, c_mid, alpha_mid = controls.at(mid)
-        outflow = c_mid * dt + (1.0 - alpha_mid) * d_lam
-        x_control_drift = -c_mid * dt + alpha_mid * d_lam
-        _, c_nodes, alpha_nodes = controls.at(times)
-        bq_nodes = 1.0 - alpha_nodes
-
-    drift_x = (market.r + (market.mu - market.r) * pi_step
-               - 0.5 * market.sigma**2 * pi_step**2) * dt + x_control_drift
-    vol_x = market.sigma * pi_step * sqdt
-    drift_z = -market.r * dt - d_lam - 0.5 * theta**2 * dt
-    vol_z = -theta * sqdt
-    # the trapezoid rule's 0.5 folded into the per-step weights (exactly)
-    half_outflow = 0.5 * outflow
-    half_dt = 0.5 * dt
-
-    phi0 = controls.spd0 if candidate else 1.0
-
-    accumulate_objective = schedule is not None
-    if accumulate_objective:
-        gamma = schedule.gamma
-        b_nodes = np.asarray(bequest_weight(times, schedule, mortality))
-        lam_nodes = force_of_mortality(times, mortality)
-        disc = np.exp(-schedule.rho * times - lam_cum)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c_pow = np.where(c_nodes > 0, c_nodes, np.nan) ** gamma
-            c_pow = np.where(c_nodes > 0, c_pow, np.inf if gamma < 0 else 0.0)
-            bq_pow = np.where(bq_nodes > 0, bq_nodes, np.nan) ** gamma
-            bq_pow = np.where(bq_nodes > 0, bq_pow, np.inf if gamma < 0 else 0.0)
-            bequest_term = np.where(b_nodes > 0, lam_nodes * b_nodes * bq_pow, 0.0)
-        utility_coef = disc * (c_pow + bequest_term) / gamma
+    coef = _step_coefficients(controls, market, mortality, schedule, times)
 
     wealth = np.empty((n_paths, n_rec))
     spd = np.empty((n_paths, n_rec))
     y_arr = np.empty((n_paths, n_rec))
-    objective = np.empty(n_paths) if accumulate_objective else None
+    objective = None if coef.utility_coef is None else np.empty(n_paths)
 
-    # per-step coefficients as columns, to scale the time-major rows
-    vol_x, drift_x, vol_z, drift_z = (c[:, None] for c in (vol_x, drift_x, vol_z, drift_z))
     # What a sub-block carries over each segment edge, per lane: log X and
     # log zeta at the edge, the trapezoid totals of Y and of the objective,
     # and (-1 for none) the first non-finite step and the first recorded step
     # whose X, zeta or Y overflows.
     carried = np.empty((4, sub))
     first_bad = np.empty((2, sub), dtype=np.int64)
-    carried_start = (math.log(config.initial_wealth), math.log(phi0), 0.0, 0.0)
+    carried_start = (math.log(config.initial_wealth), math.log(coef.phi0), 0.0, 0.0)
 
     def advance(block: int, k: int, log_x: np.ndarray) -> None:
         """Advance segment k of sub-block ``block``, whose normals fill
@@ -472,11 +508,12 @@ def simulate_wealth(
         if k == 0:
             carried[:] = np.array(carried_start)[:, None]
             first_bad[:] = -1
-        np.multiply(log_x[1:], vol_z[a:b], out=log_z[1:])
-        log_z[1:] += drift_z[a:b]
+        # the per-step coefficients as columns scale the time-major rows
+        np.multiply(log_x[1:], coef.vol_z[a:b, None], out=log_z[1:])
+        log_z[1:] += coef.drift_z[a:b, None]
         log_z[0] = z_at
-        log_x[1:] *= vol_x[a:b]
-        log_x[1:] += drift_x[a:b]
+        log_x[1:] *= coef.vol_x[a:b, None]
+        log_x[1:] += coef.drift_x[a:b, None]
         log_x[0] = x_at
         # running sums a row at a time: the bits of a cumulative sum along
         # each lane, faster than one over axis 0
@@ -498,7 +535,7 @@ def simulate_wealth(
                 np.exp(logs[nodes, :m].T, out=rec)
             # Y = zeta*X + running trapezoid integral of zeta*X*outflow
             np.add(log_x, log_z, out=log_z)
-            _trapezoid_totals(log_z, None, half_outflow[a:b], nodes, scratch, y_total,
+            _trapezoid_totals(log_z, None, coef.half_outflow[a:b], nodes, scratch, y_total,
                               recorded[2], with_value=True)
             # exp and the trapezoid sums may overflow where the logs did not
             if j1 > j0 and not all(np.isfinite(arr.max()) and np.isfinite(arr.min())
@@ -506,11 +543,11 @@ def simulate_wealth(
                 bad = ~np.logical_and.reduce([np.isfinite(arr) for arr in recorded])
                 rows = np.flatnonzero(bad.any(axis=1) & (overflow_at < 0))
                 overflow_at[rows] = record_idx[j0 + np.argmax(bad[rows], axis=1)]
-            if accumulate_objective and overflow_at.max() < 0:
+            if objective is not None and overflow_at.max() < 0:
                 # zeta*X is recorded; its buffer takes gamma log X
                 with np.errstate(invalid="ignore"):
-                    np.multiply(log_x, gamma, out=log_z)
-                    _trapezoid_totals(log_z, utility_coef[a : b + 1], half_dt[a:b],
+                    np.multiply(log_x, coef.gamma, out=log_z)
+                    _trapezoid_totals(log_z, coef.utility_coef[a : b + 1], coef.half_dt[a:b],
                                       (b - a,) if b == n_steps else (), scratch,
                                       objective_total, objective[start : start + m, None],
                                       with_value=False)
@@ -564,7 +601,7 @@ def simulate_wealth(
     del ring, log_z_buffer, scratch  # the summary takes their pages
 
     rec_times = times[record_idx]
-    income = np.exp(-market.r * rec_times)[None, :] * c_nodes[record_idx][None, :] * wealth
+    income = np.exp(-coef.r * rec_times)[None, :] * coef.consumption[record_idx][None, :] * wealth
     summary = {"t": rec_times}
     for name, values in (("income", income), ("Y", y_arr), ("zetaX", spd * wealth)):
         summary[f"mean_{name}"], summary[f"se_{name}"] = _mean_se(values)
@@ -580,7 +617,7 @@ def simulate_wealth(
         step=float(times[1] - times[0]),
         horizon=config.horizon,
         initial_wealth=config.initial_wealth,
-        spd0=phi0,
+        spd0=coef.phi0,
     )
 
 
@@ -615,15 +652,6 @@ def summary_csv(result: SimulationResult) -> str:
 # ============================================================================
 
 @dataclass(frozen=True)
-class PairCheck:
-    s: float
-    t: float
-    mean_diff: float
-    se_diff: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class MartingaleCheck:
     t: float
     deviation: float
@@ -633,14 +661,10 @@ class MartingaleCheck:
 
 @dataclass(frozen=True)
 class SupermartingaleReport:
-    """Pairwise mean-decrease checks on Y, plus constancy checks if requested."""
+    """Pairwise mean-decrease verdict on Y, plus constancy checks if requested."""
 
-    pairs: tuple[PairCheck, ...]
+    supermartingale_ok: bool
     martingale: tuple[MartingaleCheck, ...]
-
-    @property
-    def supermartingale_ok(self) -> bool:
-        return all(p.ok for p in self.pairs)
 
     @property
     def martingale_ok(self) -> bool:
@@ -656,22 +680,18 @@ def check_supermartingale(
     each path against its own Y_0, at every recorded time, i.e. the
     exact-martingale property that holds only for the optimal controls.
     """
-    times = result.times
-    y = result.y_paths
-    pairs = []
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            mean_diff, se = _mean_se(y[:, j] - y[:, i])
-            pairs.append(PairCheck(float(times[i]), float(times[j]), mean_diff, se,
-                                   mean_diff <= z * se))
-    marts = []
+    times, y = result.times, result.y_paths
+    # Y_t - Y_s for every t after s, one column each: column-major, so each
+    # column's sums are those of the one pair's difference alone
+    later = (np.subtract(y[:, i + 1:], y[:, i:i + 1], order="F") for i in range(len(times) - 1))
+    supermartingale_ok = all(np.all(mean <= z * se) for mean, se in map(_mean_se, later))
+    marts = ()
     if candidate:
         # each path against its own Y_0: at t = 0 the deviation is exactly 0
         slack = 1e-12 * abs(result.y0)
-        for t, dev, se in zip(times, *_mean_se(y - y[:, :1])):
-            marts.append(MartingaleCheck(float(t), float(dev), float(se),
-                                         abs(dev) <= z * se + slack))
-    return SupermartingaleReport(pairs=tuple(pairs), martingale=tuple(marts))
+        marts = tuple(MartingaleCheck(float(t), float(dev), float(se), abs(dev) <= z * se + slack)
+                      for t, dev, se in zip(times, *_mean_se(y - y[:, :1])))
+    return SupermartingaleReport(supermartingale_ok, marts)
 
 
 def value_function(t, x, controls: ControlSchedule):

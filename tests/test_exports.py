@@ -77,6 +77,64 @@ def test_every_exported_name_has_a_reader():
     assert unread == []
 
 
+def _private_tontine_reads(source: str) -> list[str]:
+    """The `_`-prefixed names of `tontine` modules that a source imports, or
+    reads as attributes of a name it bound to `tontine` or one of its modules."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tontine":
+                    modules.add(alias.asname or "tontine")
+                    if "._" in alias.name:
+                        found.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tontine":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if "._" in name:
+                    found.append(name)
+                elif node.module == "tontine":  # a submodule or a re-exported name
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_the_oracle_reads_no_private_name():
+    # tests/helpers.py holds the suite's independent oracles: one that reads
+    # the library's private coefficients or helpers would check them against
+    # themselves
+    helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert _private_tontine_reads(helpers) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from tontine.simulate import _step_coefficients",
+    "from tontine import simulate\n"
+    "def steps(controls, market, mortality, schedule, times):\n"
+    "    return simulate._step_coefficients(controls, market, mortality, schedule, times)",
+    "import tontine.simulate\nn = tontine.simulate._SUB_BLOCK_PATHS",
+    "import tontine.simulate as sim\nf = sim._mean_se",
+    "from tontine import _private",
+])
+def test_the_oracle_guard_sees_a_private_read(source):
+    assert _private_tontine_reads(source) != []
+
+
+def test_the_oracle_guard_skips_public_and_foreign_names():
+    source = ("import numpy as np\nfrom tontine import simulate\n"
+              "from tontine.controls import log_tail_integrals\n"
+              "x = np._core\ny = simulate.__name__\nz = simulate.REPORT_TIMES\n")
+    assert _private_tontine_reads(source) == []
+
+
 def _hand_built_csv(source: str) -> list[int]:
     """Lines outside `_csv_table` that build CSV text by hand: a join on ","
     or "\\n", or a string or f-string literal (not a docstring) holding both a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tontine import simulate
+from tontine.analytics import expected_wealth
 from tontine.controls import MarketParams, build_control_schedule
-from tontine.mortality import GompertzMakehamParams, survival
+from tontine.mortality import GompertzMakehamParams, cumulative_hazard, survival
 from tontine.simulate import (
     REPORT_TIMES,
     DeterministicControls,
@@ -129,6 +131,16 @@ class TestModelOfTheControls:
         with pytest.raises(ValueError, match=f"^{field} differs"):
             simulate_wealth(self.CONFIG, controls, **model)
 
+    def test_runs_under_its_own_model_when_given_none(self, controls_cache):
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        own = simulate_wealth(self.CONFIG, controls, controls.market, controls.mortality,
+                              controls.schedule)
+        unnamed = simulate_wealth(self.CONFIG, controls, None, None, controls.schedule)
+        for field in ("times", *RESULT_ARRAYS):
+            assert np.array_equal(getattr(unnamed, field), getattr(own, field)), field
+        for name, values in own.summary.items():
+            assert np.array_equal(unnamed.summary[name], values), name
+
     def test_accepts_an_equal_model_and_no_schedule(self, mortality, controls_cache):
         controls = controls_cache(-3.0, "scaled_trimmed")
         market = MarketParams(0.10, 0.20, 0.03)
@@ -198,6 +210,72 @@ class TestReferenceKernel:
                                                schedule).items():
             np.testing.assert_allclose(getattr(result, field), expected, rtol=1e-12, atol=0,
                                        err_msg=field)
+
+
+def _log_means(coef) -> tuple[np.ndarray, np.ndarray]:
+    """log E[X_t / X_0] and log E[zeta_t / zeta_0] at every node, noise-free:
+    the running sums of each step's drift plus half its variance."""
+    return tuple(np.concatenate(([0.0], np.cumsum(drift + 0.5 * vol**2)))
+                 for drift, vol in ((coef.drift_x, coef.vol_x), (coef.drift_z, coef.vol_z)))
+
+
+class TestStepCoefficients:
+    """The per-step coefficients against the model's exact means, with no draw."""
+
+    # Every node of steps 1/13, 1/26 and 1/52 is a node of the weekly
+    # schedule grid, where log D is the quadrature's own value.  At 1/104
+    # half the nodes interpolate log D, up to 4.3e-6 off (9.1e-3 in the last
+    # cell before the trimmed horizon at gamma = 0.5), so that step is left out.
+    @pytest.mark.parametrize("gamma", (-3.0, -11.0, 0.5))
+    def test_candidate_means_are_the_closed_forms(self, gamma, mortality, controls_cache):
+        # the scaled variants cannot be calibrated at gamma > 0
+        variants = ("none", "power", "trimmed") + (
+            ("scaled_power", "scaled_trimmed") if gamma < 0 else ())
+        for variant, horizon, step in itertools.product(variants, (20.0, 40.0),
+                                                         (1 / 13, 1 / 26, 1 / 52)):
+            controls = controls_cache(gamma, variant)
+            n_steps = round(horizon / step)
+            times = np.arange(n_steps + 1) * horizon / n_steps
+            coef = simulate._step_coefficients(controls, None, None, None, times)
+            log_x, log_z = _log_means(coef)
+            market = controls.market
+            wealth = expected_wealth(times, controls.schedule, market, mortality)
+            where = f"{variant}, H = {horizon}, step {step:.4f}"
+            np.testing.assert_allclose(1e5 * np.exp(log_x), wealth, rtol=1e-12, atol=0,
+                                       err_msg=where)
+            np.testing.assert_allclose(log_z, -market.r * times
+                                       - cumulative_hazard(times, mortality),
+                                       rtol=1e-12, atol=0, err_msg=where)
+
+    def test_constant_controls_mean_is_the_closed_form(self, market, mortality):
+        pi, c, alpha = 0.6, 0.05, 0.7
+        controls = DeterministicControls(pi=pi, consumption=c, tontine_fraction=alpha)
+        times = np.arange(2081) * 40.0 / 2080
+        coef = simulate._step_coefficients(controls, market, mortality, None, times)
+        want = ((market.r + (market.mu - market.r) * pi - c) * times
+                + alpha * cumulative_hazard(times, mortality))
+        np.testing.assert_allclose(_log_means(coef)[0], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("jitter", (False, True))
+    @pytest.mark.parametrize("with_objective", (False, True))
+    def test_step_arrays_bound_the_builder(
+        self, jitter, with_objective, market, mortality, controls_cache, calibrated_cache
+    ):
+        # the memory check counts _STEP_ARRAYS float64 a node for the grid
+        # arrays; the builder's own peak, its record included, stays within
+        controls = controls_cache(-3.0, "scaled_trimmed")
+        if jitter:
+            controls = scaled_controls(controls, c_scale=1.1, alpha_scale=0.9)
+        schedule = calibrated_cache(-3.0, "scaled_trimmed") if with_objective else None
+        n_steps = 20_000
+        times = np.arange(n_steps + 1) * 40.0 / n_steps
+        tracemalloc.start()
+        try:
+            simulate._step_coefficients(controls, market, mortality, schedule, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * simulate._STEP_ARRAYS * (n_steps + 1)
 
 
 class TestDeterminism:
@@ -571,6 +649,31 @@ class TestMartingaleStructure:
             initial_wealth=10.0, spd0=1.0,
         )
         assert check_supermartingale(falling).supermartingale_ok
+
+    def test_pair_checks_match_a_per_pair_loop(self, monkeypatch):
+        # one _mean_se per earlier time, over the differences to every later
+        # one, gives each pair the mean and SE of its own difference, bit for bit
+        rng = np.random.default_rng(50)
+        n, m = 300, 50
+        y = 1e3 * rng.standard_normal((n, m)) - np.cumsum(rng.uniform(500.0, 1e3, m))
+        result = SimulationResult(
+            times=np.arange(m, dtype=float), wealth_paths=y, spd_paths=np.ones_like(y),
+            y_paths=y, objective_paths=None, summary={}, n_paths=n, step=1.0,
+            horizon=m - 1.0, initial_wealth=1.0, spd0=1.0,
+        )
+        mean_se, calls = simulate._mean_se, []
+
+        def recording(values):
+            calls.append(mean_se(values))
+            return calls[-1]
+
+        monkeypatch.setattr(simulate, "_mean_se", recording)
+        assert check_supermartingale(result).supermartingale_ok  # falling: no early exit
+        assert len(calls) == m - 1
+        for i, (means, ses) in enumerate(calls):
+            pairs = [mean_se(y[:, j] - y[:, i]) for j in range(i + 1, m)]
+            assert np.array_equal(means, [mean for mean, _ in pairs])
+            assert np.array_equal(ses, [se for _, se in pairs])
 
 
 class TestDiffusionLoading:
@@ -1065,7 +1168,7 @@ class TestOptimalityAudit:
         # 19 wins of 20 pass the rule and 18 fail it, all else passing
         jitters = tuple(simulate.JitterCheck(1.0, 1.0, True, -1.0 if i < losses else 1.0,
                                              1.0, 1.0) for i in range(20))
-        martingale = simulate.SupermartingaleReport(pairs=(), martingale=())
+        martingale = simulate.SupermartingaleReport(supermartingale_ok=True, martingale=())
         report = simulate.AuditReport(martingale, 10.0, 0.0, 1.0, jitters)
         assert report.wins == 20 - losses
         assert report.ok is ok
