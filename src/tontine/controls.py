@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mortality import (GompertzMakehamParams, _check_times, _csv_table, cumulative_hazard,
-                        force_of_mortality)
+from .mortality import (GompertzMakehamParams, _check_times, _csv_table, _cumulative_hazard,
+                        _force_of_mortality, cumulative_hazard)
 from .preferences import (
     TRIMMED_VARIANTS,
     PreferenceSchedule,
+    _log_transformed_weight,
     log_transformed_weight,
 )
 
@@ -230,7 +231,8 @@ def _panel_edges(schedule: PreferenceSchedule, mortality: GompertzMakehamParams)
         edges = _sorted_unique(np.concatenate([edges, _graded_edges(edges[at_h - 1], h)]))
 
     for level in range(_SPLIT_LEVELS + 1):
-        cum = cumulative_hazard(edges, mortality)
+        # the edges lie in [0, T_max], so they skip the time check
+        cum = _cumulative_hazard(edges, mortality.a1, mortality.a2, mortality.a3)
         steep = (np.diff(cum) > _PANEL_HAZARD) & (cum[:-1] < _HAZARD_UNDERFLOW)
         if not steep.any():
             return edges
@@ -245,14 +247,15 @@ def _panel_edges(schedule: PreferenceSchedule, mortality: GompertzMakehamParams)
 
 def _log_integrand(u: np.ndarray, schedule: PreferenceSchedule,
                    mortality: GompertzMakehamParams, beta_value: float) -> np.ndarray:
-    """log of e^{-beta*u} S_u (1 + b_u^{1/(1-gamma)} lambda_u)."""
+    """log of e^{-beta*u} S_u (1 + b_u^{1/(1-gamma)} lambda_u) at quadrature
+    nodes, which lie in [0, T_max] by construction and so skip the time check."""
     with np.errstate(divide="ignore"):
-        log_glam = log_transformed_weight(u, schedule, mortality) + np.log(
-            force_of_mortality(u, mortality)
+        log_glam = _log_transformed_weight(u, schedule, mortality) + np.log(
+            _force_of_mortality(u, mortality)
         )
     return (
         -beta_value * u
-        - cumulative_hazard(u, mortality)
+        - _cumulative_hazard(u, mortality.a1, mortality.a2, mortality.a3)
         + np.logaddexp(0.0, log_glam)
     )
 

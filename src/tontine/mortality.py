@@ -76,9 +76,13 @@ def _check_times(t, upper: float = math.inf, name: str = "t") -> np.ndarray:
 
 def force_of_mortality(t, params: GompertzMakehamParams):
     """Hazard rate a1*exp(a2*t) + a3 at time t (years past base age)."""
-    t = _check_times(t)
-    out = params.a1 * np.exp(params.a2 * t) + params.a3
+    out = _force_of_mortality(_check_times(t), params)
     return out if out.ndim else float(out)
+
+
+def _force_of_mortality(t, params: GompertzMakehamParams):
+    """The hazard of :func:`force_of_mortality` at times already checked."""
+    return params.a1 * np.exp(params.a2 * t) + params.a3
 
 
 def cumulative_hazard(t, params: GompertzMakehamParams):

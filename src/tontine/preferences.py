@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mortality import GompertzMakehamParams, _check_times, force_of_mortality
+from .mortality import GompertzMakehamParams, _check_times, _force_of_mortality
 
 VARIANTS = ("none", "power", "scaled_power", "trimmed", "scaled_trimmed")
 SCALED_VARIANTS = ("scaled_power", "scaled_trimmed")
@@ -120,21 +120,22 @@ def _trimmed_gap(t: np.ndarray, schedule: PreferenceSchedule,
         )
     h = schedule.horizon_years
     with np.errstate(over="ignore"):  # 1/lambda_H = 0 is the exact limit
-        lam_h = force_of_mortality(h, mortality)
+        lam_h = _force_of_mortality(h, mortality)
     inside = t < h
-    lam = force_of_mortality(np.where(inside, t, 0.0), mortality)
+    lam = _force_of_mortality(np.where(inside, t, 0.0), mortality)
     gap = np.where(inside, 1.0 / lam - 1.0 / lam_h, 1.0)
     return gap, inside
 
 
-def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamParams):
-    """The variant table: b_t = kappa * q_t^e where ``inside``, 0 elsewhere.
+def _weight_parts(t: np.ndarray, schedule: PreferenceSchedule,
+                  mortality: GompertzMakehamParams):
+    """The variant table at times already checked: b_t = kappa * q_t^e where
+    ``inside``, 0 elsewhere.
 
     Returns (q, e, inside, kappa), with kappa = 1 for unscaled variants and
     q = 1 outside the mask.  This is the only place that branches on the
     variant.
     """
-    t = _check_times(t)
     variant = schedule.variant
     if variant == "none":
         parts = (np.ones_like(t), 1.0, np.zeros(t.shape, dtype=bool))
@@ -142,7 +143,7 @@ def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamPar
         gap, inside = _trimmed_gap(t, schedule, mortality)
         parts = (gap, -schedule.gamma, inside)
     else:  # power, scaled_power
-        parts = (np.asarray(force_of_mortality(t, mortality)), schedule.gamma,
+        parts = (_force_of_mortality(t, mortality), schedule.gamma,
                  np.ones(t.shape, dtype=bool))
     if variant not in SCALED_VARIANTS:
         return (*parts, 1.0)
@@ -153,7 +154,7 @@ def _weight_parts(t, schedule: PreferenceSchedule, mortality: GompertzMakehamPar
 
 def bequest_weight(t, schedule: PreferenceSchedule, mortality: GompertzMakehamParams):
     """The weight b_t of the bequest term at time t (years past base age)."""
-    q, e, inside, kappa = _weight_parts(t, schedule, mortality)
+    q, e, inside, kappa = _weight_parts(_check_times(t), schedule, mortality)
     with np.errstate(divide="ignore"):
         out = np.where(inside, q**e, 0.0) * kappa
     return out if out.ndim else float(out)
@@ -167,11 +168,17 @@ def log_transformed_weight(t, schedule: PreferenceSchedule,
     exponent identities are applied analytically so extreme gamma never
     overflows an intermediate power.
     """
+    out = _log_transformed_weight(_check_times(t), schedule, mortality)
+    return out if out.ndim else float(out)
+
+
+def _log_transformed_weight(t: np.ndarray, schedule: PreferenceSchedule,
+                            mortality: GompertzMakehamParams) -> np.ndarray:
+    """:func:`log_transformed_weight` at times already checked."""
     q, e, inside, kappa = _weight_parts(t, schedule, mortality)
     one_minus = 1.0 - schedule.gamma
     with np.errstate(divide="ignore"):
-        out = np.where(inside, (e / one_minus) * np.log(q), -np.inf) + math.log(kappa) / one_minus
-    return out if out.ndim else float(out)
+        return np.where(inside, (e / one_minus) * np.log(q), -np.inf) + math.log(kappa) / one_minus
 
 
 # ============================================================================

@@ -15,15 +15,16 @@ mortality they were built from.  The kernel reads only the record.
 Because the controls are deterministic, one kernel advances a sub-block of
 512 paths across a stretch of the time axis at once: balanced time segments
 of at most 1,024 steps, one after another.  Sub-block b's normals come from
-one Philox stream keyed by (seed, b), drawn time-major, 512 lanes a step
-with path p in lane p mod 512 (a partial last sub-block still draws all
-512), and resumed from one segment to the next; log X and log zeta are
-running sums down time-major rows that start from the values carried over
-the segment edge.  One chunked pass (``_trapezoid_totals``) exponentiates a
-few dozen rows at a time into a small scratch and sums the trapezoid terms
-of Y, then of the utility objective, from the totals carried over the edge
-up to the recorded times: the same bits as one cumulative sum over the
-whole axis, with two segment buffers per sub-block in flight.
+one SFC64 stream seeded by ``SeedSequence(seed, spawn_key=(b,))``, drawn
+time-major, 512 lanes a step with path p in lane p mod 512 (a partial last
+sub-block still draws all 512), and resumed from one segment to the next;
+log X and log zeta are running sums down time-major rows that start from
+the values carried over the segment edge.  One chunk-local pass
+(``_segment_sums``) exponentiates zeta*X and X^gamma a few dozen rows at a
+time into a small scratch and adds their node-weighted terms, the
+trapezoid rule's, to the sums of Y and of the utility objective carried
+over the edge, recording Y on the way: the same bits as one cumulative sum
+over the whole axis, with two segment buffers per sub-block in flight.
 The segments run as a two-stage pipeline on any host: one helper thread
 draws the normals, one call per sub-block and segment, each into the next
 of a ring of two buffers, and the calling thread turns each filled buffer
@@ -37,8 +38,8 @@ part of the stream: changing it changes the bytes.
 The calling thread allocates the ring, the zeta buffer and the scratch and
 frees them before the summary, so the summary and the next call reuse those
 pages (glibc keeps the pages a helper thread frees in that thread's arena);
-it also loads ``numpy.random``, whose memory would otherwise be charged to
-the helper's arena.
+it also loads ``numpy.random`` and seeds every sub-block's stream state,
+whose memory would otherwise be charged to the helper's arena.
 """
 from __future__ import annotations
 
@@ -76,13 +77,14 @@ __all__ = [
 
 REPORT_TIMES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
-# Paths per sub-block, and the width of each Philox stream: a segment's
+# Paths per sub-block, and the width of each SFC64 stream: a segment's
 # normals and then log X fill one time-major ((segment + 1) x 512) float64
 # ring buffer, and the calling thread, which advances it, holds one more for
-# log zeta (then log zeta*X, then gamma log X), 2.1 MB each at 1,040 steps.
-# Of 256, 512, 1024 and 2048 paths, 512 ran the 20,000 x 1,040 audit fastest
-# on two threads.  The streams are keyed by sub-block, so changing this
-# changes every Monte Carlo output.
+# log zeta, 2.1 MB each at 1,040 steps.  In five interleaved rounds of the
+# 20,000 x 1,040 audit on two threads, 256 paths ran slowest in four, and
+# 1024 ran about 15% faster than 512 in all five, but its three buffers
+# would take 12.8 MB instead of 6.4.  The streams are seeded by sub-block,
+# so changing this changes every Monte Carlo output.
 _SUB_BLOCK_PATHS = 512
 
 # Steps per time segment, at most: a sub-block advances in the fewest
@@ -90,14 +92,16 @@ _SUB_BLOCK_PATHS = 512
 # so its buffers stop growing with the horizon.
 _SEGMENT_STEPS = 1024
 
-# Time nodes per chunk of the trapezoid pass over Y and the objective: the
-# scratch is 2 x (nodes + 1) x 512, 0.5 MB.  64 and 128 ran the audit equally
-# fast; 32 was slower.
+# Time nodes per chunk of the pass over Y and the objective: the scratch is
+# 2 x (nodes + 1) x 512, 0.5 MB.  In interleaved runs of the audit, 64 beat
+# 32 in eight pairs of ten, and 128 ran within the host's noise of 64.
 _CHUNK_NODES = 64
 
 # Float64 arrays over the time grid that simulate_wealth holds at once, an
-# upper bound: the grid, and the step-coefficient builder's record and
-# temporaries (hazard, control and utility nodes), at most 27 at its peak.
+# upper bound: the grid, and the step-coefficient builder's record (four
+# per-step arrays and, per node, consumption and the node weights of Y and
+# of the objective) and temporaries (hazard, control and utility nodes), at
+# most 28 at its peak.
 _STEP_ARRAYS = 32
 
 
@@ -120,10 +124,10 @@ class SimulationConfig:
     the path count, even one, the ring of two normals buffers and the zeta
     buffer take 3 x 8 bytes x 512 x (seg + 1), at most 12.6 MB, and the
     scratch 2 x 8 bytes x 512 x (min(64, seg) + 1), which the calling thread
-    allocates and frees before the summary;
-    ``simulate_wealth`` raises ``SimulationError`` before allocating
-    anything the length of the time grid if these would exceed the
-    machine's physical memory.
+    allocates and frees before the summary, and each sub-block's stream
+    state 32 bytes; ``simulate_wealth`` raises ``SimulationError`` before
+    allocating anything the length of the time grid if these would exceed
+    the machine's physical memory.
     """
 
     n_paths: int
@@ -220,29 +224,35 @@ class SimulationResult:
         return self.spd0 * self.initial_wealth
 
 
-class _Substreams:
-    """The normals of each sub-block: those of ``Philox`` keyed by the uint64
-    pair (seed, block), drawn time-major, one row of ``_SUB_BLOCK_PATHS``
-    lanes a step, one time segment after another.
+def _stream_state(seed: int, block: int) -> np.ndarray:
+    """The 4-word ``SFC64`` state that starts sub-block ``block``'s stream."""
+    seeds = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.SFC64(seeds).state["state"]["state"]
 
-    One generator serves every sub-block: step 0 resets it to the block's
-    key, zero counter and empty buffer, and a later segment resumes it where
-    the one before stopped, so the pieces of a stream are the bits of one
-    draw.  It is built, and ``numpy.random`` loaded, on the thread that
-    constructs this; it is built from a fixed seed sequence, since a
-    generator built without one draws OS entropy for a seed sequence the key
-    then overrides.
+
+class _Substreams:
+    """The normals of each sub-block: those of ``SFC64`` seeded by
+    ``SeedSequence(seed, spawn_key=(block,))``, drawn time-major, one row of
+    ``_SUB_BLOCK_PATHS`` lanes a step, one time segment after another.
+
+    The spawn key keeps every (seed, block) pair apart, as entropy tuples do
+    not: (2**32, 7) and (0, 1 + 7 * 2**32) are the same words.  The thread
+    that constructs this seeds every sub-block's 4-word state into
+    ``states`` (n_blocks, 4), builds the one generator and so loads
+    ``numpy.random``.  ``fill`` builds no bit generator and no seed
+    sequence: step 0 copies the block's row into the state dict built here
+    and sets it, and a later segment resumes the generator where the one
+    before stopped, so the pieces of a stream are the bits of one draw.
     """
 
-    def __init__(self, seed: int) -> None:
-        self._key = np.array([seed, 0], dtype=np.uint64)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    def __init__(self, seed: int, n_blocks: int) -> None:
+        self.states = np.empty((n_blocks, 4), dtype=np.uint64)
+        for block, row in enumerate(self.states):
+            row[:] = _stream_state(seed, block)
+        self._words = np.empty(4, dtype=np.uint64)
+        self._state = {"bit_generator": "SFC64", "state": {"state": self._words},
+                       "has_uint32": 0, "uinteger": 0}
+        self._stream = np.random.Generator(np.random.SFC64(np.random.SeedSequence(0)))
 
     def fill(self, block: int, first_step: int, out: np.ndarray) -> None:
         """Fill row i of ``out`` with the normals of sub-block ``block`` at
@@ -252,7 +262,7 @@ class _Substreams:
         starts its stream, and a later step resumes it.
         """
         if first_step == 0:
-            self._key[1] = block
+            self._words[:] = self.states[block]
             self._stream.bit_generator.state = self._state
         self._stream.standard_normal(out=out)
 
@@ -263,57 +273,68 @@ def _check_memory(n_paths: int, n_rec: int, n_steps: int, buffer_floats: int) ->
     Per path and recorded time: X, zeta and Y, then the summary's income and
     zeta*X and one standard-deviation temporary; per path: the objective; per
     step: the time-grid arrays; and ``buffer_floats``, the floats of the ring
-    of normals, the zeta buffer and the scratch.
+    of normals, the zeta buffer and the scratch, and the words of the
+    sub-blocks' stream states.
     """
     need = 8 * (n_paths * (6 * n_rec + 1) + _STEP_ARRAYS * (n_steps + 1) + buffer_floats)
     _require_memory(need, f"{n_paths} paths x {n_steps} steps ({n_rec} recorded times)",
                     SimulationError)
 
 
-def _trapezoid_totals(logs, coef, half_weight, rows, scratch, total, out, *,
-                      with_value) -> None:
-    """Running trapezoid integrals of f = exp(``logs``) x ``coef`` at ``rows``.
+def _segment_sums(log_x, log_z, a, first, nodes, coef, scratch, totals, y_out, *,
+                  with_objective) -> None:
+    """Y at ``nodes``, and the running sums of Y and of the objective over
+    rows ``first`` on of one segment, whose row 0 is node ``a``.
 
-    ``logs`` is time-major (nodes, lanes), ``coef`` per node or None, and
-    ``half_weight`` half of each step's weight.  ``total`` holds each lane's
-    integral up to node 0 and is advanced in place to the last node.  Column
-    j of ``out`` receives the integral up to node ``rows[j]`` (ascending),
-    plus f there if ``with_value``.  Chunks of C nodes pass through the
-    halves of ``scratch`` (2, C + 1, lanes or more): f behind f at the node
-    before, and the trapezoid terms behind the total so far, which a
-    reduction over axis 0 extends one term at a time per lane.  That gives
-    the bits of a cumulative sum for two or more lanes, however the nodes
-    are split between calls; over a single lane numpy sums pairwise.
+    ``log_x`` and ``log_z`` are time-major (rows, lanes), and ``totals``
+    holds each lane's two sums over the nodes before row ``first``, advanced
+    in place over the rest.  The trapezoid rule weighs node k by the node
+    weight w_k = h_{k-1}/2 + h_k/2 (h_{-1} = h_N = 0): h is each step's
+    outflow for Y, whose f is zeta*X, and its length for the objective,
+    whose f is X^gamma times the utility coefficient.  Column j of ``y_out``
+    receives Y at row ``nodes[j]`` (ascending), node t: the sum over the
+    nodes before t, plus f_t h_{t-1}/2, plus f_t.  Chunks of C rows pass
+    through the halves of ``scratch`` (2, C + 1, lanes or more), one a sum:
+    the terms f_k w_k behind the sum so far, which a reduction over axis 0
+    extends one term at a time per lane.  That gives the bits of a
+    cumulative sum for two or more lanes, however the rows are split
+    between chunks and segments; over a single lane numpy sums pairwise.
     """
-    n_nodes, width = logs.shape
-    m = out.shape[0]
+    n_rows, width = log_x.shape
+    m = y_out.shape[0]
     chunk = scratch.shape[1] - 1
-    vals, terms = scratch[:, :, :width]
-    np.exp(logs[:1], out=vals[:1])
-    if coef is not None:
-        vals[0] *= coef[0]
-    j = 0
-    for a in range(1, n_nodes, chunk):
-        n = min(chunk, n_nodes - a)  # row i of the chunk holds node a - 1 + i
-        np.exp(logs[a : a + n], out=vals[1 : n + 1])
-        if coef is not None:
-            vals[1 : n + 1] *= coef[a : a + n, None]
-        np.add(vals[:n], vals[1 : n + 1], out=terms[1 : n + 1])
-        terms[1 : n + 1] *= half_weight[a - 1 : a + n - 1, None]
-        terms[0] = total
-        first = 0
-        while j < len(rows) and rows[j] < a + n:
-            local = rows[j] - a + 1
-            np.add.reduce(terms[first : local + 1], axis=0, out=total)
-            terms[local] = total
-            first = local
-            if with_value:
-                np.add(vals[local, :m], total[:m], out=out[:, j])
-            else:
-                out[:, j] = total[:m]
-            j += 1
-        np.add.reduce(terms[first : n + 1], axis=0, out=total)
-        vals[0] = vals[n]
+    y_terms, u_terms = scratch[:, :, :width]
+    y_total, u_total = totals
+    done = 0  # the recorded nodes of the chunks before
+    for c in range(first, n_rows, chunk):
+        n = min(chunk, n_rows - c)  # row i of the terms holds buffer row c - 1 + i
+        rows, weights = slice(c, c + n), slice(a + c, a + c + n)
+        here = range(done, np.searchsorted(nodes, c + n))
+        f = y_terms[1 : n + 1]
+        np.add(log_x[rows], log_z[rows], out=f)
+        np.exp(f, out=f)
+        for j in here:  # zeta*X at the node, before its weight
+            y_out[:, j] = f[nodes[j] - c, :m]
+        f *= coef.outflow_weight[weights, None]
+        y_terms[0] = y_total
+        start = 0
+        for j in here:
+            local = nodes[j] - c + 1
+            np.add.reduce(y_terms[start:local], axis=0, out=y_total)
+            start = local - 1
+            y_terms[start] = y_total
+            value = y_out[:, j]
+            value[:] = y_total[:m] + value * coef.outflow_before[a + nodes[j]] + value
+        done = here.stop
+        np.add.reduce(y_terms[start : n + 1], axis=0, out=y_total)
+        if with_objective:
+            g = u_terms[1 : n + 1]
+            with np.errstate(invalid="ignore"):
+                np.multiply(log_x[rows], coef.gamma, out=g)
+                np.exp(g, out=g)
+                g *= coef.utility_weight[weights, None]
+            u_terms[0] = u_total
+            np.add.reduce(u_terms[: n + 1], axis=0, out=u_total)
 
 
 def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarray | None:
@@ -332,23 +353,35 @@ def _resolve_record_indices(config: SimulationConfig, n_steps: int) -> np.ndarra
 class _StepCoefficients:
     """One control set's coefficients on the simulation grid.  Over step i
     with normal Z, log X gains ``drift_x[i] + vol_x[i] Z`` and log zeta
-    ``drift_z[i] + vol_z[i] Z``; half each step's outflow (the integral of
-    c + lambda (1 - alpha)) and length weigh the trapezoid sums of Y and of
-    the objective.  Per node: consumption and, with preferences (else None),
-    e^{-rho t - Lambda(t)} (c^gamma + lambda b (1 - alpha)^gamma) / gamma,
-    the coefficient of X^gamma.  ``r`` discounts the income summary."""
+    ``drift_z[i] + vol_z[i] Z``.  Per node, the trapezoid rule's weights of
+    Y's sum: ``outflow_weight``, half the outflow (the integral of
+    c + lambda (1 - alpha)) of the steps on either side, and
+    ``outflow_before``, that of the step before alone; consumption; and, with
+    preferences (else None), ``utility_weight``, half the length of the steps
+    on either side times e^{-rho t - Lambda(t)} (c^gamma + lambda b
+    (1 - alpha)^gamma) / gamma, the coefficient of X^gamma.  ``r`` discounts
+    the income summary."""
 
     drift_x: np.ndarray
     vol_x: np.ndarray
     drift_z: np.ndarray
     vol_z: np.ndarray
-    half_outflow: np.ndarray
-    half_dt: np.ndarray
+    outflow_weight: np.ndarray
+    outflow_before: np.ndarray
     consumption: np.ndarray
-    utility_coef: np.ndarray | None
+    utility_weight: np.ndarray | None
     gamma: float | None
     phi0: float
     r: float
+
+
+def _node_weights(half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the half-step before it (0 at node 0) and the node weight:
+    that plus the half-step after it (0 at the last node)."""
+    before = np.concatenate(([0.0], half_steps))
+    weight = before.copy()
+    weight[:-1] += half_steps
+    return before, weight
 
 
 def _step_coefficients(controls, market, mortality, schedule, times) -> _StepCoefficients:
@@ -377,7 +410,9 @@ def _step_coefficients(controls, market, mortality, schedule, times) -> _StepCoe
         x_control_drift = -c_mid * dt + alpha_mid * d_lam
         _, c_nodes, alpha_nodes = controls.at(times)
         bq_nodes = 1.0 - alpha_nodes
-    utility_coef = gamma = None
+    # the trapezoid rule's 0.5 folded into the node weights (exactly)
+    outflow_before, outflow_weight = _node_weights(0.5 * outflow)
+    utility_weight = gamma = None
     if schedule is not None:
         gamma = schedule.gamma
         b_nodes = np.asarray(bequest_weight(times, schedule, mortality))
@@ -387,7 +422,7 @@ def _step_coefficients(controls, market, mortality, schedule, times) -> _StepCoe
             c_pow, bq_pow = (np.where(v > 0, np.where(v > 0, v, np.nan) ** gamma,
                                       np.inf if gamma < 0 else 0.0) for v in (c_nodes, bq_nodes))
             bequest_term = np.where(b_nodes > 0, lam_nodes * b_nodes * bq_pow, 0.0)
-        utility_coef = disc * (c_pow + bequest_term) / gamma
+        utility_weight = disc * (c_pow + bequest_term) / gamma * _node_weights(0.5 * dt)[1]
 
     return _StepCoefficients(
         drift_x=(market.r + (market.mu - market.r) * pi_step
@@ -395,11 +430,10 @@ def _step_coefficients(controls, market, mortality, schedule, times) -> _StepCoe
         vol_x=market.sigma * pi_step * sqdt,
         drift_z=-market.r * dt - d_lam - 0.5 * market.sharpe**2 * dt,
         vol_z=-market.sharpe * sqdt,
-        # the trapezoid rule's 0.5 folded into the per-step weights (exactly)
-        half_outflow=0.5 * outflow,
-        half_dt=0.5 * dt,
+        outflow_weight=outflow_weight,
+        outflow_before=outflow_before,
         consumption=c_nodes,
-        utility_coef=utility_coef,
+        utility_weight=utility_weight,
         gamma=gamma,
         phi0=controls.spd0 if candidate else 1.0,
         r=market.r,
@@ -456,7 +490,7 @@ def simulate_wealth(
     # counts these very shapes, and this thread allocates them so that their
     # pages return to its heap, not the helper's
     shapes = ((2, seg + 1, sub), (seg + 1, sub), (2, min(_CHUNK_NODES, seg) + 1, sub))
-    _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)))
+    _check_memory(n_paths, n_rec, n_steps, sum(map(math.prod, shapes)) + 4 * n_blocks)
     ring, log_z_buffer, scratch = (np.empty(shape) for shape in shapes)
     if record_idx is None:
         record_idx = np.arange(n_steps + 1)
@@ -472,10 +506,10 @@ def simulate_wealth(
     wealth = np.empty((n_paths, n_rec))
     spd = np.empty((n_paths, n_rec))
     y_arr = np.empty((n_paths, n_rec))
-    objective = None if coef.utility_coef is None else np.empty(n_paths)
+    objective = None if coef.utility_weight is None else np.empty(n_paths)
 
     # What a sub-block carries over each segment edge, per lane: log X and
-    # log zeta at the edge, the trapezoid totals of Y and of the objective,
+    # log zeta at the edge, the node-weighted sums of Y and of the objective,
     # and (-1 for none) the first non-finite step and the first recorded step
     # whose X, zeta or Y overflows.
     carried = np.empty((4, sub))
@@ -503,7 +537,7 @@ def simulate_wealth(
         j0, j1 = rec_edges[k], rec_edges[k + 1]
         log_x = log_x[:, :width]
         log_z = log_z_buffer[: b - a + 1, :width]
-        x_at, z_at, y_total, objective_total = carried[:, :width]
+        x_at, z_at = carried[:2, :width]
         bad_at, overflow_at = first_bad[:, :m]
         if k == 0:
             carried[:] = np.array(carried_start)[:, None]
@@ -533,24 +567,19 @@ def simulate_wealth(
             recorded = tuple(arr[start : start + m, j0:j1] for arr in (wealth, spd, y_arr))
             for logs, rec in zip((log_x, log_z), recorded):
                 np.exp(logs[nodes, :m].T, out=rec)
-            # Y = zeta*X + running trapezoid integral of zeta*X*outflow
-            np.add(log_x, log_z, out=log_z)
-            _trapezoid_totals(log_z, None, coef.half_outflow[a:b], nodes, scratch, y_total,
-                              recorded[2], with_value=True)
-            # exp and the trapezoid sums may overflow where the logs did not
+            # a recorded overflow ends the objective's sums; row 0 of a
+            # later segment is the last row of the one before
+            with_objective = objective is not None and overflow_at.max() < 0
+            _segment_sums(log_x, log_z, a, 0 if k == 0 else 1, nodes, coef, scratch,
+                          carried[2:, :width], recorded[2], with_objective=with_objective)
+            # exp and the sums may overflow where the logs did not
             if j1 > j0 and not all(np.isfinite(arr.max()) and np.isfinite(arr.min())
                                    for arr in recorded):
                 bad = ~np.logical_and.reduce([np.isfinite(arr) for arr in recorded])
                 rows = np.flatnonzero(bad.any(axis=1) & (overflow_at < 0))
                 overflow_at[rows] = record_idx[j0 + np.argmax(bad[rows], axis=1)]
-            if objective is not None and overflow_at.max() < 0:
-                # zeta*X is recorded; its buffer takes gamma log X
-                with np.errstate(invalid="ignore"):
-                    np.multiply(log_x, coef.gamma, out=log_z)
-                    _trapezoid_totals(log_z, coef.utility_coef[a : b + 1], coef.half_dt[a:b],
-                                      (b - a,) if b == n_steps else (), scratch,
-                                      objective_total, objective[start : start + m, None],
-                                      with_value=False)
+            if with_objective and b == n_steps:
+                objective[start : start + m] = carried[3, :m]
         if b < n_steps:
             return
         for what, at in (("non-finite increment at", bad_at),
@@ -572,7 +601,7 @@ def simulate_wealth(
     # order: the first sub-block that raises holds the lowest bad path.
     free, filled = queue.SimpleQueue(), queue.SimpleQueue()
     n_jobs = n_blocks * n_segments
-    normals = _Substreams(config.seed)
+    normals = _Substreams(config.seed, n_blocks)
 
     def drawing() -> None:
         try:

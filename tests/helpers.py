@@ -185,7 +185,8 @@ def reference_paths(
     are written from the model, not from the kernel's coefficient arrays;
     only the controls' values and the tabulated log D come from the library.
     Path p reads its normals from lane p mod 512 of
-    ``Generator(Philox(key=(seed, p // 512)))``, drawn 512 lanes a step.
+    ``Generator(SFC64(SeedSequence(seed, spawn_key=(p // 512,))))``, drawn
+    512 lanes a step.
     Over a step of length h with controls held at (pi, c, alpha), wealth and
     the state-price density take the exact lognormal update of
 
@@ -244,8 +245,8 @@ def reference_paths(
            for name in ("wealth_paths", "spd_paths", "y_paths")}
     out["objective_paths"] = np.empty(config.n_paths)
     for p in range(config.n_paths):
-        key = np.array([config.seed, p // 512], dtype=np.uint64)
-        lanes = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 512))
+        seeds = np.random.SeedSequence(config.seed, spawn_key=(p // 512,))
+        lanes = np.random.Generator(np.random.SFC64(seeds)).standard_normal((n, 512))
         normals = lanes[:, p % 512].tolist()
         log_x, log_zeta = math.log(config.initial_wealth), log_zeta0
         x, zeta = [math.exp(log_x)], [math.exp(log_zeta)]

@@ -975,10 +975,10 @@ DEFAULT_CSV_SHA256 = {
         "income.csv": "9ef3fe3035ff4b6ad2775fede8715d3af6209fe7d8e0b7a86402ffbf89975fc4",
     },
     "simulate": {
-        "simulate.csv": "632dcdd112dda7dd82149e86ee353ee86193ce3b2b8e0e0d9c97a06c3aa5b268",
+        "simulate.csv": "f7c303904f78c2ad6a2c7057afb40c614130bab8bc80d304a1d4b5fce57d3f80",
     },
     "verify": {
-        "verify.csv": "631f13eb5c39383095a51faf3d2a3ace53b6598cae0bb83c2245dd4757396642",
+        "verify.csv": "b865168549bb86b6fb92b6ff6ec3ed8b722bddb8b9b9702a18e741c0d7a9eb9b",
     },
     "figures": {
         "fig1.csv": "6c07e7bcf47bf8933590ea270ec54049f2bc139c163958051c059aa9c687d3bf",

@@ -376,6 +376,31 @@ class TestDenominatorIntegral:
         assert peaks[2600] <= 0.5e6  # the weekly grid
         assert peaks[26000] <= peaks[2600] + 3 * 8 * (26000 - 2600)
 
+    @pytest.mark.parametrize("variant",
+                             ["none", "power", "scaled_power", "trimmed", "scaled_trimmed"])
+    def test_sweep_checks_only_its_query_points(self, monkeypatch, variant, market,
+                                                mortality):
+        # the panel edges and quadrature nodes lie in [0, T_max] by
+        # construction: one weekly sweep checks its times once, on entry,
+        # however many panels and head blocks it integrates
+        from tontine import mortality as mortality_module
+        from tontine import preferences as preferences_module
+
+        calls = []
+        check = mortality_module._check_times
+
+        def counting_check(*args, **kwargs):
+            calls.append(args[0] if np.ndim(args[0]) == 0 else np.shape(args[0]))
+            return check(*args, **kwargs)
+
+        for module in (mortality_module, preferences_module, controls_module):
+            monkeypatch.setattr(module, "_check_times", counting_check)
+        schedule = make_schedule(-3.0, variant,
+                                 kappa=0.7 if variant.startswith("scaled") else None)
+        grid = np.arange(2600) * mortality.limiting_age_years / 2600
+        log_tail_integrals(grid, schedule, mortality, market)
+        assert calls == [(2600,)]
+
     def test_integrability_flag(self):
         assert has_integrability_warning(make_schedule(0.5, "trimmed"))
         assert not has_integrability_warning(make_schedule(-0.5, "trimmed"))

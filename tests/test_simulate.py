@@ -310,21 +310,44 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", (0, 2**64 - 1))
     @pytest.mark.parametrize("block", (0, 1, 2**32 + 7))
-    def test_substream_is_philox_keyed_by_seed_and_block(self, seed, block):
-        # a uint64 key: a list holding 2**64 - 1 would pass through float64;
-        # drawn time-major, 512 lanes a step; a stream drawn in pieces, as
-        # segments draw it, is one draw, and step 0 starts it afresh
+    def test_substream_is_sfc64_spawned_by_seed_and_block(self, seed, block):
+        # SFC64 seeded by SeedSequence(seed, spawn_key=(block,)); a numpy
+        # uint64 seed holding 2**64 - 1 is the same seed
+        seeds = np.random.SeedSequence(seed, spawn_key=(block,))
+        state = simulate._stream_state(seed, block)
+        assert state.dtype == np.uint64 and state.shape == (4,)
+        assert np.array_equal(state, np.random.SFC64(seeds).state["state"]["state"])
+        assert np.array_equal(state, simulate._stream_state(np.uint64(seed), block))
+
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    def test_substream_is_one_draw_in_pieces(self, seed):
+        # the child that spawn() gives, drawn time-major, 512 lanes a step;
+        # a stream drawn in pieces, as segments draw it, is one draw, and
+        # step 0 starts it afresh after another block's stream
+        seeds = np.random.SeedSequence(seed).spawn(2)[1]
+        assert seeds.spawn_key == (1,)
+        expected = np.random.Generator(np.random.SFC64(seeds)).standard_normal((16, 512))
         lanes = simulate._SUB_BLOCK_PATHS
         out, again = np.empty((2, 16, lanes))
-        normals = simulate._Substreams(seed)
+        normals = simulate._Substreams(seed, 2)
+        assert np.array_equal(normals.states[1], simulate._stream_state(seed, 1))
         for a, b in ((0, 5), (5, 6), (6, 16)):
-            normals.fill(block, a, out[a:b])
-        normals.fill(block, 0, again)
-        key = np.array([seed, block], dtype=np.uint64)
-        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal((16, 512))
+            normals.fill(1, a, out[a:b])
+        normals.fill(0, 0, again[:3])
+        normals.fill(1, 0, again)
         assert lanes == 512
         assert np.array_equal(out, expected)
         assert np.array_equal(again, expected)
+
+    def test_seed_and_block_words_do_not_collide(self):
+        # as entropy, the tuples (2**32, 7) and (0, 1 + 7 * 2**32) are the
+        # same uint32 words; as (seed, spawn key) they are two streams
+        collide = [np.random.SeedSequence(words).generate_state(4)
+                   for words in ((2**32, 7), (0, 1 + 7 * 2**32))]
+        assert np.array_equal(*collide)
+        states = [simulate._stream_state(seed, block)
+                  for seed, block in ((2**32, 7), (0, 1 + 7 * 2**32))]
+        assert not np.array_equal(*states)
 
     def test_path_reads_its_lane_of_its_sub_block(self, market):
         # path p's increments are driven by lane p mod 512 of sub-block
@@ -339,8 +362,8 @@ class TestDeterminism:
         normals = (np.diff(np.log(result.wealth_paths), axis=1) - drift) / (
             market.sigma * pi * math.sqrt(h))
         for path in (0, 511, 512, 1023, 1024, 1099):
-            key = np.array([config.seed, path // 512], dtype=np.uint64)
-            stream = np.random.Generator(np.random.Philox(key=key)).standard_normal((4, 512))
+            seeds = np.random.SeedSequence(config.seed, spawn_key=(path // 512,))
+            stream = np.random.Generator(np.random.SFC64(seeds)).standard_normal((4, 512))
             np.testing.assert_allclose(normals[path], stream[:, path % 512], rtol=0,
                                        atol=1e-9)
 
@@ -358,19 +381,20 @@ class TestDeterminism:
 
 
 # sha256 of the result arrays of _golden_runs, taken when the streams were
-# keyed by sub-block; TestReferenceKernel checks the arithmetic beneath them.
+# SFC64 spawned by sub-block and the sums node-weighted; TestReferenceKernel
+# checks the arithmetic beneath them.
 GOLDEN_DIGESTS = {
     "candidate": {
-        "wealth_paths": "ae74df2acd93d3905fbeb75a86b8fa1b2aee85b3ea39608632a07aef7bafe8e0",
-        "spd_paths": "dc71b33299bdcfba77a40d284340b36e6658b079b3044a76c1de4413cbb003ea",
-        "y_paths": "8177a288d3ac259ea4b3c667da175e180bcb9f6367c5ad13f68b0df14b0eaec2",
-        "objective_paths": "d57300d69d412085afa7e6331100667a518ebcd494f5a44db362f0d2449b649e",
+        "wealth_paths": "f60367c2eaf2513d753742ff98f6c94838511022202d80a013e1b86d269df63e",
+        "spd_paths": "a1bb11f426823caaab1622457a06b88f990c98de2d986f430a4d629020254faa",
+        "y_paths": "b488a2d6033fc003f65b97c3314008d6a44929f04e3e53283d80a992612ef307",
+        "objective_paths": "55218003193ebc1a5f97b0ef37e18c7d6436ea9a608ebf053c476e1278740fdc",
     },
     "jitter": {
-        "wealth_paths": "480810e505d708a6170dee5c757658f99b32a4ede5e84ecedd251a6b99620a9b",
-        "spd_paths": "130cc22ba0de7e58d18de2f186418e1dfc4b39ee8c45c1ae89f3bcaecc446254",
-        "y_paths": "34b2a3163881a4db4834134a07bdf05da2015cb927d4730e0e692520c3d35c2d",
-        "objective_paths": "def2f3fc03fabd390b52d56d4c50ee1dc33757f08a2cc07f446cc30f034c86e6",
+        "wealth_paths": "c750764b84400d172e434165c14abc429b4c8fb711015e5ee5028190ec7ae573",
+        "spd_paths": "f207b15e78d83a5ed39729a7eb69e3ddd6d768999a27229a420be859391d2fda",
+        "y_paths": "59d3843b3b5b466278edaa460881bcaa97fff564c2b38e82d008b5395c0f26eb",
+        "objective_paths": "5f30b239c2652a521f959d119a6ca01a2fdbcc49114f5ee791e9035b829029cf",
     },
 }
 # sha256 of _golden_runs at path counts that leave a partial sub-block of
@@ -378,30 +402,30 @@ GOLDEN_DIGESTS = {
 ONE_PATH_BLOCK_DIGESTS = {
     1: {
         "candidate": {
-            "wealth_paths": "8515cab8db70cb86020300669f9b621c42c2f5c733f50c71ec61356990ca3fc4",
-            "spd_paths": "c4446589e5abfe6e88ad24500c8e850c4aef149c8177d2ef054fdc3cb71f85ef",
-            "y_paths": "cdf6f330be20f3a371ad2c9127a867de3fc358b021b881d2b900a28a0009c7dc",
-            "objective_paths": "fbe00a621ecb703dcb1f12afdc701f129176d65b47dcf9c183d70a435cec8e1d",
+            "wealth_paths": "0b2cd4f7f4439764f10b4a0849b0a9e484ff234d0ea5085a5207f3f833b8211a",
+            "spd_paths": "8f1746e838adc9edac378132af02fbd92ea65f992b6502bfef8ca46bcfcc2bc3",
+            "y_paths": "f8e5e60be1823cdf297b3a62b9242900d88c957530b72223cd5b26f55d68544f",
+            "objective_paths": "287faa371b22acce234d7197d2f25cf91e92d85e993f199c80fa53a64654ec2d",
         },
         "jitter": {
-            "wealth_paths": "55a4aec437fab2bf4d530600706a686990ad36d1095dba834d404765a064564b",
-            "spd_paths": "b992896967e3436dd96720a6eaf37f530851847b07c4f0f04b222a86a2ab626f",
-            "y_paths": "1456e2bd3580f976ed9cfda1b1325932c23d928cd84e69e42b2c4b57bd96af79",
-            "objective_paths": "a6ec8ccb863cba18630d6331403392f8f3476ec534267592bacd613337d9419c",
+            "wealth_paths": "4df40965fb30690bef0b07b97005155c9cb24797961e3c8e801c2d76b7f491b7",
+            "spd_paths": "478abf052cebb3f90085943673447a05f3ae6e6ee4650ff8ead9fb6b3dbda058",
+            "y_paths": "76ae6d0c5a755d01545371a94864bb11a9638f0fb2232c5b416450d25edced6e",
+            "objective_paths": "d3b9f6dadb84676bc3522e9a2f429a313df9f56197214aafb40fb94cf5d4aa90",
         },
     },
     75: {
         "candidate": {
-            "wealth_paths": "669b1871efff2074a5d8d90336a296dde8a7cd0e57a729114f23128022946f74",
-            "spd_paths": "0684800661c4e75b20b01ab0e94aa6b479505db2fc89a79ff89a16ec554a9417",
-            "y_paths": "86c4f3a3366d85e2c45035e283e4fd07476a0e266231063dd8fc6455467ed325",
-            "objective_paths": "054b9dc2ac7936161d57222bc63b11db50a59aa52dff2961ebfdb64a28381fd6",
+            "wealth_paths": "d9864f71b1582c0e4289b395fd09b116f525e0ab3d3459e6ddfe1e1bd9c77047",
+            "spd_paths": "b949ad9a70a30b6c023f7ab449ecde2fba4281266b40c94f81a56162c275b38e",
+            "y_paths": "fc0a4561e60d614ddf0e0f7a99bec5ccbb27d8c434bbb23ed80b6b5b6875bbd0",
+            "objective_paths": "e285d991a37f7b05d6cfd221a1e5b7e84f9cf763e47319b3ca3df8fa8394d5e7",
         },
         "jitter": {
-            "wealth_paths": "380d8f6e6c6febab137465b19e460fa8420f1b2858f441a212fb85374fc519ec",
-            "spd_paths": "0500b404c095a43a877c084e0f74edbcf658f204fe0f275d2d83aa43e6570d41",
-            "y_paths": "a59c5d87ce0785a6bb264e7ec712c966fa2de6309332a9d77e026bb6c777d48d",
-            "objective_paths": "cab0832ab4b818259e1f753603de544c10f31db46fc0cadbe4f8831b2112fb26",
+            "wealth_paths": "f30c14e511a286c24998f4404729d36494e7a314babaee7717abfe230aefeb82",
+            "spd_paths": "4c7550b252381715e54f5880d08f16db4fe6b9a412404ab82a4000c40a47afc2",
+            "y_paths": "5395ac55bd66701b3e98b7b67623951209e340fcb7a672a8e1a0e594e8b427a2",
+            "objective_paths": "9b9fe619cbb45bf908809680f0913ceec7822c8eafc1edd122ab0c6b338d5830",
         },
     },
 }
@@ -906,15 +930,16 @@ class TestErrors:
     @FAULTY_SUB_BLOCKS
     def test_advancing_exception_reaches_caller(self, monkeypatch, market, bad_path):
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        totals = simulate._trapezoid_totals
+        sums = simulate._segment_sums
 
-        def failing_totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs):
-            # out is the sub-block's slice of Y: its offset in rows is the first path
+        def failing_sums(*args, **kwargs):
+            # the last is the sub-block's slice of Y: its offset in rows is the first path
+            out = args[-1]
             if (out.ctypes.data - out.base.ctypes.data) // out.strides[0] == bad_path:
                 raise RuntimeError("advance failed")
-            totals(logs, coef, half_weight, rows, scratch, total, out, **kwargs)
+            sums(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_trapezoid_totals", failing_totals)
+        monkeypatch.setattr(simulate, "_segment_sums", failing_sums)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
         with pytest.raises(RuntimeError, match="advance failed"):
@@ -924,24 +949,49 @@ class TestErrors:
         # one helper thread draws every sub-block's normals and the calling
         # thread advances every one
         monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
-        fill, totals = simulate._Substreams.fill, simulate._trapezoid_totals
+        fill, sums = simulate._Substreams.fill, simulate._segment_sums
         fills, advances = [], []
 
         def recording_fill(self, block, first_step, out):
             fills.append(threading.current_thread().name)
             fill(self, block, first_step, out)
 
-        def recording_totals(*args, **kwargs):
+        def recording_sums(*args, **kwargs):
             advances.append(threading.get_ident())
-            totals(*args, **kwargs)
+            sums(*args, **kwargs)
 
         monkeypatch.setattr(simulate._Substreams, "fill", recording_fill)
-        monkeypatch.setattr(simulate, "_trapezoid_totals", recording_totals)
+        monkeypatch.setattr(simulate, "_segment_sums", recording_sums)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
         simulate_wealth(config, controls, market, NO_MORTALITY)
         assert fills == ["tontine-draw"] * 4  # 120 paths in sub-blocks of 37
         assert advances == [threading.get_ident()] * 4
+
+    def test_helper_thread_builds_no_generator(self, monkeypatch, market):
+        # a bit generator or seed sequence built on the helper thread would
+        # put its memory in that thread's malloc arena: the calling thread
+        # seeds every sub-block's state and builds the one generator
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_PATHS", 37)
+        built = []
+
+        def recording(cls):
+            def build(*args, **kwargs):
+                built.append((cls.__name__, threading.current_thread().name))
+                return cls(*args, **kwargs)
+            return build
+
+        for name in ("SeedSequence", "SFC64", "Philox", "PCG64", "PCG64DXSM", "MT19937",
+                     "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, recording(getattr(np.random, name)))
+        controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
+        config = SimulationConfig(n_paths=120, horizon=1.0, step=0.25)
+        simulate_wealth(config, controls, market, NO_MORTALITY)
+        caller = threading.current_thread().name
+        # a seed sequence and a generator for each of the 4 sub-blocks' states,
+        # then one of each and the generator that draws
+        assert sorted(built) == sorted([("SeedSequence", caller), ("SFC64", caller)] * 5
+                                       + [("Generator", caller)])
 
     def test_follows_caller_floating_point_errors(self, monkeypatch, market, mortality):
         # X0 = 1e-200 and gamma = -3: X^gamma overflows, and only in the
@@ -974,12 +1024,13 @@ class TestErrors:
         # summary adds income, zeta*X and a standard-deviation temporary; each
         # step adds the time-grid arrays and, since 4 steps are one segment,
         # the ring's two buffers of normals and the calling thread a zeta
-        # buffer and a two-part scratch of min(chunk, steps) + 1 nodes
+        # buffer and a two-part scratch of min(chunk, steps) + 1 nodes; each
+        # of the 40 sub-blocks adds its 4-word stream state
         n_paths, n_rec, n_steps = 20_000, 5, 4
         sub = simulate._SUB_BLOCK_PATHS
         need = 8 * n_paths * (6 * n_rec + 1) + 8 * (
             simulate._STEP_ARRAYS + (2 + 1) * sub) * (n_steps + 1) + 8 * (
-            2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1))
+            2 * sub * (min(simulate._CHUNK_NODES, n_steps) + 1)) + 8 * 4 * -(-n_paths // sub)
         controls = DeterministicControls(pi=0.5, consumption=0.02, tontine_fraction=0.5)
         config = SimulationConfig(
             n_paths=n_paths, horizon=1.0, step=0.25, record_times="all"
@@ -1047,7 +1098,8 @@ class TestErrors:
         assert width <= simulate._SEGMENT_STEPS + 1
         buffers = [(2, width, sub), (width, sub), (2, chunk + 1, sub)]
         assert [s for s in shapes if math.prod(s) >= 2 * (chunk + 1) * sub] == buffers
-        assert checked == [(1024, 8, 10_080, sum(map(math.prod, buffers)))]
+        # and the two sub-blocks' 4-word stream states
+        assert checked == [(1024, 8, 10_080, sum(map(math.prod, buffers)) + 2 * 4)]
 
     @pytest.mark.parametrize("n_paths, horizon", [
         (8 * 512, 40.0),
